@@ -36,6 +36,10 @@ class GaConfig:
     (Alzantot et al. 2018, arXiv:1801.00554): mutations of up to +-150 and
     8 randomized low bits at init. At LSB scale (+-2, 1 bit) the search
     cannot reach the decision boundary within k_max generations.
+
+    `seed` fixes every draw: generation g uses its own stream,
+    SeedSequence((seed, g)), so a run is a pure function of its inputs and
+    the seed (see `ga_attack` for what each stream holds).
     """
 
     population_size: int = 50
@@ -56,8 +60,10 @@ class GaConfig:
             raise ValueError("temp must be positive")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ValueError("mutation_probability must be in [0, 1]")
-        if self.mutation_range < 0 or self.init_noise_bits < 0:
-            raise ValueError("mutation_range and init_noise_bits must be >= 0")
+        if self.mutation_range < 0:
+            raise ValueError("mutation_range must be >= 0")
+        if not 0 <= self.init_noise_bits <= 15:
+            raise ValueError("init_noise_bits must be in [0, 15]")
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,51 @@ def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: 
     )
 
 
-def _child_rng(seed: int, generation: int, index: int) -> np.random.Generator:
-    # one stream per (generation, candidate) so batched work stays reproducible
-    return np.random.default_rng(np.random.SeedSequence((seed, generation, index)))
+def _generation_rng(seed: int, generation: int) -> np.random.Generator:
+    # one stream per generation: what it holds depends only on (seed, generation)
+    return np.random.default_rng(np.random.SeedSequence((seed, generation)))
+
+
+def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Increasing indices in [0, total) hit by independent Bernoulli(p) trials.
+
+    The gaps between hits are geometric, so the cost follows the number of
+    hits rather than `total`.
+    """
+    if p <= 0.0 or total == 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    expected = total * p
+    # sized so one draw almost always reaches past `total`
+    block = int(expected + 4.0 * math.sqrt(expected)) + 16
+    hits = np.cumsum(rng.geometric(p, size=block)) - 1
+    while hits[-1] < total:
+        hits = np.concatenate([hits, hits[-1] + np.cumsum(rng.geometric(p, size=block))])
+    return hits[: np.searchsorted(hits, total)]
+
+
+def _breed(pop: np.ndarray, selection: np.ndarray, count: int,
+           rng: np.random.Generator, cfg: GaConfig) -> np.ndarray:
+    """`count` children of `pop`: parent pairs drawn from `selection`, uniform
+    crossover, then samplewise mutation; all draws come from `rng`."""
+    n = pop.shape[1]
+    parents = rng.choice(len(pop), size=(count, 2), p=selection)
+    children = pop[parents[:, 0]]
+    other = pop[parents[:, 1]]
+    # one random bit per sample, as an int 0/-1 mask: b ^ ((a ^ b) & mask) is a
+    # where the bit is set and b elsewhere
+    bits = np.unpackbits(rng.integers(0, 256, size=(count, (n + 7) // 8), dtype=np.uint8),
+                         axis=1, count=n)
+    children ^= other
+    children &= -bits.view(np.int8)
+    children ^= other
+    if cfg.mutation_range > 0:
+        flat = children.reshape(-1)
+        hits = _bernoulli_positions(rng, flat.size, cfg.mutation_probability)
+        deltas = rng.integers(-cfg.mutation_range, cfg.mutation_range + 1, size=hits.size)
+        flat[hits] = np.clip(flat[hits] + deltas, I16_MIN, I16_MAX)
+    return children
 
 
 def _stable_softmax(scores: np.ndarray, temp: float) -> np.ndarray:
@@ -144,6 +192,16 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     score, so the fitness trace never falls. Stops as soon as the
     best candidate is classified as the target, else after k_max generations
     (exhaustion is a success=False result, not an error).
+
+    Random draws: generation 0's stream, SeedSequence((cfg.seed, 0)), draws
+    the whole initial population's low bits in one call. The stream of
+    generation g >= 1, SeedSequence((cfg.seed, g)), breeds that generation's
+    children in this order: all parent pairs in one draw, one packed random
+    bit per child sample for the crossover and, when `mutation_range` > 0,
+    the geometric gaps between mutated positions over the flat block of
+    children (each sample is hit with probability `mutation_probability`),
+    then one uniform delta in +-`mutation_range` per hit. Only the hit
+    samples are clipped to 16 bits.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
@@ -153,16 +211,13 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         return _result(model, original, original.samples.copy(), target, 0)
 
     size = cfg.population_size
-    pop = np.empty((size, n), dtype=np.int16)
     if cfg.init_noise_bits > 0:
-        mask = np.int16((1 << cfg.init_noise_bits) - 1)
+        mask = (1 << cfg.init_noise_bits) - 1
         base = original.samples & np.int16(~mask)
-        for i in range(size):
-            rng = _child_rng(cfg.seed, 0, i)
-            bits = rng.integers(0, mask + 1, size=n, dtype=np.int16)
-            pop[i] = base | bits
+        bits = _generation_rng(cfg.seed, 0).integers(0, mask + 1, size=(size, n), dtype=np.int16)
+        pop = base | bits
     else:
-        pop[:] = original.samples
+        pop = np.tile(original.samples, (size, 1))
 
     best_samples = pop[0].copy()
     best_score = -1.0
@@ -190,25 +245,13 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
                            fitness_trace=fitness_trace)
 
         selection = _stable_softmax(scores, cfg.temp)
-        next_pop = np.empty_like(pop)
-        start = 0
+        rng = _generation_rng(cfg.seed, generation + 1)
         if cfg.elitism:
-            next_pop[0] = pop[best_idx]
             elite_probs = probs[best_idx]
-            start = 1
-        for i in range(start, size):
-            rng = _child_rng(cfg.seed, generation + 1, i)
-            parents = rng.choice(size, size=2, replace=True, p=selection)
-            take_first = rng.random(n) < 0.5
-            child = np.where(take_first, pop[parents[0]], pop[parents[1]]).astype(np.int32)
-            mutate = rng.random(n) < cfg.mutation_probability
-            count = int(mutate.sum())
-            if count and cfg.mutation_range > 0:
-                child[mutate] += rng.integers(
-                    -cfg.mutation_range, cfg.mutation_range + 1, size=count
-                )
-            next_pop[i] = np.clip(child, I16_MIN, I16_MAX).astype(np.int16)
-        pop = next_pop
+            pop = np.concatenate([pop[best_idx][None, :],
+                                  _breed(pop, selection, size - 1, rng, cfg)])
+        else:
+            pop = _breed(pop, selection, size, rng, cfg)
 
     # k_max exhausted: the best-so-far goes back as a success=False result
     return _result(model, original, best_samples, target, cfg.k_max,

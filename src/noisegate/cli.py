@@ -6,6 +6,7 @@ wins over both for the master seed.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -88,13 +89,19 @@ def _recognizer(args, config):
 def _noise(args, config, seed: int) -> NoiseSpec:
     raw = _setting(args, config, "noise", "gaussian:200")
     kind, _, intensity = raw.partition(":")
-    return NoiseSpec(kind=kind, intensity=int(intensity or 0), seed=seed)
+    try:
+        level = int(intensity)
+    except ValueError:
+        raise SystemExit(f"noise {raw!r} needs an integer intensity, e.g. gaussian:200") from None
+    return NoiseSpec(kind=kind, intensity=level, seed=seed)
 
 
 def cmd_synth(args, config):
     seed = _master_seed(args, config)
     out_dir = Path(_setting(args, config, "out_dir", "."))
-    manifest = synth_dataset(args.classes, args.per_class, seed, out_dir)
+    classes = int(_setting(args, config, "classes", 10))
+    per_class = int(_setting(args, config, "per_class", 100))
+    manifest = synth_dataset(classes, per_class, seed, out_dir)
     print(f"wrote {len(manifest)} clips and {out_dir / 'manifest.csv'}")
     return 0
 
@@ -180,20 +187,22 @@ def cmd_detect(args, config):
     manifest = load_manifest(args.manifest)
     threshold = float(_setting(args, config, "threshold", 0.5))
     votes = int(_setting(args, config, "votes", 1))
-    lines = ["path,cr,verdict,transcript_before,transcript_after"]
+    cr_mode = _setting(args, config, "cr_mode", "edit")
+    rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
     for idx, row in enumerate(manifest.rows):
         cfg = DetectionConfig(
             noise=_noise(args, config, seed=derive_seed(seed, "detect", idx)),
             threshold=threshold,
             recognizer=recognizer,
             votes=votes,
-            cr_mode=args.cr_mode,
+            cr_mode=cr_mode,
         )
         outcome = detect(cfg, read_wav(manifest.resolve(row)))
-        lines.append(f"{row.path},{outcome.cr:.6f},{outcome.verdict},"
-                     f"{outcome.transcript_before},{outcome.transcript_after}")
+        rows.append((row.path, f"{outcome.cr:.6f}", outcome.verdict,
+                     outcome.transcript_before, outcome.transcript_after))
     out = Path(_setting(args, config, "out", "detection_report.csv"))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {out}")
     return 0
 
@@ -205,7 +214,7 @@ def _experiment_config(args, config) -> ExperimentConfig:
         transforms=_transform_list(args, config),
         recognizer=_recognizer(args, config),
         out_dir=str(_setting(args, config, "out_dir", ".")),
-        cr_mode=getattr(args, "cr_mode", None) or config.get("cr_mode", "edit"),
+        cr_mode=_setting(args, config, "cr_mode", "edit"),
     )
 
 
@@ -272,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the synthetic keyword corpus")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=100)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--per-class", type=int)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", help="kind:intensity, e.g. gaussian:200")
     p.add_argument("--threshold", type=float)
     p.add_argument("--votes", type=int)
-    p.add_argument("--cr-mode", dest="cr_mode", choices=("edit", "flip"), default="edit")
+    p.add_argument("--cr-mode", dest="cr_mode", choices=("edit", "flip"))
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_detect)

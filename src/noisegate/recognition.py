@@ -3,6 +3,7 @@ tools, and transcript caches, plus the edit-distance primitive."""
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import tempfile
@@ -132,9 +133,15 @@ _loaded_caches: dict = {}
 
 
 def _builtin_model(path: str):
-    if path not in _loaded_models:
-        _loaded_models[path] = clf.load(path)
-    return _loaded_models[path]
+    # a model file rewritten or replaced gets a new stamp and is loaded again.
+    # (st_dev, st_ino) names the file: one stat per call, where resolving the
+    # path as well cost ~20x more per transcript
+    st = os.stat(path)
+    stamp = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+    cached = _loaded_models.get(path)
+    if cached is None or cached[0] != stamp:
+        cached = _loaded_models[path] = (stamp, clf.load(path))
+    return cached[1]
 
 
 def _cache_table(path: str) -> dict:

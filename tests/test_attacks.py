@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from noisegate.attacks import AttackResult, GaConfig, PgdConfig, ga_attack, pgd_attack
+from noisegate.attacks import (
+    AttackResult,
+    GaConfig,
+    PgdConfig,
+    _bernoulli_positions,
+    _breed,
+    ga_attack,
+    pgd_attack,
+)
 from noisegate.audio import SILENT_PERTURBATION, AudioClip, clamped_add
 from noisegate.classifier import predict
 
@@ -22,6 +32,8 @@ class TestGaConfig:
             GaConfig(temp=0.0)
         with pytest.raises(ValueError):
             GaConfig(mutation_probability=1.5)
+        with pytest.raises(ValueError):
+            GaConfig(init_noise_bits=16)
 
 
 class TestGaAttack:
@@ -71,6 +83,15 @@ class TestGaAttack:
         if not res.success:
             assert int(np.abs(res.perturbation.deltas).max()) <= 1
 
+    def test_widest_init_noise_keeps_the_sign_bit(self, tiny_model, tiny_clips):
+        row, clip = tiny_clips[2]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        res = ga_attack(tiny_model, clip, target,
+                        GaConfig(k_max=1, population_size=4, mutation_probability=0.0,
+                                 init_noise_bits=15, seed=6))
+        if not res.success:
+            assert np.array_equal(res.adversarial.samples < 0, clip.samples < 0)
+
     def test_elitism_keeps_best_fitness_monotone(self, tiny_model, tiny_clips):
         # LSB-scale search keeps this run unsuccessful for all 25 generations;
         # without elitism the same run's trace falls 13 times
@@ -95,6 +116,55 @@ class TestGaAttack:
         assert isinstance(res, AttackResult)
         if not res.success:
             assert res.iterations_used == 2
+
+
+class TestBreeding:
+    def test_bernoulli_positions_increasing_and_in_range(self):
+        rng = np.random.default_rng(0)
+        for total, p in ((1, 0.5), (100, 0.3), (5000, 0.001), (1000, 0.9)):
+            hits = _bernoulli_positions(rng, total, p)
+            assert np.all(np.diff(hits) > 0)
+            assert hits.size == 0 or (hits[0] >= 0 and hits[-1] < total)
+
+    def test_bernoulli_positions_edges(self):
+        rng = np.random.default_rng(1)
+        assert _bernoulli_positions(rng, 1000, 0.0).size == 0
+        assert np.array_equal(_bernoulli_positions(rng, 1000, 1.0), np.arange(1000))
+        assert _bernoulli_positions(rng, 0, 0.5).size == 0
+
+    def test_bernoulli_hit_count_is_binomial(self):
+        # the stock population's child block: 49 children x 16,000 samples
+        total, p = 49 * 16000, 0.005
+        mean, sd = total * p, math.sqrt(total * p * (1 - p))
+        rng = np.random.default_rng(2)
+        counts = [_bernoulli_positions(rng, total, p).size for _ in range(20)]
+        assert all(abs(c - mean) < 5 * sd for c in counts)
+        assert abs(np.mean(counts) - mean) < 5 * sd / math.sqrt(len(counts))
+
+    def test_child_samples_come_from_two_parents_at_the_same_index(self):
+        size, n = 8, 3000
+        rng = np.random.default_rng(3)
+        # row i holds only values congruent to i mod size, so a value names its row
+        pop = (rng.integers(-3000, 3000, (size, n)) * size + np.arange(size)[:, None])
+        pop = pop.astype(np.int16)
+        selection = np.full(size, 1.0 / size)
+        children = _breed(pop, selection, size - 1, np.random.default_rng(4),
+                          GaConfig(mutation_probability=0.0))
+        assert children.shape == (size - 1, n) and children.dtype == np.int16
+        for child in children:
+            source = child.astype(np.int64) % size
+            assert np.array_equal(child, pop[source, np.arange(n)])
+            assert len(set(source.tolist())) <= 2
+
+    def test_mutation_is_bounded_and_clipped(self):
+        pop = np.full((4, 2000), 32760, dtype=np.int16)
+        pop[2:] = -32760
+        children = _breed(pop, np.full(4, 0.25), 4, np.random.default_rng(5),
+                          GaConfig(mutation_probability=1.0, mutation_range=150))
+        for child in children:
+            base = np.where(child > 0, 32760, -32760)
+            assert np.all(np.abs(child.astype(np.int32) - base) <= 150)
+        assert children.max() == 32767 and children.min() == -32768
 
 
 class TestPgdConfig:

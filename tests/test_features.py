@@ -97,6 +97,20 @@ class TestMfcc:
         approx32 = mfcc_batch(batch, RATE, dtype=np.float32)
         assert np.allclose(approx32, singles, rtol=1e-3, atol=1e-2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_rows_are_batch_invariant(self, dtype):
+        # 9 rows: not a multiple of the chunk, so rows change chunk and place
+        rng = np.random.default_rng(1)
+        batch = rng.integers(-20000, 20000, (9, 4000), dtype=np.int16)
+        whole = mfcc_batch(batch, RATE, dtype=dtype)
+        assert whole.dtype == dtype
+        order = rng.permutation(9)
+        assert np.array_equal(mfcc_batch(batch[order], RATE, dtype=dtype), whole[order])
+        for row, expected in zip(batch, whole):
+            assert np.array_equal(mfcc_batch(row[None, :], RATE, dtype=dtype)[0], expected)
+            if dtype is np.float64:
+                assert np.array_equal(mfcc_from_array(row, RATE), expected)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FeatureConfig(num_coeffs=50)

@@ -311,3 +311,58 @@ class TestCli:
                   "--out-dir", str(direct), "--seed", "77"])
         assert ((tmp_path / "c" / "wavs" / "yes_0000.wav").read_bytes()
                 == (direct / "wavs" / "yes_0000.wav").read_bytes())
+
+    def test_config_sets_synth_counts(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classes": 2, "per_class": 3}))
+        out = tmp_path / "c"
+        assert cli.main(["--config", str(config), "synth", "--out-dir", str(out)]) == 0
+        assert len(load_manifest(out / "manifest.csv").rows) == 6
+        assert cli.main(["--config", str(config), "synth", "--out-dir", str(out),
+                         "--per-class", "1"]) == 0
+        assert len(load_manifest(out / "manifest.csv").rows) == 2
+
+
+class TestCliDetect:
+    @pytest.fixture
+    def manifest_arg(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 2, seed=5, out_dir=tmp_path / "corpus")
+        return str(tmp_path / "corpus" / "manifest.csv")
+
+    def test_comma_in_transcript_keeps_columns(self, tmp_path, manifest_arg):
+        report = tmp_path / "detect.csv"
+        assert cli.main(["detect", "--manifest", manifest_arg,
+                         "--recognizer", "external:echo left,right {}",
+                         "--out", str(report)]) == 0
+        with open(report, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["path", "cr", "verdict", "transcript_before", "transcript_after"]
+        assert len(rows) == 5
+        assert all(len(row) == 5 for row in rows)
+        assert all(row[3].startswith("left,right ") for row in rows[1:])
+
+    def test_config_cr_mode_is_read_and_flag_wins(self, tmp_path, manifest_arg):
+        # the checksum of the WAV changes under noise but keeps its size field,
+        # so the edit-mode change rate stays below the flip-mode 1.0
+        recognizer = "external:sh -c 'cksum < \"$0\"' {}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cr_mode": "flip"}))
+
+        def crs(*extra):
+            report = tmp_path / "detect.csv"
+            assert cli.main(["--config", str(config), "detect", "--manifest", manifest_arg,
+                             "--recognizer", recognizer, "--out", str(report), *extra]) == 0
+            with open(report, newline="", encoding="utf-8") as fh:
+                return [float(row["cr"]) for row in csv.DictReader(fh)]
+
+        assert crs() == [1.0] * 4
+        edit = crs("--cr-mode", "edit")
+        assert len(edit) == 4 and all(0.0 < cr < 1.0 for cr in edit)
+
+    def test_noise_without_intensity_exits(self, tmp_path, manifest_arg):
+        with pytest.raises(SystemExit, match="intensity"):
+            cli.main(["detect", "--manifest", manifest_arg,
+                      "--recognizer", "external:echo yes {}", "--noise", "gaussian",
+                      "--out", str(tmp_path / "detect.csv")])

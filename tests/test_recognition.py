@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +139,31 @@ class TestBuiltinRecognizer:
         out = transcribe(spec, clip)
         assert out.text == clf.predict(tiny_model, clip)[0]
         assert out.recognizer_id == f"builtin:{model_path}"
+
+    def test_model_rewritten_in_place_is_reloaded(self, tmp_path, tiny_model, tiny_clips):
+        import noisegate.classifier as clf
+
+        model_path = tmp_path / "model.txt"
+        clf.save(tiny_model, model_path)
+        spec = RecognizerSpec.builtin(str(model_path))
+        clip = next(c for _, c in tiny_clips
+                    if clf.predict(tiny_model, c)[0] != tiny_model.class_labels[1])
+        assert transcribe(spec, clip).text == clf.predict(tiny_model, clip)[0]
+
+        reversed_model = dataclasses.replace(
+            tiny_model, class_labels=list(reversed(tiny_model.class_labels)))
+        first_mtime = model_path.stat().st_mtime_ns
+        clf.save(reversed_model, model_path)
+        # same size by construction; on a coarse-clock filesystem, rewrite
+        # until the modification time moves, as a later save would
+        for _ in range(300):
+            if model_path.stat().st_mtime_ns != first_mtime:
+                break
+            time.sleep(0.01)
+            clf.save(reversed_model, model_path)
+        expected = clf.predict(reversed_model, clip)[0]
+        assert expected != clf.predict(tiny_model, clip)[0]
+        assert transcribe(spec, clip).text == expected
 
 
 class TestCacheRecognizer:
