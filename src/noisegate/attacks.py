@@ -12,14 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from noisegate.audio import (
-    SILENT_PERTURBATION,
     AudioClip,
     I16_MAX,
     I16_MIN,
     Perturbation,
+    SilentCarrierError,
+    db_distortion,
+    peak_amplitude,
+    relative_peak_db,
 )
 from noisegate.classifier import (
     Model,
+    _backward,
     _forward_batch,
     pad_or_trim,
     predict,
@@ -93,14 +97,12 @@ class AttackResult:
     fitness_trace: list | None = None  # per-generation best target score (genetic attack)
 
 
-def _relative_peak_db(original: AudioClip, perturbation: Perturbation) -> float:
-    peak_delta = int(np.max(np.abs(perturbation.deltas)))
-    peak_carrier = int(np.max(np.abs(original.samples.astype(np.int32))))
-    if peak_delta == 0:
-        return SILENT_PERTURBATION
-    if peak_carrier == 0:
-        return float("inf")
-    return 20.0 * math.log10(peak_delta / peak_carrier)
+def _carrier_peak(original: AudioClip) -> int:
+    """The original's peak; a silent original leaves relative dB undefined."""
+    peak = peak_amplitude(original.samples)
+    if peak == 0:
+        raise SilentCarrierError("original clip is silent; relative dB is undefined")
+    return peak
 
 
 def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: str,
@@ -118,7 +120,7 @@ def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: 
         success=int(np.argmax(probs)) == target_idx,
         iterations_used=iterations,
         target=target,
-        distortion_db=_relative_peak_db(original, perturbation),
+        distortion_db=db_distortion(original, perturbation),
         final_target_score=float(probs[target_idx]),
         distortion_trace=distortion_trace,
         fitness_trace=fitness_trace,
@@ -191,7 +193,8 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     best candidate moves unchanged into the next generation and keeps its
     score, so the fitness trace never falls. Stops as soon as the
     best candidate is classified as the target, else after k_max generations
-    (exhaustion is a success=False result, not an error).
+    (exhaustion is a success=False result, not an error). A silent original
+    raises SilentCarrierError before any search.
 
     Random draws: generation 0's stream, SeedSequence((cfg.seed, 0)), draws
     the whole initial population's low bits in one call. The stream of
@@ -204,6 +207,7 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     samples are clipped to 16 bits.
     """
     target_idx = model.label_index(target)
+    _carrier_peak(original)
     rate = original.sample_rate_hz
     n = len(original)
 
@@ -266,10 +270,8 @@ def _target_loss_gradient(model: Model, samples_f: np.ndarray, rate: int, target
     loss = -math.log(max(probs[0, target_idx], 1e-300))
     delta = probs.copy()
     delta[0, target_idx] -= 1.0
-    for i in range(len(model.weights) - 1, 0, -1):
-        delta = (delta @ model.weights[i]) * (activations[i] > 0.0)
-    grad_features = (delta @ model.weights[0])[0].reshape(features.shape)
-    grad_samples = mfcc_backprop(grad_features, cache)
+    _, grad_flat = _backward(model, activations, delta, param_grads=False, input_grad=True)
+    grad_samples = mfcc_backprop(grad_flat[0].reshape(features.shape), cache)
     return loss, grad_samples, probs[0]
 
 
@@ -280,14 +282,13 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     gradient of the MFCC+MLP composition). After every step the perturbation
     is rescaled so its peak stays within tau dB of the carrier peak, so the
     budget holds at every iterate; the per-iterate distortions are recorded
-    in the result's distortion_trace.
+    in the result's distortion_trace. A silent original raises
+    SilentCarrierError, since it leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
     x = original.samples.astype(np.float64)
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        raise ValueError("original clip is silent; the dB budget is undefined")
+    peak = float(_carrier_peak(original))
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
     n_eval = int(round(rate * 1.0))
@@ -309,10 +310,7 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
         if peak_delta > bound:
             delta *= bound / peak_delta
             peak_delta = bound
-        trace.append(
-            SILENT_PERTURBATION if peak_delta == 0.0
-            else 20.0 * math.log10(peak_delta) - 20.0 * math.log10(peak)
-        )
+        trace.append(relative_peak_db(peak_delta, peak))
         iterations = step + 1
 
         rounded = _project_rounded(x, delta, bound)

@@ -178,25 +178,31 @@ def clamped_add(clip: AudioClip, p: Perturbation) -> AudioClip:
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
 
 
-def peak_db(values: np.ndarray) -> float:
-    """20*log10 of the peak magnitude; -inf for an all-zero signal."""
-    peak = int(np.max(np.abs(values.astype(np.int64))))
-    if peak == 0:
-        return float("-inf")
-    return 20.0 * math.log10(peak)
+def relative_peak_db(peak_delta: float, peak_carrier: float) -> float:
+    """Peak level of a perturbation relative to its carrier's peak, in dB:
+    20*log10(peak_delta) - 20*log10(peak_carrier).
+
+    A silent carrier (peak 0) raises SilentCarrierError, since it leaves the
+    ratio undefined; a silent perturbation gives SILENT_PERTURBATION (-inf).
+    """
+    if peak_carrier == 0:
+        raise SilentCarrierError("carrier clip is silent; relative dB undefined")
+    if peak_delta == 0:
+        return SILENT_PERTURBATION
+    return 20.0 * math.log10(peak_delta) - 20.0 * math.log10(peak_carrier)
+
+
+def peak_amplitude(values: np.ndarray) -> int:
+    """Peak magnitude of integer samples or deltas."""
+    return int(np.max(np.abs(values.astype(np.int64))))
 
 
 def db_distortion(x: AudioClip, p: Perturbation) -> float:
     """Loudness of the perturbation relative to the carrier, in dB of peak amplitude.
 
-    Returns SILENT_PERTURBATION (-inf) for an all-zero perturbation.
+    Follows `relative_peak_db`: SILENT_PERTURBATION (-inf) for an all-zero
+    perturbation, SilentCarrierError for a silent carrier.
     """
     if len(x) != len(p):
         raise ValueError(f"length mismatch: clip has {len(x)} samples, perturbation {len(p)}")
-    carrier = peak_db(x.samples)
-    if carrier == float("-inf"):
-        raise SilentCarrierError("carrier clip is silent; relative dB undefined")
-    noise = peak_db(p.deltas)
-    if noise == float("-inf"):
-        return SILENT_PERTURBATION
-    return noise - carrier
+    return relative_peak_db(peak_amplitude(p.deltas), peak_amplitude(x.samples))

@@ -152,14 +152,19 @@ def forward_batch(model: Model, flat_features: np.ndarray) -> np.ndarray:
     return _forward_batch(model, x)[0]
 
 
+def _input_row(model: Model, features) -> np.ndarray:
+    """One feature matrix flattened to a (1, input_dim) row."""
+    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != model.layer_dims[0]:
+        raise ValueError(
+            f"feature matrix flattens to {x.shape[1]} values, model expects {model.layer_dims[0]}"
+        )
+    return x
+
+
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature matrix; sums to 1 within 1e-9."""
-    x = np.asarray(features, dtype=np.float64).reshape(-1)
-    if x.size != model.layer_dims[0]:
-        raise ValueError(
-            f"feature matrix flattens to {x.size} values, model expects {model.layer_dims[0]}"
-        )
-    return _forward_batch(model, x[None, :])[0][0]
+    return _forward_batch(model, _input_row(model, features))[0][0]
 
 
 def loss_and_gradient(model: Model, features: np.ndarray, label: str):
@@ -169,25 +174,29 @@ def loss_and_gradient(model: Model, features: np.ndarray, label: str):
     shaped like `features`).
     """
     target = model.label_index(label)
-    feats = np.asarray(features, dtype=np.float64)
-    x = feats.reshape(-1)
-    if x.size != model.layer_dims[0]:
-        raise ValueError(
-            f"feature matrix flattens to {x.size} values, model expects {model.layer_dims[0]}"
-        )
-    probs, activations = _forward_batch(model, x[None, :])
+    probs, activations = _forward_batch(model, _input_row(model, features))
     loss = -math.log(max(probs[0, target], 1e-300))
-
     delta = probs.copy()
     delta[0, target] -= 1.0
-    param_grads = [None] * len(model.weights)
+    param_grads, input_grad = _backward(model, activations, delta, input_grad=True)
+    return loss, param_grads, input_grad.reshape(np.shape(features))
+
+
+def _backward(model: Model, activations: list, delta: np.ndarray,
+              param_grads: bool = True, input_grad: bool = False):
+    """Backpropagate `delta`, the loss gradient w.r.t. the output logits.
+
+    `activations` come from `_forward_batch`. Returns ([(dW, db) per layer],
+    gradient w.r.t. the input rows); each part is computed only when asked
+    for and is None otherwise.
+    """
+    grads = [None] * len(model.weights)
     for i in range(len(model.weights) - 1, -1, -1):
-        h_prev = activations[i]
-        param_grads[i] = (delta.T @ h_prev, delta[0].copy())
+        if param_grads:
+            grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
         if i > 0:
             delta = (delta @ model.weights[i]) * (activations[i] > 0.0)
-    input_grad = (delta @ model.weights[0])[0].reshape(feats.shape)
-    return loss, param_grads, input_grad
+    return (grads if param_grads else None), (delta @ model.weights[0] if input_grad else None)
 
 
 def _features_for_clip(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
@@ -275,18 +284,15 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), progress=None) -> Model:
             delta = probs
             delta -= targets
             delta /= batch.size
-            for i in range(len(model.weights) - 1, -1, -1):
-                grad_w = delta.T @ activations[i]
-                grad_b = delta.sum(axis=0)
-                if i > 0:
-                    delta = (delta @ model.weights[i]) * (activations[i] > 0.0)
-                vw, vb = velocity[i]
+            grads, _ = _backward(model, activations, delta)
+            for (grad_w, grad_b), (vw, vb), w, b in zip(grads, velocity, model.weights,
+                                                       model.biases):
                 vw *= cfg.momentum
                 vw -= cfg.learning_rate * grad_w
                 vb *= cfg.momentum
                 vb -= cfg.learning_rate * grad_b
-                model.weights[i] += vw
-                model.biases[i] += vb
+                w += vw
+                b += vb
 
         if progress is not None:
             stats = EpochStats(

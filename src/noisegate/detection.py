@@ -1,6 +1,7 @@
 """Devastate-then-compare detection: change rate, thresholding, ROC/AUC."""
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -97,19 +98,24 @@ def roc(scores) -> RocResult:
     AUC by the trapezoid rule. The Youden threshold maximizes TPR - FPR over
     the observed scores, ties resolved to the lower threshold.
     """
-    pairs = [(float(s), bool(flag)) for s, flag in scores]
-    n_pos = sum(1 for _, flag in pairs if flag)
+    pairs = sorted(((float(s), bool(flag)) for s, flag in scores),
+                   key=lambda pair: pair[0], reverse=True)
+    n_pos = sum(flag for _, flag in pairs)
     n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError(
             f"need both classes, got {n_pos} adversarial / {n_neg} normal"
         )
 
+    # one descending pass (Fawcett 2006, Alg. 1): at each distinct score t the
+    # running counts hold exactly the scores above t
     points = []
-    for t in sorted({s for s, _ in pairs}, reverse=True):
-        tp = sum(1 for s, flag in pairs if flag and s > t)
-        fp = sum(1 for s, flag in pairs if not flag and s > t)
+    tp = fp = 0
+    for t, tied in groupby(pairs, key=lambda pair: pair[0]):
         points.append((t, fp / n_neg, tp / n_pos))
+        for _, flag in tied:
+            tp += flag
+            fp += not flag
     points.append((float("-inf"), 1.0, 1.0))
 
     auc = 0.0

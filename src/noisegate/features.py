@@ -68,8 +68,11 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def _plan(cfg: FeatureConfig, sample_rate_hz: int):
-    """Precomputed window, mel filterbank, filter centers, and DCT matrix."""
+def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
+    """Precomputed window, mel filterbank, filter centers, and DCT matrix.
+
+    The window, filterbank and DCT are built in float64 and cast to `dtype`.
+    """
     flen = cfg.frame_len(sample_rate_hz)
     if cfg.fft_size < flen:
         raise ValueError(f"fft_size {cfg.fft_size} smaller than frame length {flen}")
@@ -92,7 +95,7 @@ def _plan(cfg: FeatureConfig, sample_rate_hz: int):
     dct = math.sqrt(2.0 / m) * np.cos(np.pi * k * (2 * n + 1) / (2.0 * m))
     dct[0] /= math.sqrt(2.0)
 
-    return window, fbank, hz_pts[1:-1], dct
+    return window.astype(dtype), fbank.astype(dtype), hz_pts[1:-1], dct.astype(dtype)
 
 
 def mel_filter_centers(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
@@ -100,29 +103,36 @@ def mel_filter_centers(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     return _plan(cfg, sample_rate_hz)[2].copy()
 
 
-def _preemphasize(x: np.ndarray) -> np.ndarray:
+def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
+    """The MFCC forward for the (k, n_samples) rows of `x`, in the dtype of `frames`.
+
+    Returns (coeffs, spectrum, raw_energies, energies): the coefficients and
+    the intermediates `mfcc_backprop` needs. `frames` is a zeroed work buffer
+    of at least k rows of (frame_count, fft_size); only each frame's first
+    frame_len samples are written, so the rest stays the FFT's zero padding.
+    """
+    dtype = frames.dtype.type
+    window, fbank, _, dct = _plan(cfg, sample_rate_hz, dtype)
+    x = np.asarray(x, dtype=dtype)
+    k = len(x)
+    # pre-emphasis: y[t] = x[t] - PREEMPHASIS * x[t - 1], y[0] = x[0]
     y = np.empty_like(x)
-    y[0] = x[0]
-    y[1:] = x[1:] - PREEMPHASIS * x[:-1]
-    return y
-
-
-def _frame(y: np.ndarray, flen: int, hop: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(y, flen)[::hop]
+    y[:, 0] = x[:, 0]
+    np.multiply(x[:, :-1], dtype(-PREEMPHASIS), out=y[:, 1:])
+    y[:, 1:] += x[:, 1:]
+    np.multiply(np.lib.stride_tricks.sliding_window_view(y, window.size, axis=1)
+                [:, ::cfg.hop_len(sample_rate_hz)],
+                window, out=frames[:k, :, :window.size])
+    spectrum = _rfft(frames[:k])
+    power = spectrum.real**2 + spectrum.imag**2
+    raw_energies = power @ fbank.T
+    energies = np.maximum(raw_energies, dtype(cfg.log_floor))
+    return np.log(energies) @ dct.T, spectrum, raw_energies, energies
 
 
 def mfcc_from_array(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """MFCC matrix (frames x num_coeffs) from a raw sample array."""
-    x = np.asarray(samples, dtype=np.float64)
-    window, fbank, _, dct = _plan(cfg, sample_rate_hz)
-    flen = cfg.frame_len(sample_rate_hz)
-    if x.size < flen:
-        raise ValueError(f"clip of {x.size} samples is shorter than one frame ({flen})")
-    frames = _frame(_preemphasize(x), flen, cfg.hop_len(sample_rate_hz)) * window
-    spectrum = _rfft(frames, cfg.fft_size)
-    power = spectrum.real**2 + spectrum.imag**2
-    energies = np.maximum(power @ fbank.T, cfg.log_floor)
-    return np.log(energies) @ dct.T
+    return mfcc_batch(np.asarray(samples, dtype=np.float64)[None, :], sample_rate_hz, cfg)[0]
 
 
 def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -139,51 +149,22 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int,
     the cost; attack inner loops use it, and the coefficients agree with the
     float64 path to single precision.
     """
-    window, fbank, _, dct = _plan(cfg, sample_rate_hz)
-    flen = cfg.frame_len(sample_rate_hz)
-    hop = cfg.hop_len(sample_rate_hz)
     count, n_samples = np.shape(batch)
-    out = np.empty((count, cfg.frame_count(n_samples, sample_rate_hz), cfg.num_coeffs),
-                   dtype=dtype)
-    w = window.astype(dtype)
-    fbank_t = fbank.T.astype(dtype)
-    dct_t = dct.T.astype(dtype)
-    rows = min(count, MFCC_CHUNK_ROWS)
-    y = np.empty((rows, n_samples), dtype=dtype)
-    # zero-padded to fft_size once: each chunk overwrites only the first flen
-    frames = np.zeros((rows, out.shape[1], cfg.fft_size), dtype=dtype)
+    frames = np.zeros((min(count, MFCC_CHUNK_ROWS), cfg.frame_count(n_samples, sample_rate_hz),
+                       cfg.fft_size), dtype=dtype)
+    out = np.empty((count, frames.shape[1], cfg.num_coeffs), dtype=dtype)
     for start in range(0, count, MFCC_CHUNK_ROWS):
-        x = np.asarray(batch[start:start + MFCC_CHUNK_ROWS], dtype=dtype)
-        k = len(x)
-        # pre-emphasis: y[t] = x[t] - PREEMPHASIS * x[t - 1], y[0] = x[0]
-        y[:k, 0] = x[:, 0]
-        np.multiply(x[:, :-1], dtype(-PREEMPHASIS), out=y[:k, 1:])
-        y[:k, 1:] += x[:, 1:]
-        np.multiply(np.lib.stride_tricks.sliding_window_view(y[:k], flen, axis=1)[:, ::hop],
-                    w, out=frames[:k, :, :flen])
-        spectrum = _rfft(frames[:k])
-        power = spectrum.real**2 + spectrum.imag**2
-        energies = np.maximum(power @ fbank_t, dtype(cfg.log_floor))
-        out[start:start + k] = np.log(energies) @ dct_t
+        chunk = batch[start:start + MFCC_CHUNK_ROWS]
+        out[start:start + len(chunk)] = _forward(chunk, sample_rate_hz, cfg, frames)[0]
     return out
 
 
 def mfcc_with_gradient_cache(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples."""
-    x = np.asarray(samples, dtype=np.float64)
-    window, fbank, _, dct = _plan(cfg, sample_rate_hz)
-    flen = cfg.frame_len(sample_rate_hz)
-    hop = cfg.hop_len(sample_rate_hz)
-    if x.size < flen:
-        raise ValueError(f"clip of {x.size} samples is shorter than one frame ({flen})")
-    frames = _frame(_preemphasize(x), flen, cfg.hop_len(sample_rate_hz)) * window
-    spectrum = _rfft(frames, cfg.fft_size)
-    power = spectrum.real**2 + spectrum.imag**2
-    raw_energies = power @ fbank.T
-    energies = np.maximum(raw_energies, cfg.log_floor)
-    coeffs = np.log(energies) @ dct.T
-    cache = (x.size, sample_rate_hz, cfg, spectrum, raw_energies, energies)
-    return coeffs, cache
+    x = np.asarray(samples, dtype=np.float64)[None, :]
+    frames = np.zeros((1, cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size))
+    coeffs, spectrum, raw_energies, energies = _forward(x, sample_rate_hz, cfg, frames)
+    return coeffs[0], (x.shape[1], sample_rate_hz, cfg, spectrum[0], raw_energies[0], energies[0])
 
 
 def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
@@ -225,7 +206,7 @@ def spectrogram_image(clip: AudioClip, fft_size: int, hop: int) -> np.ndarray:
     x = clip.samples.astype(np.float64)
     if x.size < fft_size:
         raise ValueError(f"clip of {x.size} samples is shorter than fft_size {fft_size}")
-    frames = _frame(x, fft_size, hop) * np.hamming(fft_size)
+    frames = np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop] * np.hamming(fft_size)
     magnitude = np.abs(_rfft(frames, fft_size))
     log_mag = np.log(magnitude + 1e-10).T  # rows = bins, cols = frames
     lo, hi = log_mag.min(), log_mag.max()

@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from noisegate import attacks
 from noisegate.attacks import (
     AttackResult,
     GaConfig,
     PgdConfig,
     _bernoulli_positions,
     _breed,
+    _target_loss_gradient,
     ga_attack,
     pgd_attack,
 )
-from noisegate.audio import SILENT_PERTURBATION, AudioClip, clamped_add
-from noisegate.classifier import predict
+from noisegate.audio import (
+    SILENT_PERTURBATION,
+    AudioClip,
+    SilentCarrierError,
+    clamped_add,
+    db_distortion,
+)
+from noisegate.classifier import loss_and_gradient, predict
+from noisegate.features import mfcc_from_array
 
 RATE = 16000
 
@@ -41,6 +50,11 @@ class TestGaAttack:
         _, clip = tiny_clips[0]
         with pytest.raises(ValueError, match="unknown label"):
             ga_attack(tiny_model, clip, "doesnotexist", GaConfig(k_max=1))
+
+    def test_silent_original_rejected(self, tiny_model):
+        silent = AudioClip(samples=np.zeros(RATE, dtype=np.int16), sample_rate_hz=RATE)
+        with pytest.raises(SilentCarrierError, match="silent"):
+            ga_attack(tiny_model, silent, tiny_model.class_labels[0], GaConfig(k_max=1))
 
     def test_immediate_success_when_already_target(self, tiny_model, tiny_clips):
         _, clip = tiny_clips[0]
@@ -178,8 +192,31 @@ class TestPgdConfig:
 class TestPgdAttack:
     def test_silent_original_rejected(self, tiny_model):
         silent = AudioClip(samples=np.zeros(RATE, dtype=np.int16), sample_rate_hz=RATE)
-        with pytest.raises(ValueError, match="silent"):
+        with pytest.raises(SilentCarrierError, match="silent"):
             pgd_attack(tiny_model, silent, tiny_model.class_labels[0], PgdConfig(steps=1))
+
+    def test_feature_gradient_is_the_classifier_input_gradient(self, tiny_model, tiny_clips,
+                                                               monkeypatch):
+        _, clip = tiny_clips[3]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        samples = clip.samples.astype(np.float64)
+        seen = []
+        backprop = attacks.mfcc_backprop
+        monkeypatch.setattr(attacks, "mfcc_backprop",
+                            lambda grad, cache: seen.append(grad) or backprop(grad, cache))
+        loss, _, _ = _target_loss_gradient(tiny_model, samples, RATE,
+                                           tiny_model.label_index(target))
+        want_loss, _, want_grad = loss_and_gradient(tiny_model, mfcc_from_array(samples, RATE),
+                                                    target)
+        assert loss == want_loss
+        assert np.array_equal(seen[0], want_grad)
+
+    def test_distortion_is_db_distortion(self, tiny_model, tiny_clips):
+        _, clip = tiny_clips[4]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        res = pgd_attack(tiny_model, clip, target, PgdConfig(tau=0.0, steps=80, step_size=16))
+        assert res.success
+        assert res.distortion_db == db_distortion(clip, res.perturbation)
 
     def test_budget_holds_at_every_iterate(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[5]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisegate.audio import AudioClip
 from noisegate.detection import (
@@ -28,6 +30,33 @@ def cached_recognizer(tmp_path, mapping):
 
 def with_noise(clip, noise):
     return add_noise(clip, noise)
+
+
+def brute_force_roc(scores):
+    """(points, auc, youden) by rescanning every score at each distinct threshold."""
+    n_pos = sum(flag for _, flag in scores)
+    n_neg = len(scores) - n_pos
+    points = [(t, sum(not flag and s > t for s, flag in scores) / n_neg,
+               sum(flag and s > t for s, flag in scores) / n_pos)
+              for t in sorted({s for s, _ in scores}, reverse=True)]
+    points.append((float("-inf"), 1.0, 1.0))
+    auc = 0.0
+    prev_f, prev_t = 0.0, 0.0
+    for _, f, t in points:
+        auc += (f - prev_f) * (t + prev_t) / 2.0
+        prev_f, prev_t = f, t
+    best_j = max(t - f for _, f, t in points[:-1])
+    youden = min(thr for thr, f, t in points[:-1] if t - f == best_j)
+    return points, auc, youden
+
+
+# few distinct values, so most score sets hold ties across and within classes
+tied_or_free_scores = st.lists(
+    st.tuples(st.one_of(st.integers(0, 4).map(lambda k: k / 4),
+                        st.floats(-1e6, 1e6, allow_nan=False)),
+              st.booleans()),
+    min_size=2, max_size=60,
+).filter(lambda s: any(flag for _, flag in s) and not all(flag for _, flag in s))
 
 
 class TestChangeRate:
@@ -166,6 +195,12 @@ class TestRoc:
         scores = [(0.9, True), (0.8, True), (0.1, False)]
         result = roc(scores)
         assert result.youden_threshold == pytest.approx(0.1)
+
+    @given(tied_or_free_scores)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_sweep(self, scores):
+        result = roc(scores)
+        assert (result.points, result.auc, result.youden_threshold) == brute_force_roc(scores)
 
     def test_curve_shape(self):
         scores = [(0.9, True), (0.5, True), (0.5, False), (0.1, False)]

@@ -110,6 +110,7 @@ class TestMfcc:
             assert np.array_equal(mfcc_batch(row[None, :], RATE, dtype=dtype)[0], expected)
             if dtype is np.float64:
                 assert np.array_equal(mfcc_from_array(row, RATE), expected)
+                assert np.array_equal(mfcc_with_gradient_cache(row, RATE)[0], expected)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
