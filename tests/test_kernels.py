@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,3 +65,17 @@ def test_sliding_median_hand_case():
 def test_sliding_median_matches_naive(values, window):
     x = np.array(values, dtype=np.int16)
     assert list(_kernels.sliding_median(x, window)) == naive_median(x, window)
+
+
+@given(
+    st.lists(st.integers(-32768, 32767), min_size=1, max_size=60),
+    st.sampled_from([3, 5, 7, 9]),
+)
+@settings(max_examples=150, deadline=None)
+def test_sliding_median_backends_agree(values, window):
+    """Where the window is whole, the kernel equals scipy's median filter."""
+    x = np.array(values, dtype=np.int16)
+    half = window // 2
+    ours = _kernels.sliding_median(x, window)
+    theirs = median_filter(x, size=window, mode="nearest")
+    assert np.array_equal(ours[half : x.size - half], theirs[half : x.size - half])
