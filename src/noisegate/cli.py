@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from noisegate import classifier
@@ -18,8 +19,10 @@ from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig
 from noisegate.detection import DetectionConfig, detect
 from noisegate.experiments import (
+    COMPARE_FILES,
     DEFAULT_COMPARISON_TRANSFORMS,
     DEFAULT_GRID,
+    SWEEP_FILES,
     ExperimentConfig,
     attack_manifest,
     run_detection_eval,
@@ -56,29 +59,39 @@ def _setting(args, config, key, default):
     return default
 
 
+def _from_flags(cls, args, config, **fixed):
+    """A `cls` config: each field this subcommand has a flag for resolves as
+    flag > config file > default, cast to the default's type; `fixed` fields
+    are taken as given, and any other field keeps its default."""
+    values = {}
+    for f in fields(cls):
+        if f.name in fixed or not hasattr(args, f.name):
+            continue
+        value = _setting(args, config, f.name, f.default)
+        # bool("false") is True, so a switch takes only a JSON true/false
+        if isinstance(f.default, bool) and not isinstance(value, bool):
+            raise SystemExit(f"config {f.name} must be true or false, got {value!r}")
+        values[f.name] = type(f.default)(value)
+    return cls(**values, **fixed)
+
+
 def _master_seed(args, config) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SystemExit(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
     return int(_setting(args, config, "seed", 0))
 
 
-def _grid(args, config):
-    raw = _setting(args, config, "grid", None)
+def _list_setting(args, config, key, default, cast):
+    """A comma-separated flag or a config list, each item cast; `default` when unset."""
+    raw = _setting(args, config, key, None)
     if raw is None:
-        return DEFAULT_GRID
-    if isinstance(raw, str):
-        return tuple(int(v) for v in raw.split(","))
-    return tuple(int(v) for v in raw)
-
-
-def _transform_list(args, config):
-    raw = _setting(args, config, "transforms", None)
-    if raw is None:
-        return DEFAULT_COMPARISON_TRANSFORMS
-    if isinstance(raw, str):
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-    return tuple(raw)
+        return default
+    items = raw.split(",") if isinstance(raw, str) else raw
+    return tuple(cast(item) for item in items if str(item).strip())
 
 
 def _recognizer(args, config):
@@ -110,17 +123,7 @@ def cmd_train(args, config):
     seed = _master_seed(args, config)
     manifest = load_manifest(args.manifest)
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
-    base = TrainConfig()
-    cfg = TrainConfig(
-        learning_rate=float(_setting(args, config, "learning_rate", base.learning_rate)),
-        momentum=float(_setting(args, config, "momentum", base.momentum)),
-        epochs=int(_setting(args, config, "epochs", base.epochs)),
-        batch_size=int(_setting(args, config, "batch_size", base.batch_size)),
-        seed=seed,
-        validation_fraction=float(
-            _setting(args, config, "validation_fraction", base.validation_fraction)
-        ),
-    )
+    cfg = _from_flags(TrainConfig, args, config, seed=seed)
 
     def progress(stats):
         val = "-" if stats.validation_accuracy is None else f"{stats.validation_accuracy:.3f}"
@@ -137,23 +140,9 @@ def cmd_attack(args, config):
     seed = _master_seed(args, config)
     model = classifier.load(args.model)
     manifest = load_manifest(args.manifest)
-    ga_base, pgd_base = GaConfig(), PgdConfig()
-    ga_cfg = GaConfig(
-        population_size=int(_setting(args, config, "population_size", ga_base.population_size)),
-        k_max=int(_setting(args, config, "k_max", ga_base.k_max)),
-        temp=float(_setting(args, config, "temp", ga_base.temp)),
-        mutation_probability=float(
-            _setting(args, config, "mutation_probability", ga_base.mutation_probability)
-        ),
-        mutation_range=int(_setting(args, config, "mutation_range", ga_base.mutation_range)),
-        init_noise_bits=int(_setting(args, config, "init_noise_bits", ga_base.init_noise_bits)),
-        elitism=not args.no_elitism,
-    )
-    pgd_cfg = PgdConfig(
-        tau=float(_setting(args, config, "tau", pgd_base.tau)),
-        steps=int(_setting(args, config, "steps", pgd_base.steps)),
-        step_size=int(_setting(args, config, "step_size", pgd_base.step_size)),
-    )
+    # attack_manifest derives each attack's own seed
+    ga_cfg = _from_flags(GaConfig, args, config, seed=0)
+    pgd_cfg = _from_flags(PgdConfig, args, config, seed=0)
 
     def progress(idx, res):
         status = "ok " if res.success else "FAIL"
@@ -210,8 +199,9 @@ def cmd_detect(args, config):
 def _experiment_config(args, config) -> ExperimentConfig:
     return ExperimentConfig(
         master_seed=_master_seed(args, config),
-        grid=_grid(args, config),
-        transforms=_transform_list(args, config),
+        grid=_list_setting(args, config, "grid", DEFAULT_GRID, int),
+        transforms=_list_setting(args, config, "transforms", DEFAULT_COMPARISON_TRANSFORMS,
+                                 str.strip),
         recognizer=_recognizer(args, config),
         out_dir=str(_setting(args, config, "out_dir", ".")),
         cr_mode=_setting(args, config, "cr_mode", "edit"),
@@ -226,24 +216,14 @@ def _mode_args(args, config):
     return model, recognizer
 
 
-def cmd_sweep(args, config):
+def cmd_report(args, config):
+    """sweep and compare: `args.driver` writes one of `args.files` (command, text mode)."""
     cfg = _experiment_config(args, config)
     model, recognizer = _mode_args(args, config)
-    report = run_intensity_sweep(cfg, load_manifest(args.clean_manifest),
-                                 load_manifest(args.adv_manifest),
-                                 model=model, recognizer=recognizer)
-    name = "sweep_command.csv" if model is not None else "sweep_similarity.csv"
-    print(f"wrote {Path(cfg.out_dir) / name} ({len(report.rows)} rows)")
-    return 0
-
-
-def cmd_compare(args, config):
-    cfg = _experiment_config(args, config)
-    model, recognizer = _mode_args(args, config)
-    report = run_transform_comparison(cfg, load_manifest(args.clean_manifest),
-                                      load_manifest(args.adv_manifest),
-                                      model=model, recognizer=recognizer)
-    name = "compare_command.csv" if model is not None else "compare_transforms.csv"
+    report = args.driver(cfg, load_manifest(args.clean_manifest),
+                         load_manifest(args.adv_manifest),
+                         model=model, recognizer=recognizer)
+    name = args.files[0] if model is not None else args.files[1]
     print(f"wrote {Path(cfg.out_dir) / name} ({len(report.rows)} rows)")
     return 0
 
@@ -310,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation-probability", dest="mutation_probability", type=float)
     p.add_argument("--mutation-range", dest="mutation_range", type=int)
     p.add_argument("--init-noise-bits", dest="init_noise_bits", type=int)
-    p.add_argument("--no-elitism", action="store_true")
+    p.add_argument("--no-elitism", dest="elitism", action="store_false", default=None)
     p.add_argument("--tau", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--step-size", dest="step_size", type=int)
@@ -336,10 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_detect)
 
-    for name, fn, extra in (
-        ("sweep", cmd_sweep, "ASR/ACC (or similarity) over the intensity grid"),
-        ("compare", cmd_compare, "compare every defense transform plus no-defense"),
-        ("roc", cmd_roc, "detection ROC/AUC per (noise kind, intensity) cell"),
+    for name, defaults, extra in (
+        ("sweep", dict(func=cmd_report, driver=run_intensity_sweep, files=SWEEP_FILES),
+         "ASR/ACC (or similarity) over the intensity grid"),
+        ("compare", dict(func=cmd_report, driver=run_transform_comparison, files=COMPARE_FILES),
+         "compare every defense transform plus no-defense"),
+        ("roc", dict(func=cmd_roc), "detection ROC/AUC per (noise kind, intensity) cell"),
     ):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--clean-manifest", dest="clean_manifest", required=True)
@@ -351,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--cr-mode", dest="cr_mode", choices=("edit", "flip"))
         p.add_argument("--seed", type=int)
-        p.set_defaults(func=fn)
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("spectrogram", help="write a PGM spectrogram of a WAV")
     p.add_argument("--in", dest="infile", required=True)

@@ -46,43 +46,50 @@ class DetectionOutcome:
     transcript_after: str
 
 
-def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: NoiseSpec,
-                mode: str = "edit"):
-    """Normalized transcript change after one noise draw, capped at 1.
+def transcript_change(before: str, after: str, mode: str = "edit") -> float:
+    """Normalized change from `before` to `after`, capped at 1.
 
-    Returns (cr, transcript_before, transcript_after). In "flip" mode the
-    score is strictly 0/1 on whether the transcript changed at all.
+    "edit" scores the edit distance over the length of `before`; "flip" is
+    strictly 0/1 on whether the transcript changed at all.
     """
-    before = transcribe(recognizer, clip).text
+    if mode not in CR_MODES:
+        raise ValueError(f"cr mode must be one of {CR_MODES}, got {mode!r}")
     if not before:
         raise UndefinedChangeRateError("baseline transcript is empty; change rate undefined")
-    after = transcribe(recognizer, add_noise(clip, noise)).text
     if mode == "flip":
-        return (0.0 if after == before else 1.0), before, after
-    length = len(before)
-    cr = min(levenshtein(after, before), length) / length
-    return cr, before, after
+        return 0.0 if after == before else 1.0
+    return min(levenshtein(after, before), len(before)) / len(before)
+
+
+def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: NoiseSpec,
+                mode: str = "edit"):
+    """Transcript change of one clip after one noise draw (see `transcript_change`).
+
+    Returns (cr, transcript_before, transcript_after).
+    """
+    before = transcribe(recognizer, clip).text
+    after = transcribe(recognizer, add_noise(clip, noise)).text
+    return transcript_change(before, after, mode), before, after
 
 
 def detect(cfg: DetectionConfig, clip: AudioClip) -> DetectionOutcome:
     """Compare the change rate against the threshold.
 
-    With votes > 1, independent noise draws are scored and the median CR is
-    used; for an odd vote count that equals the majority verdict.
+    The clip is heard plain once. With votes > 1, independent noise draws are
+    scored and the median CR is used; for an odd vote count that equals the
+    majority verdict.
     """
-    crs = []
-    before = after = ""
+    before = transcribe(cfg.recognizer, clip).text
+    afters, crs = [], []
     for i in range(cfg.votes):
         noise = (cfg.noise if cfg.votes == 1
                  else replace(cfg.noise, seed=derive_seed(cfg.noise.seed, "vote", i)))
-        cr, b, a = change_rate(cfg.recognizer, clip, noise, mode=cfg.cr_mode)
-        crs.append(cr)
-        if i == 0:
-            before, after = b, a
+        afters.append(transcribe(cfg.recognizer, add_noise(clip, noise)).text)
+        crs.append(transcript_change(before, afters[-1], cfg.cr_mode))
     score = float(np.median(crs))
     verdict = "adversarial" if score > cfg.threshold else "normal"
     return DetectionOutcome(cr=score, verdict=verdict,
-                            transcript_before=before, transcript_after=after)
+                            transcript_before=before, transcript_after=afters[0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import Model, predict
-from noisegate.detection import RocResult, change_rate, roc
+from noisegate.detection import CR_MODES, RocResult, roc, transcript_change
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
     EvalRecord,
@@ -26,7 +26,7 @@ from noisegate.metrics import (
 )
 from noisegate.recognition import RecognizerSpec, transcribe
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NoiseSpec, TransformSpec, parse_transform
+from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
 from noisegate.transforms import apply_transform as _apply
 
 DEFAULT_GRID = (10, 30, 50, 70, 100, 200, 500)
@@ -42,6 +42,11 @@ DEFAULT_COMPARISON_TRANSFORMS = (
     "quant:512",
 )
 NO_DEFENSE_LABEL = "none"
+GROUPS = ("clean", "adv")
+SWEEP_FILES = ("sweep_command.csv", "sweep_similarity.csv")  # (command mode, text mode)
+COMPARE_FILES = ("compare_command.csv", "compare_transforms.csv")
+COMMAND_COLUMNS = ["asr_avg", "acc"]
+TEXT_COLUMNS = ["sr_benign", "sr_adv", "distance_ratio_benign", "distance_ratio_adv"]
 
 
 @dataclass(frozen=True)
@@ -58,57 +63,90 @@ class ExperimentConfig:
             raise ValueError("intensity grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {self.grid}")
+        if self.cr_mode not in CR_MODES:
+            raise ValueError(f"cr_mode must be one of {CR_MODES}, got {self.cr_mode!r}")
 
 
-def _load_rows(manifest: Manifest):
-    return [(row, read_wav(manifest.resolve(row))) for row in manifest.rows]
+def _prepare(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manifest):
+    """(clean clips, adversarial clips, output directory), each clip paired with its row."""
+    if not clean_manifest.rows or not adv_manifest.rows:
+        raise ValueError("both manifests must be non-empty")
+    groups = tuple([(row, read_wav(manifest.resolve(row))) for row in manifest.rows]
+                   for manifest in (clean_manifest, adv_manifest))
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return groups, out_dir
 
 
-def _require_targets(manifest: Manifest) -> None:
-    for row in manifest.rows:
-        if row.target is None:
-            raise ValueError(f"adversarial manifest row {row.path} has no target label")
+def _hear(hear, groups, spec: TransformSpec | None = None, seed=None):
+    """Each group's clips as heard after `spec`, or plain when it is None.
+
+    Clip i of group g gets the seed `seed(g, i)`, so a noise draw never
+    depends on which other clips are in the call.
+    """
+    return [[hear(clip if spec is None else _apply(spec.with_seed(seed(group, idx)), clip))
+             for idx, (_, clip) in enumerate(loaded)]
+            for group, loaded in zip(GROUPS, groups)]
 
 
-def _defended_labels(model: Model, loaded, spec: TransformSpec, master_seed: int, stage: str):
-    labels = []
-    for idx, (row, clip) in enumerate(loaded):
-        seeded = spec.with_seed(derive_seed(master_seed, stage, spec.label, idx))
-        labels.append(predict(model, _apply(seeded, clip))[0])
-    return labels
+def _transcriber(recognizer: RecognizerSpec):
+    return lambda clip: transcribe(recognizer, clip).text
 
 
-def _plain_labels(model: Model, loaded):
-    return [predict(model, clip)[0] for row, clip in loaded]
+def _text_scores(loaded, plain, heard):
+    """(mean similarity, mean distance ratio or None) of each clip's transcript
+    after a transform against its plain transcript."""
+    sims = [similarity(before, after) for before, after in zip(plain, heard)]
+    ratios = [ratio for (row, _), before, after in zip(loaded, plain, heard)
+              if (ratio := distance_ratio(row.label, before, after)) is not None]
+    return sum(sims) / len(sims), sum(ratios) / len(ratios) if ratios else None
 
 
-def _records(loaded, adversarial: bool):
-    return [
-        EvalRecord(path=row.path, true_label=row.label,
-                   target_label=row.target if adversarial else None)
-        for row, _ in loaded
-    ]
+def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manifest,
+            model: Model | None, recognizer: RecognizerSpec | None, stage: str,
+            key_columns: list, rows, files) -> MetricsReport:
+    """One report row per (key, spec) in `rows`; spec None is the no-defense row.
+
+    Command mode hears a clip as the model's label and scores attack success
+    on the adversarial clips and accuracy on the clean ones. Text mode hears
+    it as the recognizer's transcript and scores each transform against the
+    plain transcripts, which it takes once per call.
+    """
+    if (model is None) == (recognizer is None):
+        raise ValueError("pass exactly one of model (command mode) or recognizer (text mode)")
+    groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
+    if model is not None:
+        for row in adv_manifest.rows:
+            if row.target is None:
+                raise ValueError(f"adversarial manifest row {row.path} has no target label")
+        clean_records = [EvalRecord(path=row.path, true_label=row.label) for row, _ in groups[0]]
+        adv_records = [EvalRecord(path=row.path, true_label=row.label, target_label=row.target)
+                       for row, _ in groups[1]]
+        hear, columns, name = (lambda clip: predict(model, clip)[0]), COMMAND_COLUMNS, files[0]
+    else:
+        hear, columns, name = _transcriber(recognizer), TEXT_COLUMNS, files[1]
+        plain = _hear(hear, groups)
+
+    report = MetricsReport(columns=[*key_columns, *columns])
+    for key, spec in rows:
+        if model is None and spec is None:  # the plain clips: 100% similar, no ratio
+            report.add_row(*key, 100.0, 100.0, None, None)
+            continue
+        clean, adv = _hear(hear, groups, spec, lambda group, idx: derive_seed(
+            cfg.master_seed, f"{stage}-{group}", spec.label, idx))
+        if model is not None:
+            report.add_row(*key, asr_avg(adv_records, adv), acc(clean_records, clean))
+        else:
+            sb, rb = _text_scores(groups[0], plain[0], clean)
+            sa, ra = _text_scores(groups[1], plain[1], adv)
+            report.add_row(*key, sb, sa, rb, ra)
+    emit_report(report, out_dir / name)
+    return report
 
 
-def _text_pair_scores(recognizer: RecognizerSpec, loaded, spec: TransformSpec,
-                      master_seed: int, stage: str):
-    """(mean similarity, mean distance ratio or None) before vs after a transform."""
-    sims, ratios = [], []
-    for idx, (row, clip) in enumerate(loaded):
-        seeded = spec.with_seed(derive_seed(master_seed, stage, spec.label, idx))
-        before = transcribe(recognizer, clip)
-        after = transcribe(recognizer, _apply(seeded, clip))
-        sims.append(similarity(before, after))
-        ratio = distance_ratio(row.label, before, after)
-        if ratio is not None:
-            ratios.append(ratio)
-    mean_sim = sum(sims) / len(sims)
-    mean_ratio = sum(ratios) / len(ratios) if ratios else None
-    return mean_sim, mean_ratio
-
-
-def _noise_transform(kind: str, intensity: int) -> TransformSpec:
-    return TransformSpec(kind=kind, params=(intensity,))
+def _noise_rows(grid):
+    return [((kind, intensity), TransformSpec(kind=kind, params=(intensity,)))
+            for kind in NOISE_KINDS for intensity in grid]
 
 
 def run_intensity_sweep(cfg: ExperimentConfig, clean_manifest: Manifest,
@@ -116,132 +154,53 @@ def run_intensity_sweep(cfg: ExperimentConfig, clean_manifest: Manifest,
                         recognizer: RecognizerSpec | None = None) -> MetricsReport:
     """Attack success / accuracy (command mode) or transcript similarity
     (text mode) for both noise kinds over the intensity grid."""
-    if (model is None) == (recognizer is None):
-        raise ValueError("pass exactly one of model (command mode) or recognizer (text mode)")
-    if not clean_manifest.rows or not adv_manifest.rows:
-        raise ValueError("both manifests must be non-empty")
-    clean = _load_rows(clean_manifest)
-    adv = _load_rows(adv_manifest)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if model is not None:
-        _require_targets(adv_manifest)
-        adv_records = _records(adv, adversarial=True)
-        clean_records = _records(clean, adversarial=False)
-        report = MetricsReport(columns=["noise_kind", "intensity", "asr_avg", "acc"])
-        for kind in ("uniform", "gaussian"):
-            for intensity in cfg.grid:
-                spec = _noise_transform(kind, intensity)
-                report.add_row(
-                    kind, intensity,
-                    asr_avg(adv_records, _defended_labels(model, adv, spec,
-                                                          cfg.master_seed, "sweep-adv")),
-                    acc(clean_records, _defended_labels(model, clean, spec,
-                                                        cfg.master_seed, "sweep-clean")),
-                )
-        emit_report(report, out_dir / "sweep_command.csv")
-        return report
-
-    report = MetricsReport(
-        columns=["noise_kind", "intensity", "sr_benign", "sr_adv",
-                 "distance_ratio_benign", "distance_ratio_adv"]
-    )
-    for kind in ("uniform", "gaussian"):
-        for intensity in cfg.grid:
-            spec = _noise_transform(kind, intensity)
-            sb, rb = _text_pair_scores(recognizer, clean, spec, cfg.master_seed, "sweep-clean")
-            sa, ra = _text_pair_scores(recognizer, adv, spec, cfg.master_seed, "sweep-adv")
-            report.add_row(kind, intensity, sb, sa, rb, ra)
-    emit_report(report, out_dir / "sweep_similarity.csv")
-    return report
+    return _report(cfg, clean_manifest, adv_manifest, model, recognizer, "sweep",
+                   ["noise_kind", "intensity"], _noise_rows(cfg.grid), SWEEP_FILES)
 
 
 def run_transform_comparison(cfg: ExperimentConfig, clean_manifest: Manifest,
                              adv_manifest: Manifest, model: Model | None = None,
                              recognizer: RecognizerSpec | None = None) -> MetricsReport:
     """Every configured defense plus a no-defense row."""
-    if (model is None) == (recognizer is None):
-        raise ValueError("pass exactly one of model (command mode) or recognizer (text mode)")
-    if not clean_manifest.rows or not adv_manifest.rows:
-        raise ValueError("both manifests must be non-empty")
-    clean = _load_rows(clean_manifest)
-    adv = _load_rows(adv_manifest)
     specs = [parse_transform(text) for text in cfg.transforms]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if model is not None:
-        _require_targets(adv_manifest)
-        adv_records = _records(adv, adversarial=True)
-        clean_records = _records(clean, adversarial=False)
-        report = MetricsReport(columns=["transform", "asr_avg", "acc"])
-        report.add_row(NO_DEFENSE_LABEL,
-                       asr_avg(adv_records, _plain_labels(model, adv)),
-                       acc(clean_records, _plain_labels(model, clean)))
-        for spec in specs:
-            report.add_row(
-                spec.label,
-                asr_avg(adv_records, _defended_labels(model, adv, spec,
-                                                      cfg.master_seed, "compare-adv")),
-                acc(clean_records, _defended_labels(model, clean, spec,
-                                                    cfg.master_seed, "compare-clean")),
-            )
-        emit_report(report, out_dir / "compare_command.csv")
-        return report
-
-    report = MetricsReport(
-        columns=["transform", "sr_benign", "sr_adv",
-                 "distance_ratio_benign", "distance_ratio_adv"]
-    )
-    report.add_row(NO_DEFENSE_LABEL, 100.0, 100.0, None, None)
-    for spec in specs:
-        sb, rb = _text_pair_scores(recognizer, clean, spec, cfg.master_seed, "compare-clean")
-        sa, ra = _text_pair_scores(recognizer, adv, spec, cfg.master_seed, "compare-adv")
-        report.add_row(spec.label, sb, sa, rb, ra)
-    emit_report(report, out_dir / "compare_transforms.csv")
-    return report
+    rows = [((NO_DEFENSE_LABEL,), None)] + [((spec.label,), spec) for spec in specs]
+    return _report(cfg, clean_manifest, adv_manifest, model, recognizer, "compare",
+                   ["transform"], rows, COMPARE_FILES)
 
 
 def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
                        adv_manifest: Manifest) -> dict:
     """Change-rate ROC per (noise kind, intensity) cell.
 
-    Writes detection_auc.csv (one row per cell; blank AUC marks a degenerate
-    cell where every score is identical) and a per-cell curve CSV of
-    (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
+    Each clip is heard plain once per call; each cell hears only its noisy
+    copies. Writes detection_auc.csv (one row per cell; blank AUC marks a
+    degenerate cell where every score is identical) and a per-cell curve CSV
+    of (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
     {(kind, intensity): RocResult | None}.
     """
     if cfg.recognizer is None:
         raise ValueError("detection eval needs cfg.recognizer")
-    if not clean_manifest.rows or not adv_manifest.rows:
-        raise ValueError("both manifests must be non-empty")
-    clean = _load_rows(clean_manifest)
-    adv = _load_rows(adv_manifest)
-    out_dir = Path(cfg.out_dir)
+    groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     roc_dir = out_dir / "roc"
-    roc_dir.mkdir(parents=True, exist_ok=True)
-
+    roc_dir.mkdir(exist_ok=True)
+    hear = _transcriber(cfg.recognizer)
+    plain = _hear(hear, groups)
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
-    for kind in ("uniform", "gaussian"):
-        for intensity in cfg.grid:
-            scored = []
-            for group, loaded, flag in (("clean", clean, False), ("adv", adv, True)):
-                for idx, (row, clip) in enumerate(loaded):
-                    noise = NoiseSpec(kind, intensity,
-                                      seed=derive_seed(cfg.master_seed, "detect", kind,
-                                                       intensity, group, idx))
-                    cr, _, _ = change_rate(cfg.recognizer, clip, noise, mode=cfg.cr_mode)
-                    scored.append((cr, flag))
-            if len({s for s, _ in scored}) == 1:
-                results[(kind, intensity)] = None  # noise moved nothing; no curve
-                summary.add_row(kind, intensity, None, None)
-                continue
-            cell = roc(scored)
-            results[(kind, intensity)] = cell
-            summary.add_row(kind, intensity, cell.auc, cell.youden_threshold)
-            _write_roc_curve(cell, roc_dir / f"roc_{kind}_{intensity}.csv")
+    for (kind, intensity), spec in _noise_rows(cfg.grid):
+        heard = _hear(hear, groups, spec, lambda group, idx: derive_seed(
+            cfg.master_seed, "detect", kind, intensity, group, idx))
+        scored = [(transcript_change(before, after, cfg.cr_mode), flag)
+                  for flag, befores, afters in zip((False, True), plain, heard)
+                  for before, after in zip(befores, afters)]
+        if len({s for s, _ in scored}) == 1:
+            results[(kind, intensity)] = None  # noise moved nothing; no curve
+            summary.add_row(kind, intensity, None, None)
+            continue
+        cell = roc(scored)
+        results[(kind, intensity)] = cell
+        summary.add_row(kind, intensity, cell.auc, cell.youden_threshold)
+        _write_roc_curve(cell, roc_dir / f"roc_{kind}_{intensity}.csv")
     emit_report(summary, out_dir / "detection_auc.csv")
     return results
 

@@ -12,10 +12,6 @@ class EvalRecord:
     path: str
     true_label: str
     target_label: str | None = None  # set only for adversarial records
-    transcript_plain: str | None = None
-    transcript_transformed: str | None = None
-    predicted_before: str | None = None
-    predicted_after: str | None = None
 
     def __post_init__(self):
         if not self.true_label:

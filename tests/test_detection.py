@@ -11,8 +11,14 @@ from noisegate.detection import (
     change_rate,
     detect,
     roc,
+    transcript_change,
 )
-from noisegate.recognition import RecognizerSpec, clip_content_hash, write_cache_file
+from noisegate.recognition import (
+    RecognizerSpec,
+    Transcript,
+    clip_content_hash,
+    write_cache_file,
+)
 from noisegate.transforms import NoiseSpec, add_noise
 
 RATE = 16000
@@ -59,6 +65,27 @@ tied_or_free_scores = st.lists(
 ).filter(lambda s: any(flag for _, flag in s) and not all(flag for _, flag in s))
 
 
+class TestTranscriptChange:
+    def test_edit_ratio_over_baseline_length(self):
+        assert transcript_change("same text", "same text") == 0.0
+        assert transcript_change("hello world", "hello") == pytest.approx(6 / 11)
+        assert transcript_change("abc", "zzzzzzzzzz") == 1.0  # capped
+
+    def test_flip_is_binary(self):
+        assert transcript_change("left", "lift", "flip") == 1.0
+        assert transcript_change("left", "left", "flip") == 0.0
+
+    @pytest.mark.parametrize("mode", ["edit", "flip"])
+    def test_empty_baseline_is_an_error(self, mode):
+        with pytest.raises(UndefinedChangeRateError):
+            transcript_change("", "x", mode)
+
+    @pytest.mark.parametrize("mode", ["Flip", "EDIT", "avg", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="cr mode"):
+            transcript_change("hello world", "hello", mode)
+
+
 class TestChangeRate:
     def test_unchanged_transcript_gives_zero(self, tmp_path):
         clip = clip_of([100, 200, 300])
@@ -99,6 +126,15 @@ class TestChangeRate:
                                            (with_noise(clip, noise), "lift")])
         cr, _, _ = change_rate(rec, clip, noise, mode="flip")
         assert cr == 1.0
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        # a miscased "Flip" used to be scored as edit mode
+        clip = clip_of([5] * 50)
+        noise = NoiseSpec("gaussian", 9, seed=2)
+        rec = cached_recognizer(tmp_path, [(clip, "hello world"),
+                                           (with_noise(clip, noise), "hello")])
+        with pytest.raises(ValueError, match="cr mode"):
+            change_rate(rec, clip, noise, mode="Flip")
 
 
 class TestDetect:
@@ -146,6 +182,23 @@ class TestDetect:
         out = detect(DetectionConfig(noise=base, threshold=0.1, recognizer=rec, votes=3), clip)
         assert out.cr == 0.0
         assert out.verdict == "normal"
+
+    def test_plain_clip_is_heard_once(self, tmp_path, monkeypatch):
+        import noisegate.detection as detection
+
+        clip = clip_of([11] * 60)
+        noise = NoiseSpec("uniform", 6, seed=77)
+        heard = []
+
+        def fake_transcribe(spec, seen):
+            heard.append(seen)
+            return Transcript(text="same" if seen is clip else "lame", recognizer_id="fake")
+
+        monkeypatch.setattr(detection, "transcribe", fake_transcribe)
+        rec = RecognizerSpec.external("sh -c true {}")
+        out = detect(DetectionConfig(noise=noise, threshold=0.1, recognizer=rec, votes=3), clip)
+        assert [seen is clip for seen in heard] == [True, False, False, False]
+        assert (out.cr, out.transcript_before, out.transcript_after) == (0.25, "same", "lame")
 
 
 class TestZeroIntensity:

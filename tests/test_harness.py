@@ -1,14 +1,20 @@
 import csv
+import hashlib
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from noisegate import experiments
 from noisegate.audio import read_wav, write_wav
-from noisegate.classifier import predict
+from noisegate.classifier import TrainConfig, predict
+from noisegate.detection import change_rate, roc
 from noisegate.experiments import (
+    DEFAULT_COMPARISON_TRANSFORMS,
+    DEFAULT_GRID,
     ExperimentConfig,
     attack_manifest,
     pick_targets,
@@ -16,10 +22,13 @@ from noisegate.experiments import (
     run_intensity_sweep,
     run_transform_comparison,
 )
-from noisegate.attacks import PgdConfig
+from noisegate.attacks import GaConfig, PgdConfig
 from noisegate.manifests import Manifest, ManifestRow, load_manifest, write_manifest
-from noisegate.recognition import RecognizerSpec
+from noisegate.metrics import distance_ratio, similarity
+from noisegate.recognition import RecognizerSpec, transcribe
+from noisegate.seeds import derive_seed
 from noisegate.synthesis import class_label, synth_dataset
+from noisegate.transforms import NoiseSpec, apply_transform, parse_transform
 from noisegate import cli
 from noisegate.classifier import save as save_model
 
@@ -141,6 +150,103 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(grid=(30, 10))
 
+    def test_cr_mode_validation(self):
+        # a miscased mode used to run the experiments in edit mode
+        for mode in ("Flip", "avg", ""):
+            with pytest.raises(ValueError, match="cr_mode"):
+                ExperimentConfig(cr_mode=mode)
+        assert ExperimentConfig(cr_mode="flip").cr_mode == "flip"
+
+
+# the 16 bytes of each clip's sample 6000 onwards as hex: any changed sample shows
+OD_RECOGNIZER = RecognizerSpec.external("od -An -tx1 -j 12044 -N 16 {}")
+
+
+@pytest.fixture(scope="module")
+def text_sets(tiny_corpus):
+    """Two clean clips and two other clips posing as adversarial ones."""
+    clean = Manifest(rows=tiny_corpus.rows[:2], base_dir=tiny_corpus.base_dir)
+    adv = Manifest(rows=[ManifestRow(path=r.path, label=r.label, target="no", source=r.path)
+                         for r in tiny_corpus.rows[2:4]],
+                   base_dir=tiny_corpus.base_dir)
+    return clean, adv
+
+
+def text_reference(recognizer, clean, adv, rows, stage, master_seed):
+    """Report rows as sweep/compare defined them: for every transform, each
+    clip transcribed before and after it."""
+    out = []
+    for key, spec in rows:
+        if spec is None:
+            out.append((*key, 100.0, 100.0, None, None))
+            continue
+        scores = []
+        for group, manifest in (("clean", clean), ("adv", adv)):
+            sims, ratios = [], []
+            for idx, row in enumerate(manifest.rows):
+                clip = read_wav(manifest.resolve(row))
+                seeded = spec.with_seed(derive_seed(master_seed, f"{stage}-{group}",
+                                                    spec.label, idx))
+                before = transcribe(recognizer, clip)
+                after = transcribe(recognizer, apply_transform(seeded, clip))
+                sims.append(similarity(before, after))
+                ratio = distance_ratio(row.label, before, after)
+                if ratio is not None:
+                    ratios.append(ratio)
+            scores.append((sum(sims) / len(sims),
+                           sum(ratios) / len(ratios) if ratios else None))
+        (sb, rb), (sa, ra) = scores
+        out.append((*key, sb, sa, rb, ra))
+    return out
+
+
+class TestTextMode:
+    def test_sweep_matches_transcribe_before_after(self, tmp_path, text_sets):
+        clean, adv = text_sets
+        cfg = ExperimentConfig(master_seed=9, grid=(10, 200), out_dir=str(tmp_path))
+        report = run_intensity_sweep(cfg, clean, adv, recognizer=OD_RECOGNIZER)
+        rows = [((kind, i), parse_transform(f"{kind}:{i}"))
+                for kind in ("uniform", "gaussian") for i in cfg.grid]
+        assert report.rows == text_reference(OD_RECOGNIZER, clean, adv, rows, "sweep", 9)
+        assert any(row[2] < 100.0 for row in report.rows)  # the noise is heard
+
+    def test_compare_matches_transcribe_before_after(self, tmp_path, text_sets):
+        clean, adv = text_sets
+        cfg = ExperimentConfig(master_seed=8, transforms=("uniform:100", "requant8", "median:3"),
+                               out_dir=str(tmp_path))
+        report = run_transform_comparison(cfg, clean, adv, recognizer=OD_RECOGNIZER)
+        rows = [(("none",), None)] + [((text,), parse_transform(text))
+                                      for text in cfg.transforms]
+        assert report.rows == text_reference(OD_RECOGNIZER, clean, adv, rows, "compare", 8)
+
+    @pytest.mark.parametrize("driver", ["sweep", "compare", "roc"])
+    def test_each_plain_clip_is_heard_once_per_call(self, tmp_path, monkeypatch, text_sets,
+                                                    driver):
+        clean, adv = text_sets
+        plain = {hashlib.sha256(read_wav(m.resolve(row)).samples.tobytes()).hexdigest()
+                 for m in (clean, adv) for row in m.rows}
+        heard = []
+
+        def counting(spec, clip):
+            heard.append(hashlib.sha256(clip.samples.tobytes()).hexdigest())
+            return transcribe(spec, clip)
+
+        monkeypatch.setattr(experiments, "transcribe", counting)
+        cfg = ExperimentConfig(master_seed=7, grid=(10, 50, 200),
+                               transforms=("uniform:100", "gaussian:100"),
+                               recognizer=OD_RECOGNIZER, out_dir=str(tmp_path))
+        if driver == "sweep":
+            run_intensity_sweep(cfg, clean, adv, recognizer=OD_RECOGNIZER)
+            cells = 6
+        elif driver == "compare":
+            run_transform_comparison(cfg, clean, adv, recognizer=OD_RECOGNIZER)
+            cells = 2
+        else:
+            run_detection_eval(cfg, clean, adv)
+            cells = 6
+        assert sorted(d for d in heard if d in plain) == sorted(plain)
+        assert len(heard) == len(plain) * (cells + 1)
+
 
 class TestIntensitySweep:
     def test_zero_intensity_matches_undefended(self, tmp_path, tiny_model, attacked, tiny_corpus):
@@ -199,6 +305,32 @@ class TestTransformComparison:
 
 
 class TestDetectionEval:
+    @pytest.mark.parametrize("mode", ["edit", "flip"])
+    def test_cells_match_change_rate_per_clip(self, tmp_path, tiny_model, attacked, mode):
+        out_dir, subset, results, adv_manifest = attacked
+        if not adv_manifest.rows:
+            pytest.skip("no successful attacks in fixture")
+        model_path = tmp_path / "model.txt"
+        save_model(tiny_model, model_path)
+        rec = RecognizerSpec.builtin(str(model_path))
+        cfg = ExperimentConfig(master_seed=6, grid=(50, 500, 2000), recognizer=rec,
+                               out_dir=str(tmp_path), cr_mode=mode)
+        cells = run_detection_eval(cfg, subset, adv_manifest)
+        for kind in ("uniform", "gaussian"):
+            for intensity in cfg.grid:
+                scored = []
+                for group, manifest, flag in (("clean", subset, False),
+                                              ("adv", adv_manifest, True)):
+                    for idx, row in enumerate(manifest.rows):
+                        noise = NoiseSpec(kind, intensity, seed=derive_seed(
+                            6, "detect", kind, intensity, group, idx))
+                        cr, _, _ = change_rate(rec, read_wav(manifest.resolve(row)), noise,
+                                               mode=mode)
+                        scored.append((cr, flag))
+                want = None if len({s for s, _ in scored}) == 1 else roc(scored)
+                assert cells[(kind, intensity)] == want
+        assert any(cell is not None for cell in cells.values())
+
     def test_zero_intensity_cell_is_undefined(self, tmp_path, tiny_model, attacked, tmp_path_factory):
         out_dir, subset, results, adv_manifest = attacked
         if not adv_manifest.rows:
@@ -322,6 +454,142 @@ class TestCli:
         assert cli.main(["--config", str(config), "synth", "--out-dir", str(out),
                          "--per-class", "1"]) == 0
         assert len(load_manifest(out / "manifest.csv").rows) == 2
+
+
+class _Captured(Exception):
+    """Raised by a stand-in once it has recorded the configs it was handed."""
+
+
+# (target, field, config value, flag, flag value): one row per config field with a flag
+FLAG_SETTINGS = [
+    ("train", "learning_rate", 3e-5, ["--learning-rate", "4e-5"], 4e-5),
+    ("train", "momentum", 0.5, ["--momentum", "0.7"], 0.7),
+    ("train", "epochs", 7, ["--epochs", "9"], 9),
+    ("train", "batch_size", 5, ["--batch-size", "6"], 6),
+    ("train", "validation_fraction", 0.2, ["--validation-fraction", "0.3"], 0.3),
+    ("ga", "population_size", 7, ["--population-size", "8"], 8),
+    ("ga", "k_max", 7, ["--k-max", "9"], 9),
+    ("ga", "temp", 0.5, ["--temp", "0.25"], 0.25),
+    ("ga", "mutation_probability", 0.1, ["--mutation-probability", "0.2"], 0.2),
+    ("ga", "mutation_range", 9, ["--mutation-range", "11"], 11),
+    ("ga", "init_noise_bits", 3, ["--init-noise-bits", "4"], 4),
+    ("ga", "elitism", False, ["--no-elitism"], False),
+    ("pgd", "tau", -5.0, ["--tau", "-7"], -7.0),
+    ("pgd", "steps", 7, ["--steps", "9"], 9),
+    ("pgd", "step_size", 3, ["--step-size", "4"], 4),
+]
+TARGET_CONFIGS = {"train": TrainConfig, "ga": GaConfig, "pgd": PgdConfig}
+
+
+class TestCliSettings:
+    @pytest.fixture
+    def resolved(self, tmp_path, monkeypatch):
+        """run(target, config, *flags) -> the config object the CLI builds for target."""
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        manifest = str(tmp_path / "corpus" / "manifest.csv")
+        seen = {}
+
+        def fake_train(dataset, cfg, progress=None):
+            seen["train"] = cfg
+            raise _Captured
+
+        def fake_attack(*args, ga_cfg, pgd_cfg, **kwargs):
+            seen.update(ga=ga_cfg, pgd=pgd_cfg)
+            raise _Captured
+
+        monkeypatch.setattr(cli.classifier, "train", fake_train)
+        monkeypatch.setattr(cli.classifier, "load", lambda path: None)
+        monkeypatch.setattr(cli, "attack_manifest", fake_attack)
+        config_path = tmp_path / "config.json"
+
+        def run(target, config, *flags):
+            config_path.write_text(json.dumps(config))
+            if target == "train":
+                argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.txt")]
+            else:
+                argv = ["attack", target, "--model", "m.txt", "--manifest", manifest,
+                        "--out-dir", str(tmp_path / "adv")]
+            with pytest.raises(_Captured):
+                cli.main(["--config", str(config_path), *argv, *flags])
+            return seen[target]
+
+        return run
+
+    def test_table_covers_every_field_with_a_flag(self):
+        subcommands = build_parser_subcommands()
+        flagged = set()
+        for target, cls in TARGET_CONFIGS.items():
+            dests = {action.dest for action in
+                     subcommands["train" if target == "train" else "attack"]._actions}
+            flagged |= {(target, f.name) for f in fields(cls)
+                        if f.name in dests and f.name != "seed"}
+        assert flagged == {(target, field) for target, field, *_ in FLAG_SETTINGS}
+
+    @pytest.mark.parametrize("target, field, config_value, flag, flag_value", FLAG_SETTINGS)
+    def test_config_is_used_and_flag_wins(self, resolved, target, field, config_value, flag,
+                                          flag_value):
+        default = getattr(TARGET_CONFIGS[target](), field)
+        assert config_value != default
+        assert getattr(resolved(target, {}), field) == default
+        from_config = getattr(resolved(target, {field: config_value}), field)
+        assert from_config == config_value and type(from_config) is type(default)
+        # the flag beats a config value that differs from it
+        under_flag = config_value if config_value != flag_value else default
+        assert under_flag != flag_value
+        from_flag = getattr(resolved(target, {field: under_flag}, *flag), field)
+        assert from_flag == flag_value and type(from_flag) is type(default)
+
+    @pytest.mark.parametrize("argv, config, grid, transforms", [
+        ([], {}, DEFAULT_GRID, DEFAULT_COMPARISON_TRANSFORMS),
+        (["--grid", "10, 50", "--transforms", "requant8, median:3,"], {},
+         (10, 50), ("requant8", "median:3")),
+        ([], {"grid": [20, 40], "transforms": ["quant:256"]}, (20, 40), ("quant:256",)),
+        (["--grid", "5"], {"grid": [20, 40]}, (5,), DEFAULT_COMPARISON_TRANSFORMS),
+    ])
+    def test_list_settings(self, monkeypatch, argv, config, grid, transforms):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        args = cli.build_parser().parse_args(
+            ["sweep", "--clean-manifest", "c.csv", "--adv-manifest", "a.csv", *argv])
+        cfg = cli._experiment_config(args, config)
+        assert (cfg.grid, cfg.transforms) == (grid, transforms)
+
+    def test_switch_in_config_must_be_a_boolean(self, resolved):
+        with pytest.raises(SystemExit, match="elitism"):
+            resolved("ga", {"elitism": "false"})
+
+    def test_bad_env_seed_exits_naming_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NOISEGATE_SEED", "abc")
+        with pytest.raises(SystemExit, match="NOISEGATE_SEED"):
+            cli.main(["synth", "--classes", "2", "--per-class", "1",
+                      "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("command, files", [("sweep", ("sweep_command.csv",
+                                                           "sweep_similarity.csv")),
+                                                ("compare", ("compare_command.csv",
+                                                             "compare_transforms.csv"))])
+    def test_report_commands_name_their_file(self, tmp_path, monkeypatch, capsys, tiny_model,
+                                             text_sets, command, files):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        for name, manifest in zip(("clean.csv", "adv.csv"), text_sets):
+            rows = [ManifestRow(path=str(manifest.resolve(row)), label=row.label,
+                                target=row.target, source=row.source) for row in manifest.rows]
+            write_manifest(Manifest(rows=rows, base_dir=tmp_path), tmp_path / name)
+        save_model(tiny_model, tmp_path / "model.txt")
+        common = [command, "--clean-manifest", str(tmp_path / "clean.csv"),
+                  "--adv-manifest", str(tmp_path / "adv.csv"), "--grid", "10",
+                  "--transforms", "uniform:10", "--out-dir", str(tmp_path / "out")]
+        for mode, name in zip((["--model", str(tmp_path / "model.txt")],
+                               ["--recognizer", "external:od -An -tx1 -N 16 {}"]), files):
+            assert cli.main([*common, *mode]) == 0
+            assert f"{tmp_path / 'out' / name} (" in capsys.readouterr().out
+            assert (tmp_path / "out" / name).is_file()
+
+
+def build_parser_subcommands():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    return subparsers.choices
 
 
 class TestCliDetect:
