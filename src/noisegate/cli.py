@@ -120,10 +120,9 @@ def cmd_synth(args, config):
 
 
 def cmd_train(args, config):
-    seed = _master_seed(args, config)
+    cfg = _from_flags(TrainConfig, args, config, seed=_master_seed(args, config))
     manifest = load_manifest(args.manifest)
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
-    cfg = _from_flags(TrainConfig, args, config, seed=seed)
 
     def progress(stats):
         val = "-" if stats.validation_accuracy is None else f"{stats.validation_accuracy:.3f}"
@@ -138,11 +137,11 @@ def cmd_train(args, config):
 
 def cmd_attack(args, config):
     seed = _master_seed(args, config)
-    model = classifier.load(args.model)
-    manifest = load_manifest(args.manifest)
     # attack_manifest derives each attack's own seed
     ga_cfg = _from_flags(GaConfig, args, config, seed=0)
     pgd_cfg = _from_flags(PgdConfig, args, config, seed=0)
+    model = classifier.load(args.model)
+    manifest = load_manifest(args.manifest)
 
     def progress(idx, res):
         status = "ok " if res.success else "FAIL"
@@ -347,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
-    return args.func(args, config)
+    try:
+        return args.func(args, _load_config(args.config))
+    except ValueError as exc:  # a bad setting, spec or input: one line, not a traceback
+        raise SystemExit(f"noisegate {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-try:  # scipy's pocketfft is much faster on float32 batches
-    from scipy.fft import irfft as _irfft, rfft as _rfft
-except ImportError:
-    from numpy.fft import irfft as _irfft, rfft as _rfft
+from scipy.fft import irfft, rfft  # pocketfft, much faster than numpy's on float32 batches
 
 from noisegate.audio import AudioClip
 
@@ -123,7 +119,7 @@ def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
     np.multiply(np.lib.stride_tricks.sliding_window_view(y, window.size, axis=1)
                 [:, ::cfg.hop_len(sample_rate_hz)],
                 window, out=frames[:k, :, :window.size])
-    spectrum = _rfft(frames[:k])
+    spectrum = rfft(frames[:k])
     power = spectrum.real**2 + spectrum.imag**2
     raw_energies = power @ fbank.T
     energies = np.maximum(raw_energies, dtype(cfg.log_floor))
@@ -183,7 +179,7 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     c = grad_power * spectrum
     c[:, 0] *= 2.0
     c[:, -1] *= 2.0
-    grad_frames = m * _irfft(c, m)[:, :flen]
+    grad_frames = m * irfft(c, m)[:, :flen]
     grad_frames = grad_frames * window
 
     grad_pre = np.zeros(n_samples)
@@ -207,7 +203,7 @@ def spectrogram_image(clip: AudioClip, fft_size: int, hop: int) -> np.ndarray:
     if x.size < fft_size:
         raise ValueError(f"clip of {x.size} samples is shorter than fft_size {fft_size}")
     frames = np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop] * np.hamming(fft_size)
-    magnitude = np.abs(_rfft(frames, fft_size))
+    magnitude = np.abs(rfft(frames, fft_size))
     log_mag = np.log(magnitude + 1e-10).T  # rows = bins, cols = frames
     lo, hi = log_mag.min(), log_mag.max()
     if hi == lo:

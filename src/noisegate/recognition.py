@@ -7,7 +7,6 @@ import os
 import shlex
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,10 +15,6 @@ from noisegate import classifier as clf
 from noisegate.audio import AudioClip, write_wav
 
 RECOGNIZER_KINDS = ("builtin", "external", "cache")
-
-# external recognizers are one-shot subprocesses; cap how many run at once
-MAX_CONCURRENT_EXTERNAL = 4
-_external_slots = threading.BoundedSemaphore(MAX_CONCURRENT_EXTERNAL)
 
 
 class RecognizerError(RuntimeError):
@@ -162,15 +157,14 @@ def _run_external(spec: RecognizerSpec, clip: AudioClip) -> str:
     with tempfile.NamedTemporaryFile(suffix=".wav", delete=True) as tmp:
         write_wav(clip, tmp.name)
         argv = [arg.replace("{}", tmp.name) for arg in argv]
-        with _external_slots:
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=spec.timeout_s
-                )
-            except subprocess.TimeoutExpired as exc:
-                raise ExternalTimeoutError(
-                    f"recognizer {spec.command!r} timed out after {spec.timeout_s}s"
-                ) from exc
+        try:
+            proc = subprocess.run(
+                argv, capture_output=True, text=True, timeout=spec.timeout_s
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise ExternalTimeoutError(
+                f"recognizer {spec.command!r} timed out after {spec.timeout_s}s"
+            ) from exc
     if proc.returncode != 0:
         raise ExternalCommandError(
             f"recognizer {spec.command!r} exited {proc.returncode}: {proc.stderr.strip()}"

@@ -18,6 +18,23 @@ DEFAULT_SILENCE_THRESHOLD = 328  # ~1% of full scale
 DEFAULT_LOWPASS_CUTOFF_HZ = 4000
 DEFAULT_LOWPASS_TAPS = 101
 
+# Every parameter rule, written once: name -> (test, what the test asks).
+# Specs check at parse time and the operations at call time, both through _check.
+_RULES = {
+    "lowpass cutoff": (lambda hz: hz > 0, "positive"),
+    "lowpass taps": (lambda n: n % 2 == 1 and n >= 3, "odd and >= 3"),
+    "silence threshold": (lambda t: t >= 0, ">= 0"),
+    "downup factor": (lambda f: f >= 2, ">= 2"),
+    "quant step": (lambda s: s >= 1, ">= 1"),
+}
+_RULES["median window"] = _RULES["lowpass taps"]
+
+
+def _check(name: str, value) -> None:
+    ok, rule = _RULES[name]
+    if not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -56,12 +73,11 @@ def requantize_8bit(clip: AudioClip) -> AudioClip:
 
 def _design_lowpass(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.ndarray:
     # windowed-sinc FIR, Hamming window, unit DC gain
-    if taps % 2 != 1 or taps < 3:
-        raise ValueError(f"taps must be odd and >= 3, got {taps}")
-    if not 0 < cutoff_hz < sample_rate_hz / 2:
-        raise ValueError(
-            f"cutoff must be in (0, {sample_rate_hz / 2}) Hz, got {cutoff_hz}"
-        )
+    _check("lowpass taps", taps)
+    _check("lowpass cutoff", cutoff_hz)
+    # only the clip knows its Nyquist frequency, so this rule waits for apply time
+    if cutoff_hz >= sample_rate_hz / 2:
+        raise ValueError(f"lowpass cutoff must be below {sample_rate_hz / 2} Hz, got {cutoff_hz}")
     half = taps // 2
     n = np.arange(taps) - half
     ratio = 2.0 * cutoff_hz / sample_rate_hz
@@ -92,8 +108,7 @@ def silence_removal(clip: AudioClip, threshold: float) -> AudioClip:
     Never returns an empty clip: if every frame is silent, the single
     loudest frame is kept.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    _check("silence threshold", threshold)
     frame_len = max(1, clip.sample_rate_hz * SILENCE_FRAME_MS // 1000)
     n = len(clip)
     bounds = [(s, min(s + frame_len, n)) for s in range(0, n, frame_len)]
@@ -107,8 +122,7 @@ def silence_removal(clip: AudioClip, threshold: float) -> AudioClip:
 
 def down_up_sample(clip: AudioClip, factor: int) -> AudioClip:
     """Decimate by `factor` (after anti-alias filtering) and linearly interpolate back."""
-    if factor < 2:
-        raise ValueError(f"factor must be >= 2, got {factor}")
+    _check("downup factor", factor)
     # edge-replicated padding here so constant signals survive intact
     h = _design_lowpass(clip.sample_rate_hz / (2.0 * factor), DEFAULT_LOWPASS_TAPS,
                         clip.sample_rate_hz)
@@ -121,16 +135,14 @@ def down_up_sample(clip: AudioClip, factor: int) -> AudioClip:
 
 def median_smooth(clip: AudioClip, window: int) -> AudioClip:
     """Replace each sample with the median of its window (edges shrink symmetrically)."""
-    if window % 2 != 1 or window < 3:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
+    _check("median window", window)
     out = _kernels.sliding_median(clip.samples, window)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
 
 
 def quantize(clip: AudioClip, step: int) -> AudioClip:
     """Round each sample to the nearest multiple of `step`, ties away from zero."""
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    _check("quant step", step)
     x = clip.samples.astype(np.int64)
     magnitude = (np.abs(x) * 2 + step) // (2 * step) * step
     out = np.clip(np.sign(x) * magnitude, I16_MIN, I16_MAX).astype(np.int16)
@@ -150,7 +162,14 @@ class TransformSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _validate_spec(self)
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown transform kind {self.kind!r}")
+        defaults, check, _ = _KINDS[self.kind]
+        required = defaults.count(None)
+        if not required <= len(self.params) <= len(defaults):
+            raise ValueError(f"{self.kind} takes {required}..{len(defaults)} parameters, "
+                             f"got {self.params!r}")
+        check(*_resolved(self))
 
     @property
     def label(self) -> str:
@@ -162,44 +181,35 @@ class TransformSpec:
         return replace(self, seed=seed)
 
 
-_ARITY = {
-    "uniform": (1, 1),
-    "gaussian": (1, 1),
-    "requant8": (0, 0),
-    "lowpass": (1, 2),
-    "silence": (0, 1),
-    "downup": (0, 1),
-    "median": (0, 1),
-    "quant": (1, 1),
+def _resolved(spec: TransformSpec) -> tuple:
+    """The spec's parameters, with the kind's defaults filling those left out."""
+    return spec.params + _KINDS[spec.kind][0][len(spec.params):]
+
+
+def _noise(kind: str) -> tuple:
+    return ((None,), lambda level: NoiseSpec(kind, level),
+            lambda clip, level, seed: add_noise(clip, NoiseSpec(kind, level, seed=seed)))
+
+
+# kind -> (defaults, None marking a required parameter; parse-time check; apply).
+# Each apply looks its operation up by name at call time, so a wrapper set on the
+# module attribute (as perfbench/tracing.py does) sees every call.
+_KINDS = {
+    "uniform": _noise("uniform"),
+    "gaussian": _noise("gaussian"),
+    "requant8": ((), lambda: None, lambda clip, seed: requantize_8bit(clip)),
+    "lowpass": ((None, DEFAULT_LOWPASS_TAPS),
+                lambda hz, taps: (_check("lowpass cutoff", hz), _check("lowpass taps", taps)),
+                lambda clip, hz, taps, seed: low_pass(clip, hz, taps)),
+    "silence": ((DEFAULT_SILENCE_THRESHOLD,), lambda t: _check("silence threshold", t),
+                lambda clip, t, seed: silence_removal(clip, t)),
+    "downup": ((2,), lambda f: _check("downup factor", f),
+               lambda clip, f, seed: down_up_sample(clip, f)),
+    "median": ((3,), lambda w: _check("median window", w),
+               lambda clip, w, seed: median_smooth(clip, w)),
+    "quant": ((None,), lambda s: _check("quant step", s),
+              lambda clip, s, seed: quantize(clip, s)),
 }
-
-
-def _validate_spec(spec: TransformSpec) -> None:
-    if spec.kind not in _ARITY:
-        raise ValueError(f"unknown transform kind {spec.kind!r}")
-    lo, hi = _ARITY[spec.kind]
-    if not lo <= len(spec.params) <= hi:
-        raise ValueError(f"{spec.kind} takes {lo}..{hi} parameters, got {spec.params!r}")
-    if spec.kind in NOISE_KINDS:
-        NoiseSpec(kind=spec.kind, intensity=spec.params[0], seed=spec.seed)
-    elif spec.kind == "lowpass":
-        taps = spec.params[1] if len(spec.params) > 1 else DEFAULT_LOWPASS_TAPS
-        if spec.params[0] <= 0:
-            raise ValueError(f"lowpass cutoff must be positive, got {spec.params[0]}")
-        if taps % 2 != 1 or taps < 3:
-            raise ValueError(f"lowpass taps must be odd and >= 3, got {taps}")
-    elif spec.kind == "silence":
-        if spec.params and spec.params[0] < 0:
-            raise ValueError(f"silence threshold must be >= 0, got {spec.params[0]}")
-    elif spec.kind == "downup":
-        if spec.params and spec.params[0] < 2:
-            raise ValueError(f"downup factor must be >= 2, got {spec.params[0]}")
-    elif spec.kind == "median":
-        if spec.params and (spec.params[0] % 2 != 1 or spec.params[0] < 3):
-            raise ValueError(f"median window must be odd and >= 3, got {spec.params[0]}")
-    elif spec.kind == "quant":
-        if spec.params[0] < 1:
-            raise ValueError(f"quant step must be >= 1, got {spec.params[0]}")
 
 
 def parse_transform(text: str, seed: int = 0) -> TransformSpec:
@@ -214,23 +224,5 @@ def parse_transform(text: str, seed: int = 0) -> TransformSpec:
 
 
 def apply_transform(spec: TransformSpec, clip: AudioClip) -> AudioClip:
-    """Dispatch to the variant operation; deterministic given (spec, clip)."""
-    if spec.kind in NOISE_KINDS:
-        return add_noise(clip, NoiseSpec(spec.kind, spec.params[0], seed=spec.seed))
-    if spec.kind == "requant8":
-        return requantize_8bit(clip)
-    if spec.kind == "lowpass":
-        taps = spec.params[1] if len(spec.params) > 1 else DEFAULT_LOWPASS_TAPS
-        return low_pass(clip, spec.params[0], taps)
-    if spec.kind == "silence":
-        threshold = spec.params[0] if spec.params else DEFAULT_SILENCE_THRESHOLD
-        return silence_removal(clip, threshold)
-    if spec.kind == "downup":
-        factor = spec.params[0] if spec.params else 2
-        return down_up_sample(clip, factor)
-    if spec.kind == "median":
-        window = spec.params[0] if spec.params else 3
-        return median_smooth(clip, window)
-    if spec.kind == "quant":
-        return quantize(clip, spec.params[0])
-    raise ValueError(f"unknown transform kind {spec.kind!r}")
+    """Dispatch to the kind's operation; deterministic given (spec, clip)."""
+    return _KINDS[spec.kind][2](clip, *_resolved(spec), spec.seed)

@@ -564,6 +564,42 @@ class TestCliSettings:
             cli.main(["synth", "--classes", "2", "--per-class", "1",
                       "--out-dir", str(tmp_path)])
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt"], {"epochs": 0}, "epochs"),
+        (["attack", "ga", "--model", "{t}/m.txt", "--manifest", "{m}", "--out-dir", "{t}/adv",
+          "--population-size", "1"], {}, "population_size"),
+        (["attack", "pgd", "--model", "{t}/m.txt", "--manifest", "{m}", "--out-dir", "{t}/adv",
+          "--steps", "0"], {}, "steps"),
+        (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}",
+          "--recognizer", "external:echo yes {}"], {"cr_mode": "Flip"}, "cr_mode"),
+        (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
+          "--votes", "2", "--out", "{t}/detect.csv"], {}, "votes"),
+        (["defend", "--transform", "reverb:3", "--in", "{m}", "--out", "{t}/out.wav"], {},
+         "reverb"),
+        (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}",
+          "--recognizer", "external:echo yes"], {}, "placeholder"),
+    ], ids=["TrainConfig", "GaConfig", "PgdConfig", "ExperimentConfig", "DetectionConfig",
+            "TransformSpec", "RecognizerSpec"])
+    def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
+                                             message):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        manifest = str(tmp_path / "corpus" / "manifest.csv")
+        argv = [arg.replace("{m}", manifest).replace("{t}", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config_path), *argv])
+        text = str(exc.value.code)
+        assert text.startswith(f"noisegate {argv[0]}: ") and message in text
+        assert "\n" not in text
+
+    def test_malformed_config_file_exits_with_one_line(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"epochs": 3,}')
+        with pytest.raises(SystemExit, match="^noisegate synth: Expecting property name"):
+            cli.main(["--config", str(config_path), "synth", "--out-dir", str(tmp_path)])
+
     @pytest.mark.parametrize("command, files", [("sweep", ("sweep_command.csv",
                                                            "sweep_similarity.csv")),
                                                 ("compare", ("compare_command.csv",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisegate import transforms
 from noisegate.audio import AudioClip
 from noisegate.transforms import (
     NoiseSpec,
@@ -225,15 +226,39 @@ class TestSpecAndDispatch:
                      "silence:328", "downup:2", "median:3", "quant:256"):
             assert parse_transform(text).label == text
 
-    def test_parse_rejects_unknown_and_bad_params(self):
+    @pytest.mark.parametrize("text", [
+        "reverb:3", "gaussian:many",
+        # each kind's parameter rule
+        "uniform:-1", "gaussian:40000", "lowpass:0", "lowpass:4000:100", "silence:-1",
+        "downup:1", "median:4", "quant:0",
+        # each kind's arity
+        "uniform", "gaussian:1:2", "requant8:1", "lowpass", "lowpass:4000:101:1",
+        "silence:1:2", "downup:2:2", "median:3:3", "quant",
+    ])
+    def test_parse_rejects_unknown_and_bad_params(self, text):
         with pytest.raises(ValueError):
-            parse_transform("reverb:3")
-        with pytest.raises(ValueError):
-            parse_transform("gaussian:many")
-        with pytest.raises(ValueError):
-            parse_transform("median:4")
-        with pytest.raises(ValueError):
-            parse_transform("quant:0")
+            parse_transform(text)
+
+    @pytest.mark.parametrize("text, operation", [
+        ("uniform:40", "add_noise"), ("gaussian:40", "add_noise"),
+        ("requant8", "requantize_8bit"), ("lowpass:4000:31", "low_pass"),
+        ("silence:328", "silence_removal"), ("downup:2", "down_up_sample"),
+        ("median:3", "median_smooth"), ("quant:256", "quantize"),
+    ])
+    def test_dispatch_calls_the_module_attribute_once(self, monkeypatch, text, operation):
+        # a wrapper set on the module attribute must see the call, as the tracer's does
+        original = getattr(transforms, operation)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(transforms, operation, counted)
+        clip = tone(730, 0.1)
+        out = apply_transform(parse_transform(text, seed=3), clip)
+        assert len(calls) == 1 and calls[0][0] is clip
+        assert out == original(*calls[0])
 
     def test_gaussian_zero_is_identity(self):
         clip = tone(220, 0.1)
