@@ -60,8 +60,8 @@ class GaConfig:
             raise ValueError("population_size must be >= 2")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.temp <= 0:
-            raise ValueError("temp must be positive")
+        if not (math.isfinite(self.temp) and self.temp > 0):
+            raise ValueError(f"temp must be positive and finite, got {self.temp}")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ValueError("mutation_probability must be in [0, 1]")
         if self.mutation_range < 0:
@@ -78,6 +78,8 @@ class PgdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.step_size < 1:
@@ -262,64 +264,67 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
                    fitness_trace=fitness_trace)
 
 
-def _target_loss_gradient(model: Model, samples_f: np.ndarray, rate: int, target_idx: int):
-    """Cross-entropy toward the target and its gradient w.r.t. raw samples."""
+def _forward_with_backward(model: Model, samples_f: np.ndarray, rate: int):
+    """Class probabilities for one sample row, and a `backward(target_idx)` that
+    gives the gradient of the cross-entropy toward the target w.r.t. the samples.
+
+    On a row of int16 values the probabilities equal the row's
+    `predict_samples_batch` scores bit for bit.
+    """
     features, cache = mfcc_with_gradient_cache(samples_f, rate, model.feature_config)
-    flat = features.reshape(-1)
-    probs, activations = _forward_batch(model, flat[None, :])
-    loss = -math.log(max(probs[0, target_idx], 1e-300))
-    delta = probs.copy()
-    delta[0, target_idx] -= 1.0
-    _, grad_flat = _backward(model, activations, delta, param_grads=False, input_grad=True)
-    grad_samples = mfcc_backprop(grad_flat[0].reshape(features.shape), cache)
-    return loss, grad_samples, probs[0]
+    probs, activations = _forward_batch(model, features.reshape(1, -1))
+
+    def backward(target_idx: int) -> np.ndarray:
+        delta = probs.copy()
+        delta[0, target_idx] -= 1.0
+        _, grad_flat = _backward(model, activations, delta, param_grads=False, input_grad=True)
+        return mfcc_backprop(grad_flat[0].reshape(features.shape), cache)
+
+    return probs[0], backward
 
 
 def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = PgdConfig()) -> AttackResult:
     """Sign-gradient targeted attack under a relative peak-dB budget.
 
     Uses the analytic gradient through a float feature pipeline (the sample
-    gradient of the MFCC+MLP composition). After every step the perturbation
-    is rescaled so its peak stays within tau dB of the carrier peak, so the
-    budget holds at every iterate; the per-iterate distortions are recorded
-    in the result's distortion_trace. A silent original raises
-    SilentCarrierError, since it leaves the budget undefined.
+    gradient of the MFCC+MLP composition). The iterate is the int16 signal the
+    attack would emit: after every step the perturbation is rescaled so its
+    peak stays within tau dB of the carrier peak, then rounded to integers
+    under the same bound, so the budget holds at every iterate. The gradient
+    is taken at that rounded signal, and the forward of step k+1 is also
+    step k's success check, so a step costs one MFCC forward. At least one
+    step is taken. The distortion of each emitted iterate is recorded in the
+    result's distortion_trace. A silent original raises SilentCarrierError,
+    since it leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
     x = original.samples.astype(np.float64)
-    peak = float(_carrier_peak(original))
+    peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
-    n_eval = int(round(rate * 1.0))
-    delta = np.zeros_like(x)
+    adv = original.samples
     trace = []
     iterations = 0
 
     for step in range(cfg.steps):
-        adv = x + delta
-        loss_input = pad_or_trim(adv, rate)
-        _, grad, _ = _target_loss_gradient(model, loss_input, rate, target_idx)
-        full_grad = np.zeros_like(x)
-        usable = min(n_eval, x.size)
-        full_grad[:usable] = grad[:usable]
-
-        delta = delta - cfg.step_size * np.sign(full_grad)
+        probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), rate),
+                                                 rate)
+        if step and int(np.argmax(probs)) == target_idx:
+            break
+        grad = backward(target_idx)
+        delta = adv - x
+        # the gradient covers the padded or trimmed one-second signal
+        delta[:grad.size] -= cfg.step_size * np.sign(grad[:x.size])
         delta = np.clip(x + delta, I16_MIN, I16_MAX) - x  # stay a valid 16-bit signal
         peak_delta = float(np.max(np.abs(delta)))
         if peak_delta > bound:
             delta *= bound / peak_delta
-            peak_delta = bound
-        trace.append(relative_peak_db(peak_delta, peak))
+        adv = _project_rounded(x, delta, bound)
+        trace.append(relative_peak_db(peak_amplitude(adv - x), peak))
         iterations = step + 1
 
-        rounded = _project_rounded(x, delta, bound)
-        probs = predict_samples_batch(model, rounded[None, :], rate)[0]
-        if int(np.argmax(probs)) == target_idx:
-            break
-
-    final = _project_rounded(x, delta, bound)
-    return _result(model, original, final, target, iterations, distortion_trace=trace)
+    return _result(model, original, adv, target, iterations, distortion_trace=trace)
 
 
 def _project_rounded(x: np.ndarray, delta: np.ndarray, bound: float) -> np.ndarray:

@@ -180,11 +180,17 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     c[:, 0] *= 2.0
     c[:, -1] *= 2.0
     grad_frames = m * irfft(c, m)[:, :flen]
-    grad_frames = grad_frames * window
+    grad_frames *= window
 
-    grad_pre = np.zeros(n_samples)
-    for t in range(grad_frames.shape[0]):
-        grad_pre[t * hop : t * hop + flen] += grad_frames[t]
+    # overlap-add over blocks of `hop` samples: frame t covers blocks t .. t+k-1.
+    # Adding block j of every frame at once, last block first, sums each sample
+    # over its frames in ascending order, bit for bit as a frame-by-frame loop
+    count, k = len(grad_frames), -(-flen // hop)
+    grad_pre = np.zeros((max(count + k - 1, -(-n_samples // hop)), hop))
+    for j in range(k - 1, -1, -1):
+        width = min(hop, flen - j * hop)
+        grad_pre[j:count + j, :width] += grad_frames[:, j * hop:j * hop + width]
+    grad_pre = grad_pre.reshape(-1)[:n_samples]
 
     grad_x = np.empty(n_samples)
     grad_x[-1] = grad_pre[-1]

@@ -15,7 +15,6 @@ NOISE_KINDS = ("uniform", "gaussian")
 
 SILENCE_FRAME_MS = 20
 DEFAULT_SILENCE_THRESHOLD = 328  # ~1% of full scale
-DEFAULT_LOWPASS_CUTOFF_HZ = 4000
 DEFAULT_LOWPASS_TAPS = 101
 
 # Every parameter rule, written once: name -> (test, what the test asks).

@@ -10,7 +10,7 @@ from noisegate.attacks import (
     PgdConfig,
     _bernoulli_positions,
     _breed,
-    _target_loss_gradient,
+    _forward_with_backward,
     ga_attack,
     pgd_attack,
 )
@@ -20,8 +20,10 @@ from noisegate.audio import (
     SilentCarrierError,
     clamped_add,
     db_distortion,
+    peak_amplitude,
+    relative_peak_db,
 )
-from noisegate.classifier import loss_and_gradient, predict
+from noisegate.classifier import loss_and_gradient, pad_or_trim, predict, predict_samples_batch
 from noisegate.features import mfcc_from_array
 
 RATE = 16000
@@ -43,6 +45,9 @@ class TestGaConfig:
             GaConfig(mutation_probability=1.5)
         with pytest.raises(ValueError):
             GaConfig(init_noise_bits=16)
+        for temp in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="temp"):
+                GaConfig(temp=temp)
 
 
 class TestGaAttack:
@@ -187,6 +192,9 @@ class TestPgdConfig:
             PgdConfig(steps=0)
         with pytest.raises(ValueError):
             PgdConfig(step_size=0)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                PgdConfig(tau=tau)
 
 
 class TestPgdAttack:
@@ -204,11 +212,12 @@ class TestPgdAttack:
         backprop = attacks.mfcc_backprop
         monkeypatch.setattr(attacks, "mfcc_backprop",
                             lambda grad, cache: seen.append(grad) or backprop(grad, cache))
-        loss, _, _ = _target_loss_gradient(tiny_model, samples, RATE,
-                                           tiny_model.label_index(target))
+        target_idx = tiny_model.label_index(target)
+        probs, backward = _forward_with_backward(tiny_model, samples, RATE)
+        backward(target_idx)
         want_loss, _, want_grad = loss_and_gradient(tiny_model, mfcc_from_array(samples, RATE),
                                                     target)
-        assert loss == want_loss
+        assert -math.log(max(probs[target_idx], 1e-300)) == want_loss
         assert np.array_equal(seen[0], want_grad)
 
     def test_distortion_is_db_distortion(self, tiny_model, tiny_clips):
@@ -251,3 +260,85 @@ class TestPgdAttack:
                              PgdConfig(tau=0.0, steps=80, step_size=16))
             wins += res.success
         assert wins >= 3
+
+
+class TestPgdStep:
+    """One MFCC forward per step: the iterate is the emitted int16 signal."""
+
+    # (clip index, config) on the tiny model: lands after 6 steps; rescales and runs
+    # out; rescales and lands after one step; one step that does not land
+    CASES = [(1, PgdConfig(tau=-60.0, steps=30, step_size=1)),
+             (2, PgdConfig(tau=-70.0, steps=12, step_size=1)),
+             (5, PgdConfig(tau=-60.0, steps=12, step_size=32)),
+             (6, PgdConfig(tau=-40.0, steps=1, step_size=4))]
+
+    def _run(self, model, clip, cfg, monkeypatch):
+        """The result, the samples each forward saw, the emitted iterates and the
+        number of predict_samples_batch calls."""
+        seen, iterates, predicts = [], [], []
+        forward, project, predict_batch = (attacks.mfcc_with_gradient_cache,
+                                           attacks._project_rounded,
+                                           attacks.predict_samples_batch)
+        monkeypatch.setattr(attacks, "mfcc_with_gradient_cache",
+                            lambda samples, *a: seen.append(samples.copy()) or forward(samples, *a))
+        monkeypatch.setattr(attacks, "_project_rounded",
+                            lambda *a: iterates.append(project(*a)) or iterates[-1])
+        monkeypatch.setattr(attacks, "predict_samples_batch",
+                            lambda *a, **k: predicts.append(1) or predict_batch(*a, **k))
+        target = wrong_label(model, predict(model, clip)[0])
+        return pgd_attack(model, clip, target, cfg), seen, iterates, len(predicts)
+
+    @pytest.mark.parametrize("index, cfg", CASES)
+    def test_one_forward_per_step(self, tiny_model, tiny_clips, monkeypatch, index, cfg):
+        _, clip = tiny_clips[index]
+        res, seen, _, predicts = self._run(tiny_model, clip, cfg, monkeypatch)
+        assert predicts == 1  # the final re-score in _result
+        assert 1 <= res.iterations_used <= cfg.steps
+        stopped_early = res.iterations_used < cfg.steps
+        # a run stops early only when the forward after the last step hears the target
+        assert not stopped_early or res.success
+        assert len(seen) == res.iterations_used + stopped_early
+
+    def test_landed_and_exhausted_runs_are_covered(self, tiny_model, tiny_clips, monkeypatch):
+        outcomes = set()
+        for index, cfg in self.CASES:
+            res = self._run(tiny_model, tiny_clips[index][1], cfg, monkeypatch)[0]
+            outcomes.add((res.success, res.iterations_used < cfg.steps))
+        assert {(True, True), (False, False)} <= outcomes
+
+    @pytest.mark.parametrize("index, cfg", CASES)
+    def test_trace_is_the_emitted_distortion(self, tiny_model, tiny_clips, monkeypatch, index,
+                                             cfg):
+        _, clip = tiny_clips[index]
+        res, seen, iterates, _ = self._run(tiny_model, clip, cfg, monkeypatch)
+        assert len(iterates) == len(res.distortion_trace) == res.iterations_used
+        carrier = peak_amplitude(clip.samples)
+        for iterate, entry in zip(iterates, res.distortion_trace):
+            assert iterate.dtype == np.int16
+            deltas = iterate.astype(np.int32) - clip.samples
+            assert entry == relative_peak_db(peak_amplitude(deltas), carrier)
+        assert np.array_equal(iterates[-1], res.adversarial.samples)
+        assert res.distortion_trace[-1] == res.distortion_db
+        # each step's gradient is taken at the previous step's emitted signal
+        for iterate, samples in zip([clip.samples, *iterates], seen):
+            assert np.array_equal(samples, pad_or_trim(iterate.astype(np.float64), RATE))
+
+    def test_rescaled_trace_ends_at_the_result(self, tiny_model, tiny_clips):
+        _, clip = tiny_clips[5]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        cfg = PgdConfig(tau=-60.0, steps=12, step_size=32)
+        res = pgd_attack(tiny_model, clip, target, cfg)
+        # the 32-sample step is rescaled to the bound and rounded down under it
+        bound = peak_amplitude(clip.samples) * 10.0 ** (cfg.tau / 20.0)
+        assert peak_amplitude(res.perturbation.deltas) == math.floor(bound) < 32
+        assert res.distortion_trace[-1] == res.distortion_db
+
+    def test_forward_scores_int16_rows_as_predict(self, tiny_model, tiny_clips):
+        rng = np.random.default_rng(8)
+        for n in (RATE, RATE - 1234, RATE + 777):
+            for _, clip in tiny_clips[:4]:
+                row = np.resize(clip.samples, n)
+                row = np.clip(row + rng.integers(-40, 41, n), -32768, 32767).astype(np.int16)
+                probs, _ = _forward_with_backward(
+                    tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE)
+                assert np.array_equal(probs, predict_samples_batch(tiny_model, row[None], RATE)[0])

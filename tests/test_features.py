@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import irfft
 
 from noisegate.audio import AudioClip
 from noisegate.features import (
+    PREEMPHASIS,
     FeatureConfig,
     hz_to_mel,
     mel_filter_centers,
@@ -135,6 +137,43 @@ class TestFeatureGradient:
             fd = ((mfcc_from_array(xp, RATE) * upstream).sum()
                   - (mfcc_from_array(xm, RATE) * upstream).sum()) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    @given(n_samples=st.integers(400, 16200), seed=st.integers(0, 2**32 - 1))
+    @example(n_samples=400, seed=0)
+    @example(n_samples=401, seed=1)
+    @example(n_samples=559, seed=2)
+    @example(n_samples=560, seed=3)
+    @example(n_samples=16000, seed=4)
+    @example(n_samples=16123, seed=5)
+    @settings(max_examples=30, deadline=None)
+    def test_backprop_equals_frame_loop(self, n_samples, seed):
+        rng = np.random.default_rng(seed)
+        feats, cache = mfcc_with_gradient_cache(rng.normal(0.0, 3000.0, n_samples), RATE)
+        upstream = rng.normal(size=feats.shape)
+        assert np.array_equal(mfcc_backprop(upstream, cache),
+                              _mfcc_backprop_frame_loop(upstream, cache))
+
+
+def _mfcc_backprop_frame_loop(grad_coeffs, cache):
+    """The sample gradient with the overlap-add as a loop over frames: the oracle."""
+    n_samples, sample_rate_hz, cfg, spectrum, raw_energies, energies = cache
+    window, fbank, _, dct = _plan(cfg, sample_rate_hz)
+    flen = cfg.frame_len(sample_rate_hz)
+    hop = cfg.hop_len(sample_rate_hz)
+    m = cfg.fft_size
+    grad_log = grad_coeffs @ dct
+    grad_energy = np.where(raw_energies > cfg.log_floor, grad_log / energies, 0.0)
+    c = (grad_energy @ fbank) * spectrum
+    c[:, 0] *= 2.0
+    c[:, -1] *= 2.0
+    grad_frames = m * irfft(c, m)[:, :flen] * window
+    grad_pre = np.zeros(n_samples)
+    for t in range(grad_frames.shape[0]):
+        grad_pre[t * hop : t * hop + flen] += grad_frames[t]
+    grad_x = np.empty(n_samples)
+    grad_x[-1] = grad_pre[-1]
+    grad_x[:-1] = grad_pre[:-1] - PREEMPHASIS * grad_pre[1:]
+    return grad_x
 
 
 class TestSpectrogram:

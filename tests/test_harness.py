@@ -570,6 +570,8 @@ class TestCliSettings:
           "--population-size", "1"], {}, "population_size"),
         (["attack", "pgd", "--model", "{t}/m.txt", "--manifest", "{m}", "--out-dir", "{t}/adv",
           "--steps", "0"], {}, "steps"),
+        (["attack", "pgd", "--model", "{t}/m.txt", "--manifest", "{m}", "--out-dir", "{t}/adv",
+          "--tau", "nan"], {}, "tau"),
         (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}",
           "--recognizer", "external:echo yes {}"], {"cr_mode": "Flip"}, "cr_mode"),
         (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
@@ -578,8 +580,8 @@ class TestCliSettings:
          "reverb"),
         (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}",
           "--recognizer", "external:echo yes"], {}, "placeholder"),
-    ], ids=["TrainConfig", "GaConfig", "PgdConfig", "ExperimentConfig", "DetectionConfig",
-            "TransformSpec", "RecognizerSpec"])
+    ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
+            "DetectionConfig", "TransformSpec", "RecognizerSpec"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
