@@ -52,7 +52,6 @@ class GaConfig:
     mutation_probability: float = 0.005
     mutation_range: int = 150
     init_noise_bits: int = 8
-    elitism: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -191,12 +190,12 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     `init_noise_bits` bits randomized. Each generation is scored by the
     model's target-class probability; parents are drawn from
     softmax(scores / temp), children are uniform crossovers, and every child
-    is mutated samplewise with `mutation_probability`. With `elitism` the
-    best candidate moves unchanged into the next generation and keeps its
-    score, so the fitness trace never falls. Stops as soon as the
-    best candidate is classified as the target, else after k_max generations
-    (exhaustion is a success=False result, not an error). A silent original
-    raises SilentCarrierError before any search.
+    is mutated samplewise with `mutation_probability`. The best candidate
+    (the elite) moves unchanged into the next generation and keeps its score,
+    so the fitness trace never falls. Stops as soon as the best candidate is
+    classified as the target, else after k_max generations, returning the
+    elite as a success=False result (exhaustion is not an error). A silent
+    original raises SilentCarrierError before any search.
 
     Random draws: generation 0's stream, SeedSequence((cfg.seed, 0)), draws
     the whole initial population's low bits in one call. The stream of
@@ -225,10 +224,8 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     else:
         pop = np.tile(original.samples, (size, 1))
 
-    best_samples = pop[0].copy()
-    best_score = -1.0
     fitness_trace = []
-    elite_probs = None  # probability row of the elite in pop[0], when carried
+    elite_probs = None  # probability row of the elite in pop[0], from generation 1 on
 
     for generation in range(cfg.k_max):
         # float32 fitness path: ~2x faster, deterministic, and the returned
@@ -243,24 +240,17 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         scores = probs[:, target_idx]
         best_idx = int(np.argmax(scores))
         fitness_trace.append(float(scores[best_idx]))
-        if scores[best_idx] > best_score:
-            best_score = float(scores[best_idx])
-            best_samples = pop[best_idx].copy()
         if int(np.argmax(probs[best_idx])) == target_idx:
             return _result(model, original, pop[best_idx].copy(), target, generation,
                            fitness_trace=fitness_trace)
 
         selection = _stable_softmax(scores, cfg.temp)
         rng = _generation_rng(cfg.seed, generation + 1)
-        if cfg.elitism:
-            elite_probs = probs[best_idx]
-            pop = np.concatenate([pop[best_idx][None, :],
-                                  _breed(pop, selection, size - 1, rng, cfg)])
-        else:
-            pop = _breed(pop, selection, size, rng, cfg)
+        elite_probs = probs[best_idx]
+        pop = np.concatenate([pop[best_idx][None, :], _breed(pop, selection, size - 1, rng, cfg)])
 
-    # k_max exhausted: the best-so-far goes back as a success=False result
-    return _result(model, original, best_samples, target, cfg.k_max,
+    # k_max exhausted: the elite, the best candidate scored, is a success=False result
+    return _result(model, original, pop[0].copy(), target, cfg.k_max,
                    fitness_trace=fitness_trace)
 
 
@@ -293,9 +283,10 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     under the same bound, so the budget holds at every iterate. The gradient
     is taken at that rounded signal, and the forward of step k+1 is also
     step k's success check, so a step costs one MFCC forward. At least one
-    step is taken. The distortion of each emitted iterate is recorded in the
-    result's distortion_trace. A silent original raises SilentCarrierError,
-    since it leaves the budget undefined.
+    step is taken, and the run stops once an emitted iterate equals the one
+    before it (the original counts as the first). The distortion of each
+    emitted iterate is recorded in the result's distortion_trace. A silent
+    original raises SilentCarrierError, since it leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
@@ -303,14 +294,15 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
-    adv = original.samples
+    adv, previous = original.samples, None
     trace = []
     iterations = 0
 
     for step in range(cfg.steps):
         probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), rate),
                                                  rate)
-        if step and int(np.argmax(probs)) == target_idx:
+        # a step depends only on the iterate, so a repeated one would repeat forever
+        if step and (int(np.argmax(probs)) == target_idx or np.array_equal(adv, previous)):
             break
         grad = backward(target_idx)
         delta = adv - x
@@ -320,7 +312,7 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
         peak_delta = float(np.max(np.abs(delta)))
         if peak_delta > bound:
             delta *= bound / peak_delta
-        adv = _project_rounded(x, delta, bound)
+        previous, adv = adv, _project_rounded(x, delta, bound)
         trace.append(relative_peak_db(peak_amplitude(adv - x), peak))
         iterations = step + 1
 

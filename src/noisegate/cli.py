@@ -2,7 +2,9 @@
 
 Each subcommand optionally reads a JSON config file (--config); explicit
 flags win over config values, and the NOISEGATE_SEED environment variable
-wins over both for the master seed.
+wins over both for the master seed. The settings dataclasses declare the
+settings: each field but the seed is a flag (`k_max` -> --k-max) and a config
+key, and a config value must have the field's type.
 """
 
 import argparse
@@ -10,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from noisegate import classifier
@@ -20,8 +22,6 @@ from noisegate.classifier import TrainConfig
 from noisegate.detection import DetectionConfig, detect
 from noisegate.experiments import (
     COMPARE_FILES,
-    DEFAULT_COMPARISON_TRANSFORMS,
-    DEFAULT_GRID,
     SWEEP_FILES,
     ExperimentConfig,
     attack_manifest,
@@ -34,7 +34,7 @@ from noisegate.manifests import load_manifest
 from noisegate.recognition import parse_recognizer
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
-from noisegate.transforms import NoiseSpec, parse_transform, apply_transform
+from noisegate.transforms import NOISE_KINDS, NoiseSpec, apply_transform, parse_transform
 
 SEED_ENV_VAR = "NOISEGATE_SEED"
 
@@ -49,30 +49,64 @@ def _load_config(path):
     return cfg
 
 
-def _setting(args, config, key, default):
-    """flag > config file > default."""
+def _typed(key, value, kind):
+    """`value`, which must be a `kind` (an int passes for a float), cast to `kind`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _items(key, value, kind):
+    """A comma-separated flag or a config list, as a tuple of `kind` items."""
+    if isinstance(value, str):
+        return tuple(kind(item.strip()) for item in value.split(",") if item.strip())
+    return tuple(_typed(key, item, kind) for item in _typed(key, value, list))
+
+
+def _noise(text: str) -> NoiseSpec:
+    spec = parse_transform(text) if ":" in text else None
+    if spec is None or spec.kind not in NOISE_KINDS:
+        raise ValueError(f"noise must be kind:intensity with a kind in {NOISE_KINDS}, "
+                         f"got {text!r}")
+    return NoiseSpec(spec.kind, *spec.params)
+
+
+# The settings that are not a plain number or string: field -> parser of the
+# flag's text or the config file's value
+_PARSERS = {
+    "grid": lambda value: _items("grid", value, int),
+    "transforms": lambda value: _items("transforms", value, str),
+    "recognizer": lambda value: parse_recognizer(_typed("recognizer", value, str)),
+    "noise": lambda value: _noise(_typed("noise", value, str)),
+}
+
+
+def _given(args, config, key):
+    """The flag's value, else the config file's, else None."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key) if value is None else value
+
+
+def _setting(args, config, key, default):
+    """flag > config file > default, of the default's type."""
+    value = _given(args, config, key)
+    return default if value is None else _typed(key, value, type(default))
 
 
 def _from_flags(cls, args, config, **fixed):
-    """A `cls` config: each field this subcommand has a flag for resolves as
-    flag > config file > default, cast to the default's type; `fixed` fields
-    are taken as given, and any other field keeps its default."""
-    values = {}
+    """A `cls` config: each field not in `fixed` resolves as flag > config file >
+    default, the fields in `_PARSERS` through their parser."""
+    values = dict(fixed)
     for f in fields(cls):
-        if f.name in fixed or not hasattr(args, f.name):
+        if f.name in fixed:
             continue
-        value = _setting(args, config, f.name, f.default)
-        # bool("false") is True, so a switch takes only a JSON true/false
-        if isinstance(f.default, bool) and not isinstance(value, bool):
-            raise SystemExit(f"config {f.name} must be true or false, got {value!r}")
-        values[f.name] = type(f.default)(value)
-    return cls(**values, **fixed)
+        if f.name not in _PARSERS:
+            values[f.name] = _setting(args, config, f.name, f.default)
+        elif (value := _given(args, config, f.name)) is not None:
+            values[f.name] = _PARSERS[f.name](value)
+        elif f.default is MISSING:
+            raise ValueError(f"--{f.name.replace('_', '-')} is required")
+    return cls(**values)
 
 
 def _master_seed(args, config) -> int:
@@ -82,38 +116,14 @@ def _master_seed(args, config) -> int:
             return int(env)
         except ValueError:
             raise SystemExit(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
-    return int(_setting(args, config, "seed", 0))
-
-
-def _list_setting(args, config, key, default, cast):
-    """A comma-separated flag or a config list, each item cast; `default` when unset."""
-    raw = _setting(args, config, key, None)
-    if raw is None:
-        return default
-    items = raw.split(",") if isinstance(raw, str) else raw
-    return tuple(cast(item) for item in items if str(item).strip())
-
-
-def _recognizer(args, config):
-    raw = _setting(args, config, "recognizer", None)
-    return parse_recognizer(raw) if raw else None
-
-
-def _noise(args, config, seed: int) -> NoiseSpec:
-    raw = _setting(args, config, "noise", "gaussian:200")
-    kind, _, intensity = raw.partition(":")
-    try:
-        level = int(intensity)
-    except ValueError:
-        raise SystemExit(f"noise {raw!r} needs an integer intensity, e.g. gaussian:200") from None
-    return NoiseSpec(kind=kind, intensity=level, seed=seed)
+    return _setting(args, config, "seed", 0)
 
 
 def cmd_synth(args, config):
     seed = _master_seed(args, config)
     out_dir = Path(_setting(args, config, "out_dir", "."))
-    classes = int(_setting(args, config, "classes", 10))
-    per_class = int(_setting(args, config, "per_class", 100))
+    classes = _setting(args, config, "classes", 10)
+    per_class = _setting(args, config, "per_class", 100)
     manifest = synth_dataset(classes, per_class, seed, out_dir)
     print(f"wrote {len(manifest)} clips and {out_dir / 'manifest.csv'}")
     return 0
@@ -169,23 +179,12 @@ def cmd_defend(args, config):
 
 def cmd_detect(args, config):
     seed = _master_seed(args, config)
-    recognizer = _recognizer(args, config)
-    if recognizer is None:
-        raise SystemExit("detect needs --recognizer (builtin:/external:/cache:)")
+    cfg = _from_flags(DetectionConfig, args, config)
     manifest = load_manifest(args.manifest)
-    threshold = float(_setting(args, config, "threshold", 0.5))
-    votes = int(_setting(args, config, "votes", 1))
-    cr_mode = _setting(args, config, "cr_mode", "edit")
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
     for idx, row in enumerate(manifest.rows):
-        cfg = DetectionConfig(
-            noise=_noise(args, config, seed=derive_seed(seed, "detect", idx)),
-            threshold=threshold,
-            recognizer=recognizer,
-            votes=votes,
-            cr_mode=cr_mode,
-        )
-        outcome = detect(cfg, read_wav(manifest.resolve(row)))
+        noise = replace(cfg.noise, seed=derive_seed(seed, "detect", idx))
+        outcome = detect(replace(cfg, noise=noise), read_wav(manifest.resolve(row)))
         rows.append((row.path, f"{outcome.cr:.6f}", outcome.verdict,
                      outcome.transcript_before, outcome.transcript_after))
     out = Path(_setting(args, config, "out", "detection_report.csv"))
@@ -195,40 +194,20 @@ def cmd_detect(args, config):
     return 0
 
 
-def _experiment_config(args, config) -> ExperimentConfig:
-    return ExperimentConfig(
-        master_seed=_master_seed(args, config),
-        grid=_list_setting(args, config, "grid", DEFAULT_GRID, int),
-        transforms=_list_setting(args, config, "transforms", DEFAULT_COMPARISON_TRANSFORMS,
-                                 str.strip),
-        recognizer=_recognizer(args, config),
-        out_dir=str(_setting(args, config, "out_dir", ".")),
-        cr_mode=_setting(args, config, "cr_mode", "edit"),
-    )
-
-
-def _mode_args(args, config):
-    model = classifier.load(args.model) if getattr(args, "model", None) else None
-    recognizer = _recognizer(args, config)
-    if (model is None) == (recognizer is None):
-        raise SystemExit("pass either --model (command mode) or --recognizer (text mode)")
-    return model, recognizer
-
-
 def cmd_report(args, config):
     """sweep and compare: `args.driver` writes one of `args.files` (command, text mode)."""
-    cfg = _experiment_config(args, config)
-    model, recognizer = _mode_args(args, config)
+    cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
+    model = classifier.load(args.model) if args.model else None
     report = args.driver(cfg, load_manifest(args.clean_manifest),
                          load_manifest(args.adv_manifest),
-                         model=model, recognizer=recognizer)
+                         model=model, recognizer=cfg.recognizer)
     name = args.files[0] if model is not None else args.files[1]
     print(f"wrote {Path(cfg.out_dir) / name} ({len(report.rows)} rows)")
     return 0
 
 
 def cmd_roc(args, config):
-    cfg = _experiment_config(args, config)
+    cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
     if cfg.recognizer is None:
         raise SystemExit("roc needs --recognizer (builtin:/external:/cache:)")
     results = run_detection_eval(cfg, load_manifest(args.clean_manifest),
@@ -245,10 +224,21 @@ def cmd_roc(args, config):
 
 def cmd_spectrogram(args, config):
     clip = read_wav(args.infile)
-    image = spectrogram_image(clip, args.fft_size, args.hop)
+    image = spectrogram_image(clip, _setting(args, config, "fft_size", 512),
+                              _setting(args, config, "hop", 160))
     write_pgm(image, args.out)
     print(f"wrote {args.out} ({image.shape[1]}x{image.shape[0]})")
     return 0
+
+
+def _add_settings(parser, *classes):
+    """A flag per field of `classes` but the seed (`k_max` -> --k-max), and --seed."""
+    for cls in classes:
+        for f in fields(cls):
+            if f.name not in ("seed", "master_seed"):
+                parser.add_argument("--" + f.name.replace("_", "-"),
+                                    type=None if f.name in _PARSERS else type(f.default))
+    parser.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the keyword classifier")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
-    p.add_argument("--seed", type=int)
+    _add_settings(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attack", help="generate targeted adversarial examples")
@@ -283,17 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--target", help="fixed target label (default: random wrong label)")
-    p.add_argument("--population-size", dest="population_size", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--temp", type=float)
-    p.add_argument("--mutation-probability", dest="mutation_probability", type=float)
-    p.add_argument("--mutation-range", dest="mutation_range", type=int)
-    p.add_argument("--init-noise-bits", dest="init_noise_bits", type=int)
-    p.add_argument("--no-elitism", dest="elitism", action="store_false", default=None)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--step-size", dest="step_size", type=int)
-    p.add_argument("--seed", type=int)
+    _add_settings(p, GaConfig, PgdConfig)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("defend", help="apply one input transform to a WAV")
@@ -306,13 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="change-rate detection over a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--recognizer", help="builtin:<model> | external:<cmd {}> | cache:<jsonl>")
-    p.add_argument("--noise", help="kind:intensity, e.g. gaussian:200")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--votes", type=int)
-    p.add_argument("--cr-mode", dest="cr_mode", choices=("edit", "flip"))
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    _add_settings(p, DetectionConfig)
     p.set_defaults(func=cmd_detect)
 
     for name, defaults, extra in (
@@ -326,19 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--clean-manifest", dest="clean_manifest", required=True)
         p.add_argument("--adv-manifest", dest="adv_manifest", required=True)
         p.add_argument("--model")
-        p.add_argument("--recognizer")
-        p.add_argument("--grid")
-        p.add_argument("--transforms")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--cr-mode", dest="cr_mode", choices=("edit", "flip"))
-        p.add_argument("--seed", type=int)
+        _add_settings(p, ExperimentConfig)
         p.set_defaults(**defaults)
 
     p = sub.add_parser("spectrogram", help="write a PGM spectrogram of a WAV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fft-size", dest="fft_size", type=int, default=512)
-    p.add_argument("--hop", type=int, default=160)
+    p.add_argument("--fft-size", dest="fft_size", type=int)
+    p.add_argument("--hop", type=int)
     p.set_defaults(func=cmd_spectrogram)
 
     return parser

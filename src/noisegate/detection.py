@@ -23,9 +23,9 @@ class SingleClassError(ValueError):
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    noise: NoiseSpec
-    threshold: float
     recognizer: RecognizerSpec
+    noise: NoiseSpec = NoiseSpec("gaussian", 200)
+    threshold: float = 0.5
     votes: int = 1
     cr_mode: str = "edit"
 

@@ -112,12 +112,11 @@ class TestGaAttack:
             assert np.array_equal(res.adversarial.samples < 0, clip.samples < 0)
 
     def test_elitism_keeps_best_fitness_monotone(self, tiny_model, tiny_clips):
-        # LSB-scale search keeps this run unsuccessful for all 25 generations;
-        # without elitism the same run's trace falls 13 times
+        # LSB-scale search keeps this run unsuccessful for all 25 generations
         row, clip = tiny_clips[3]
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
         res = ga_attack(tiny_model, clip, target,
-                        GaConfig(k_max=25, population_size=10, seed=11, elitism=True,
+                        GaConfig(k_max=25, population_size=10, seed=11,
                                  mutation_range=2, init_noise_bits=1))
         trace = res.fitness_trace
         assert trace is not None and len(trace) >= 1
@@ -295,7 +294,8 @@ class TestPgdStep:
         assert predicts == 1  # the final re-score in _result
         assert 1 <= res.iterations_used <= cfg.steps
         stopped_early = res.iterations_used < cfg.steps
-        # a run stops early only when the forward after the last step hears the target
+        # no iterate of these runs repeats, so a run stops early only when the
+        # forward after the last step hears the target
         assert not stopped_early or res.success
         assert len(seen) == res.iterations_used + stopped_early
 
@@ -322,6 +322,21 @@ class TestPgdStep:
         # each step's gradient is taken at the previous step's emitted signal
         for iterate, samples in zip([clip.samples, *iterates], seen):
             assert np.array_equal(samples, pad_or_trim(iterate.astype(np.float64), RATE))
+
+    def test_repeated_iterate_stops_the_run(self, tiny_model, tiny_clips, monkeypatch):
+        _, clip = tiny_clips[2]
+        cfg = PgdConfig(tau=-90.0, steps=100)
+        # a bound under one LSB rounds every step back to the original
+        assert peak_amplitude(clip.samples) * 10.0 ** (cfg.tau / 20.0) < 1
+        backwards = []
+        backprop = attacks.mfcc_backprop
+        monkeypatch.setattr(attacks, "mfcc_backprop",
+                            lambda *a: backwards.append(1) or backprop(*a))
+        res, seen, iterates, _ = self._run(tiny_model, clip, cfg, monkeypatch)
+        assert (len(seen), len(backwards)) == (2, 1)
+        assert res.iterations_used == 1 and not res.success
+        assert res.distortion_trace == [SILENT_PERTURBATION] == [res.distortion_db]
+        assert np.array_equal(iterates[0], clip.samples)
 
     def test_rescaled_trace_ends_at_the_result(self, tiny_model, tiny_clips):
         _, clip = tiny_clips[5]

@@ -2,7 +2,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from noisegate import experiments
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig, predict
-from noisegate.detection import change_rate, roc
+from noisegate.detection import DetectionConfig, change_rate, roc
 from noisegate.experiments import (
     DEFAULT_COMPARISON_TRANSFORMS,
     DEFAULT_GRID,
@@ -457,7 +457,7 @@ class TestCli:
 
 
 class _Captured(Exception):
-    """Raised by a stand-in once it has recorded the configs it was handed."""
+    """Raised by the `load_manifest` stand-in, after a command has built its configs."""
 
 
 # (target, field, config value, flag, flag value): one row per config field with a flag
@@ -473,12 +473,31 @@ FLAG_SETTINGS = [
     ("ga", "mutation_probability", 0.1, ["--mutation-probability", "0.2"], 0.2),
     ("ga", "mutation_range", 9, ["--mutation-range", "11"], 11),
     ("ga", "init_noise_bits", 3, ["--init-noise-bits", "4"], 4),
-    ("ga", "elitism", False, ["--no-elitism"], False),
+    ("detect", "threshold", 0.25, ["--threshold", "0.75"], 0.75),
     ("pgd", "tau", -5.0, ["--tau", "-7"], -7.0),
     ("pgd", "steps", 7, ["--steps", "9"], 9),
     ("pgd", "step_size", 3, ["--step-size", "4"], 4),
+    ("detect", "votes", 3, ["--votes", "5"], 5),
+    ("detect", "noise", "uniform:50", ["--noise", "gaussian:30"], NoiseSpec("gaussian", 30)),
+    ("detect", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
+     RecognizerSpec.external("echo b {}")),
+    ("detect", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
+    ("sweep", "grid", [20, 40], ["--grid", "5,15"], (5, 15)),
+    ("sweep", "transforms", ["quant:256"], ["--transforms", "requant8"], ("requant8",)),
+    ("sweep", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
+     RecognizerSpec.external("echo b {}")),
+    ("sweep", "out_dir", "from_config", ["--out-dir", "from_flag"], "from_flag"),
+    ("sweep", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
 ]
-TARGET_CONFIGS = {"train": TrainConfig, "ga": GaConfig, "pgd": PgdConfig}
+TARGET_CONFIGS = {"train": TrainConfig, "ga": GaConfig, "pgd": PgdConfig,
+                  "detect": DetectionConfig, "sweep": ExperimentConfig}
+TARGET_COMMANDS = {"train": ["train", "--manifest", "m.csv", "--out", "m.txt"],
+                   "ga": ["attack", "ga", "--model", "m.txt", "--manifest", "m.csv",
+                          "--out-dir", "adv"],
+                   "pgd": ["attack", "pgd", "--model", "m.txt", "--manifest", "m.csv",
+                           "--out-dir", "adv"],
+                   "detect": ["detect", "--manifest", "m.csv"],
+                   "sweep": ["sweep", "--clean-manifest", "m.csv", "--adv-manifest", "m.csv"]}
 
 
 class TestCliSettings:
@@ -486,33 +505,28 @@ class TestCliSettings:
     def resolved(self, tmp_path, monkeypatch):
         """run(target, config, *flags) -> the config object the CLI builds for target."""
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
-        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
-        manifest = str(tmp_path / "corpus" / "manifest.csv")
-        seen = {}
+        built = {}
+        from_flags = cli._from_flags
 
-        def fake_train(dataset, cfg, progress=None):
-            seen["train"] = cfg
+        def record(cls, *args, **fixed):
+            built[cls] = from_flags(cls, *args, **fixed)
+            return built[cls]
+
+        def stop(path):
             raise _Captured
 
-        def fake_attack(*args, ga_cfg, pgd_cfg, **kwargs):
-            seen.update(ga=ga_cfg, pgd=pgd_cfg)
-            raise _Captured
-
-        monkeypatch.setattr(cli.classifier, "train", fake_train)
+        monkeypatch.setattr(cli, "_from_flags", record)
         monkeypatch.setattr(cli.classifier, "load", lambda path: None)
-        monkeypatch.setattr(cli, "attack_manifest", fake_attack)
+        monkeypatch.setattr(cli, "load_manifest", stop)
         config_path = tmp_path / "config.json"
 
         def run(target, config, *flags):
+            if target == "detect":  # the one setting without a default
+                config = {"recognizer": "external:echo yes {}", **config}
             config_path.write_text(json.dumps(config))
-            if target == "train":
-                argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "m.txt")]
-            else:
-                argv = ["attack", target, "--model", "m.txt", "--manifest", manifest,
-                        "--out-dir", str(tmp_path / "adv")]
             with pytest.raises(_Captured):
-                cli.main(["--config", str(config_path), *argv, *flags])
-            return seen[target]
+                cli.main(["--config", str(config_path), *TARGET_COMMANDS[target], *flags])
+            return built[TARGET_CONFIGS[target]]
 
         return run
 
@@ -520,25 +534,38 @@ class TestCliSettings:
         subcommands = build_parser_subcommands()
         flagged = set()
         for target, cls in TARGET_CONFIGS.items():
-            dests = {action.dest for action in
-                     subcommands["train" if target == "train" else "attack"]._actions}
+            dests = {action.dest for action in subcommands[TARGET_COMMANDS[target][0]]._actions}
             flagged |= {(target, f.name) for f in fields(cls)
                         if f.name in dests and f.name != "seed"}
         assert flagged == {(target, field) for target, field, *_ in FLAG_SETTINGS}
 
+    @pytest.mark.parametrize("command, classes, others", [
+        ("train", (TrainConfig,), {"manifest", "out"}),
+        ("attack", (GaConfig, PgdConfig), {"mode", "model", "manifest", "out_dir", "target"}),
+        ("detect", (DetectionConfig,), {"manifest", "out"}),
+        ("sweep", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
+        ("compare", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
+        ("roc", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
+    ])
+    def test_setting_flags_are_the_config_fields(self, command, classes, others):
+        dests = {action.dest for action in build_parser_subcommands()[command]._actions}
+        assert {"help", "seed"} <= dests
+        settings = {f.name for cls in classes for f in fields(cls)} - {"seed", "master_seed"}
+        assert dests - {"help", "seed"} - others == settings
+
     @pytest.mark.parametrize("target, field, config_value, flag, flag_value", FLAG_SETTINGS)
     def test_config_is_used_and_flag_wins(self, resolved, target, field, config_value, flag,
                                           flag_value):
-        default = getattr(TARGET_CONFIGS[target](), field)
-        assert config_value != default
-        assert getattr(resolved(target, {}), field) == default
+        default = {f.name: f.default for f in fields(TARGET_CONFIGS[target])}[field]
+        expected = cli._PARSERS.get(field, lambda value: value)(config_value)
+        assert default != expected != flag_value
+        if default is not MISSING:
+            assert getattr(resolved(target, {}), field) == default
         from_config = getattr(resolved(target, {field: config_value}), field)
-        assert from_config == config_value and type(from_config) is type(default)
+        assert from_config == expected and type(from_config) is type(flag_value)
         # the flag beats a config value that differs from it
-        under_flag = config_value if config_value != flag_value else default
-        assert under_flag != flag_value
-        from_flag = getattr(resolved(target, {field: under_flag}, *flag), field)
-        assert from_flag == flag_value and type(from_flag) is type(default)
+        from_flag = getattr(resolved(target, {field: config_value}, *flag), field)
+        assert from_flag == flag_value and type(from_flag) is type(flag_value)
 
     @pytest.mark.parametrize("argv, config, grid, transforms", [
         ([], {}, DEFAULT_GRID, DEFAULT_COMPARISON_TRANSFORMS),
@@ -547,16 +574,11 @@ class TestCliSettings:
         ([], {"grid": [20, 40], "transforms": ["quant:256"]}, (20, 40), ("quant:256",)),
         (["--grid", "5"], {"grid": [20, 40]}, (5,), DEFAULT_COMPARISON_TRANSFORMS),
     ])
-    def test_list_settings(self, monkeypatch, argv, config, grid, transforms):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_list_settings(self, argv, config, grid, transforms):
         args = cli.build_parser().parse_args(
             ["sweep", "--clean-manifest", "c.csv", "--adv-manifest", "a.csv", *argv])
-        cfg = cli._experiment_config(args, config)
+        cfg = cli._from_flags(ExperimentConfig, args, config, master_seed=0)
         assert (cfg.grid, cfg.transforms) == (grid, transforms)
-
-    def test_switch_in_config_must_be_a_boolean(self, resolved):
-        with pytest.raises(SystemExit, match="elitism"):
-            resolved("ga", {"elitism": "false"})
 
     def test_bad_env_seed_exits_naming_the_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOISEGATE_SEED", "abc")
@@ -580,8 +602,28 @@ class TestCliSettings:
          "reverb"),
         (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}",
           "--recognizer", "external:echo yes"], {}, "placeholder"),
+        # a config value of the wrong JSON type
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt"], {"epochs": 2.9}, "epochs"),
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt"], {"epochs": True}, "epochs"),
+        (["attack", "ga", "--model", "{t}/m.txt", "--manifest", "{m}", "--out-dir", "{t}/adv"],
+         {"k_max": 9.99}, "k_max"),
+        (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
+          "--out", "{t}/detect.csv"], {"votes": 3.7}, "votes"),
+        (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out",
+          "--recognizer", "external:echo yes {}"], {"grid": [10.7, 20]}, "grid"),
+        (["compare", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out",
+          "--recognizer", "external:echo yes {}"], {"transforms": [256]}, "transforms"),
+        (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out",
+          "--recognizer", "external:echo yes {}"], {"grid": 10}, "grid"),
+        (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
+          "--out", "{t}/detect.csv"], {"threshold": [1]}, "threshold"),
+        (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
+          "--out", "{t}/detect.csv"], {"noise": 200}, "noise"),
+        (["synth"], {"out_dir": 5}, "out_dir"),
     ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
-            "DetectionConfig", "TransformSpec", "RecognizerSpec"])
+            "DetectionConfig", "TransformSpec", "RecognizerSpec", "epochs-float", "epochs-bool",
+            "k_max-float", "votes-float", "grid-float-item", "transforms-int-item", "grid-int",
+            "threshold-list", "noise-int", "synth-out_dir-int"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
@@ -595,6 +637,18 @@ class TestCliSettings:
         text = str(exc.value.code)
         assert text.startswith(f"noisegate {argv[0]}: ") and message in text
         assert "\n" not in text
+
+    def test_spectrogram_reads_the_config(self, tmp_path, capsys):
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        wav = str(tmp_path / "corpus" / "wavs" / "yes_0000.wav")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"fft_size": 256, "hop": 80}))
+        assert cli.main(["--config", str(config_path), "spectrogram", "--in", wav,
+                         "--out", str(tmp_path / "config.pgm")]) == 0
+        assert cli.main(["spectrogram", "--in", wav, "--out", str(tmp_path / "flags.pgm"),
+                         "--fft-size", "256", "--hop", "80"]) == 0
+        assert capsys.readouterr().out.count("(197x129)") == 2
+        assert (tmp_path / "config.pgm").read_bytes() == (tmp_path / "flags.pgm").read_bytes()
 
     def test_malformed_config_file_exits_with_one_line(self, tmp_path):
         config_path = tmp_path / "config.json"
