@@ -25,6 +25,7 @@ from noisegate.classifier import (
     Model,
     _backward,
     _forward_batch,
+    _softmax,
     pad_or_trim,
     predict,
     predict_samples_batch,
@@ -175,14 +176,6 @@ def _breed(pop: np.ndarray, selection: np.ndarray, count: int,
     return children
 
 
-def _stable_softmax(scores: np.ndarray, temp: float) -> np.ndarray:
-    # float64: Generator.choice validates sum(p) == 1 at double precision
-    z = scores.astype(np.float64) / temp
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = GaConfig()) -> AttackResult:
     """Gradient-free targeted attack on the built-in classifier.
 
@@ -243,14 +236,17 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         if int(np.argmax(probs[best_idx])) == target_idx:
             return _result(model, original, pop[best_idx].copy(), target, generation,
                            fitness_trace=fitness_trace)
+        if generation + 1 == cfg.k_max:
+            break
 
-        selection = _stable_softmax(scores, cfg.temp)
+        # float64: Generator.choice validates sum(p) == 1 at double precision
+        selection = _softmax(scores.astype(np.float64) / cfg.temp)
         rng = _generation_rng(cfg.seed, generation + 1)
         elite_probs = probs[best_idx]
         pop = np.concatenate([pop[best_idx][None, :], _breed(pop, selection, size - 1, rng, cfg)])
 
     # k_max exhausted: the elite, the best candidate scored, is a success=False result
-    return _result(model, original, pop[0].copy(), target, cfg.k_max,
+    return _result(model, original, pop[best_idx].copy(), target, cfg.k_max,
                    fitness_trace=fitness_trace)
 
 

@@ -59,7 +59,11 @@ def _typed(key, value, kind):
 def _items(key, value, kind):
     """A comma-separated flag or a config list, as a tuple of `kind` items."""
     if isinstance(value, str):
-        return tuple(kind(item.strip()) for item in value.split(",") if item.strip())
+        try:
+            return tuple(kind(item.strip()) for item in value.split(",") if item.strip())
+        except ValueError:
+            raise ValueError(f"{key} must be a comma-separated list of {kind.__name__}, "
+                             f"got {value!r}") from None
     return tuple(_typed(key, item, kind) for item in _typed(key, value, list))
 
 

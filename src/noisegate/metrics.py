@@ -49,31 +49,29 @@ def distance_ratio(reference: str, before, after):
     return levenshtein(after_text, reference) / denom
 
 
-def asr_avg(records, defended_predictions) -> float:
-    """Percentage of adversarial examples still predicted as their attack target."""
+def _percent_matching(records, predictions, label: str) -> float:
+    """Percentage of predictions equal to their record's `label` field."""
     records = list(records)
-    preds = list(defended_predictions)
-    if not records:
-        raise ValueError("no adversarial records")
-    if len(records) != len(preds):
-        raise ValueError(f"{len(records)} records vs {len(preds)} predictions")
-    for rec in records:
-        if rec.target_label is None:
-            raise ValueError(f"{rec.path}: adversarial record has no target label")
-    hits = sum(1 for rec, pred in zip(records, preds) if pred == rec.target_label)
-    return hits / len(records) * 100.0
-
-
-def acc(records, defended_predictions) -> float:
-    """Percentage of clean examples predicted as their true label after a defense."""
-    records = list(records)
-    preds = list(defended_predictions)
+    preds = list(predictions)
     if not records:
         raise ValueError("no records")
     if len(records) != len(preds):
         raise ValueError(f"{len(records)} records vs {len(preds)} predictions")
-    hits = sum(1 for rec, pred in zip(records, preds) if pred == rec.true_label)
+    for rec in records:
+        if getattr(rec, label) is None:
+            raise ValueError(f"{rec.path}: record has no {label}")
+    hits = sum(1 for rec, pred in zip(records, preds) if pred == getattr(rec, label))
     return hits / len(records) * 100.0
+
+
+def asr_avg(records, defended_predictions) -> float:
+    """Percentage of adversarial examples still predicted as their attack target."""
+    return _percent_matching(records, defended_predictions, "target_label")
+
+
+def acc(records, defended_predictions) -> float:
+    """Percentage of clean examples predicted as their true label after a defense."""
+    return _percent_matching(records, defended_predictions, "true_label")
 
 
 @dataclass

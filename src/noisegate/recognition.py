@@ -8,13 +8,10 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 from noisegate import _kernels
 from noisegate import classifier as clf
 from noisegate.audio import AudioClip, write_wav
-
-RECOGNIZER_KINDS = ("builtin", "external", "cache")
 
 
 class RecognizerError(RuntimeError):
@@ -45,50 +42,43 @@ class Transcript:
 
 @dataclass(frozen=True)
 class RecognizerSpec:
+    """A recognizer: its kind and `arg`, the text after `kind:` (a model path, a
+    command template with one {} placeholder, or a transcript file path)."""
+
     kind: str
-    model_path: str | None = None
-    command: str | None = None
-    timeout_s: float = 30.0
-    cache_path: str | None = None
+    arg: str
+    timeout_s: float = 30.0  # external only
 
     def __post_init__(self):
-        if self.kind not in RECOGNIZER_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown recognizer kind {self.kind!r}")
-        if self.kind == "builtin" and not self.model_path:
-            raise ValueError("builtin recognizer needs a model path")
+        if not self.arg:
+            raise ValueError(f"{self.kind} recognizer needs {_KINDS[self.kind][0]}")
         if self.kind == "external":
-            if not self.command:
-                raise ValueError("external recognizer needs a command template")
-            if self.command.count("{}") != 1:
+            if self.arg.count("{}") != 1:
                 raise ValueError("command template must contain exactly one {} placeholder")
             if self.timeout_s <= 0:
                 raise ValueError("timeout must be positive")
-        if self.kind == "cache" and not self.cache_path:
-            raise ValueError("cache recognizer needs a transcript file path")
 
     @staticmethod
     def builtin(model_path: str) -> "RecognizerSpec":
-        return RecognizerSpec(kind="builtin", model_path=str(model_path))
+        return RecognizerSpec("builtin", str(model_path))
 
     @staticmethod
     def external(command: str, timeout_s: float = 30.0) -> "RecognizerSpec":
-        return RecognizerSpec(kind="external", command=command, timeout_s=timeout_s)
+        return RecognizerSpec("external", command, timeout_s)
 
     @staticmethod
     def cache(cache_path: str) -> "RecognizerSpec":
-        return RecognizerSpec(kind="cache", cache_path=str(cache_path))
+        return RecognizerSpec("cache", str(cache_path))
 
 
 def parse_recognizer(text: str) -> RecognizerSpec:
     """Parse CLI syntax: builtin:<model>, external:<command with {}>, cache:<jsonl>."""
-    kind, _, rest = text.partition(":")
-    if kind == "builtin":
-        return RecognizerSpec.builtin(rest)
-    if kind == "external":
-        return RecognizerSpec.external(rest)
-    if kind == "cache":
-        return RecognizerSpec.cache(rest)
-    raise ValueError(f"unknown recognizer {text!r} (expected builtin:/external:/cache:)")
+    kind, _, arg = text.partition(":")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown recognizer {text!r} (expected builtin:/external:/cache:)")
+    return RecognizerSpec(kind, arg)
 
 
 def normalize_text(text: str) -> str:
@@ -123,37 +113,32 @@ def write_cache_file(entries, path) -> None:
             fh.write(json.dumps({"sha256": digest, "transcript": text}) + "\n")
 
 
-_loaded_models: dict = {}
-_loaded_caches: dict = {}
+_loaded: dict = {}
 
 
-def _builtin_model(path: str):
-    # a model file rewritten or replaced gets a new stamp and is loaded again.
-    # (st_dev, st_ino) names the file: one stat per call, where resolving the
-    # path as well cost ~20x more per transcript
+def _load(path: str, loader):
+    """`loader(path)`, memoized until the file changes.
+
+    A file rewritten or replaced in place gets a new stamp and is loaded again.
+    (st_dev, st_ino) names the file: one stat per call, where resolving the path
+    as well cost ~20x more per transcript. A rewrite that keeps the size within
+    one tick of a coarse filesystem clock keeps the stamp, so it is not seen.
+    """
     st = os.stat(path)
     stamp = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-    cached = _loaded_models.get(path)
+    cached = _loaded.get((path, loader))
     if cached is None or cached[0] != stamp:
-        cached = _loaded_models[path] = (stamp, clf.load(path))
+        cached = _loaded[(path, loader)] = (stamp, loader(path))
     return cached[1]
 
 
-def _cache_table(path: str) -> dict:
-    key = str(Path(path).resolve())
-    if key not in _loaded_caches:
-        _loaded_caches[key] = _load_cache_file(path)
-    return _loaded_caches[key]
-
-
 def clear_recognizer_state() -> None:
-    """Drop memoized models and transcript caches (for tests and long sessions)."""
-    _loaded_models.clear()
-    _loaded_caches.clear()
+    """Drop memoized models and transcript tables (for tests and long sessions)."""
+    _loaded.clear()
 
 
 def _run_external(spec: RecognizerSpec, clip: AudioClip) -> str:
-    argv = shlex.split(spec.command)
+    argv = shlex.split(spec.arg)
     with tempfile.NamedTemporaryFile(suffix=".wav", delete=True) as tmp:
         write_wav(clip, tmp.name)
         argv = [arg.replace("{}", tmp.name) for arg in argv]
@@ -163,14 +148,33 @@ def _run_external(spec: RecognizerSpec, clip: AudioClip) -> str:
             )
         except subprocess.TimeoutExpired as exc:
             raise ExternalTimeoutError(
-                f"recognizer {spec.command!r} timed out after {spec.timeout_s}s"
+                f"recognizer {spec.arg!r} timed out after {spec.timeout_s}s"
             ) from exc
     if proc.returncode != 0:
         raise ExternalCommandError(
-            f"recognizer {spec.command!r} exited {proc.returncode}: {proc.stderr.strip()}"
+            f"recognizer {spec.arg!r} exited {proc.returncode}: {proc.stderr.strip()}"
         )
     first_line = proc.stdout.splitlines()[0] if proc.stdout.splitlines() else ""
     return first_line
+
+
+def _cached_transcript(spec: RecognizerSpec, clip: AudioClip) -> str:
+    digest = clip_content_hash(clip)
+    table = _load(spec.arg, _load_cache_file)
+    if digest not in table:
+        raise CacheMissError(f"no cached transcript for content hash {digest}")
+    return table[digest]
+
+
+# kind -> (what `arg` names, hear: (spec, clip) -> raw transcript). The external
+# entry looks _run_external up at call time, so a wrapper set on the module
+# attribute (as perfbench/tracing.py does) sees every spawn.
+_KINDS = {
+    "builtin": ("a model path",
+                lambda spec, clip: clf.predict(_load(spec.arg, clf.load), clip)[0]),
+    "external": ("a command template", lambda spec, clip: _run_external(spec, clip)),
+    "cache": ("a transcript file path", _cached_transcript),
+}
 
 
 def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
@@ -179,21 +183,7 @@ def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
     Output text is normalized (trim, lowercase, collapsed whitespace) so
     downstream distances never react to casing or spacing.
     """
-    if spec.kind == "builtin":
-        label, _ = clf.predict(_builtin_model(spec.model_path), clip)
-        return Transcript(text=normalize_text(label), recognizer_id=f"builtin:{spec.model_path}")
-    if spec.kind == "external":
-        return Transcript(
-            text=normalize_text(_run_external(spec, clip)),
-            recognizer_id=f"external:{spec.command}",
-        )
-    digest = clip_content_hash(clip)
-    table = _cache_table(spec.cache_path)
-    if digest not in table:
-        raise CacheMissError(f"no cached transcript for content hash {digest}")
-    return Transcript(
-        text=normalize_text(table[digest]), recognizer_id=f"cache:{spec.cache_path}"
-    )
+    return Transcript(normalize_text(_KINDS[spec.kind][1](spec, clip)), f"{spec.kind}:{spec.arg}")
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -126,6 +126,24 @@ class TestGaAttack:
             # is float32-feature fitness, the result is re-scored in float64
             assert res.final_target_score == pytest.approx(max(trace), abs=1e-5)
 
+    def test_exhausted_run_breeds_only_generations_it_scores(self, tiny_model, tiny_clips,
+                                                              monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _breed(*args)
+
+        monkeypatch.setattr(attacks, "_breed", counted)
+        row, clip = tiny_clips[3]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        res = ga_attack(tiny_model, clip, target,
+                        GaConfig(k_max=5, population_size=10, seed=11,
+                                 mutation_range=2, init_noise_bits=1))
+        assert not res.success and res.iterations_used == 5
+        assert len(res.fitness_trace) == 5
+        assert len(calls) == 4
+
     def test_exhaustion_is_not_an_error(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[4]
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])

@@ -620,10 +620,13 @@ class TestCliSettings:
         (["detect", "--manifest", "{m}", "--recognizer", "external:echo yes {}",
           "--out", "{t}/detect.csv"], {"noise": 200}, "noise"),
         (["synth"], {"out_dir": 5}, "out_dir"),
+        # a flag's list item that is not of the setting's type
+        (["sweep", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out",
+          "--recognizer", "external:echo yes {}", "--grid", "1.5"], {}, "grid"),
     ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
             "DetectionConfig", "TransformSpec", "RecognizerSpec", "epochs-float", "epochs-bool",
             "k_max-float", "votes-float", "grid-float-item", "transforms-int-item", "grid-int",
-            "threshold-list", "noise-int", "synth-out_dir-int"])
+            "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)

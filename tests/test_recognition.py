@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisegate import recognition
 from noisegate.audio import AudioClip
 from noisegate.recognition import (
     CacheMissError,
@@ -24,6 +25,7 @@ from noisegate.recognition import (
 )
 
 RATE = 16000
+KIND_ARGS = [("builtin", "m.txt"), ("external", "run {}"), ("cache", "t.jsonl")]
 
 
 def clip_of(values):
@@ -84,8 +86,10 @@ class TestSpecs:
         assert parse_recognizer("builtin:m.txt").kind == "builtin"
         assert parse_recognizer("external:run {}").kind == "external"
         assert parse_recognizer("cache:t.jsonl").kind == "cache"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected builtin:/external:/cache:"):
             parse_recognizer("magic:x")
+        with pytest.raises(ValueError, match="unknown recognizer kind"):
+            RecognizerSpec("magic", "x")
 
     def test_external_needs_one_placeholder(self):
         with pytest.raises(ValueError):
@@ -93,7 +97,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             RecognizerSpec.external("cp {} {}")
         with pytest.raises(ValueError):
-            RecognizerSpec(kind="external", command="x {}", timeout_s=0)
+            RecognizerSpec("external", "x {}", timeout_s=0)
+
+    @pytest.mark.parametrize("kind, arg", KIND_ARGS)
+    def test_spec_is_the_kind_and_the_text_after_it(self, kind, arg):
+        spec = parse_recognizer(f"{kind}:{arg}")
+        assert (spec.kind, spec.arg) == (kind, arg)
+        assert spec == getattr(RecognizerSpec, kind)(arg)
+
+    @pytest.mark.parametrize("kind", [kind for kind, _ in KIND_ARGS])
+    def test_empty_arg_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"^{kind} recognizer needs "):
+            parse_recognizer(f"{kind}:")
+        with pytest.raises(ValueError, match=f"^{kind} recognizer needs "):
+            RecognizerSpec(kind, "")
 
     def test_transcript_requires_recognizer_id(self):
         with pytest.raises(ValueError):
@@ -120,6 +137,21 @@ class TestExternalRecognizer:
         spec = RecognizerSpec.external("sh -c 'sleep 5' {}", timeout_s=0.2)
         with pytest.raises(ExternalTimeoutError):
             transcribe(spec, clip_of([5]))
+
+    def test_dispatch_calls_the_module_attribute_once(self, monkeypatch):
+        # a wrapper set on the module attribute must see the spawn, as the tracer's does
+        original = recognition._run_external
+        calls = []
+
+        def counted(spec, clip):
+            calls.append((spec, clip))
+            return original(spec, clip)
+
+        monkeypatch.setattr(recognition, "_run_external", counted)
+        spec = RecognizerSpec.external("sh -c 'echo Hello' {}")
+        clip = clip_of([1, 2, 3])
+        assert transcribe(spec, clip).text == "hello"
+        assert len(calls) == 1 and calls[0][0] is spec and calls[0][1] is clip
 
     def test_placeholder_receives_wav_path(self):
         # the command gets a readable WAV of the exact clip
@@ -177,6 +209,19 @@ class TestCacheRecognizer:
         with pytest.raises(CacheMissError) as err:
             transcribe(spec, clip_of([9, 9]))
         assert clip_content_hash(clip_of([9, 9])) in str(err.value)
+
+    def test_file_rewritten_in_place_is_read_again(self, tmp_path):
+        clear_recognizer_state()
+        clip = clip_of([4, 5, 6])
+        path = tmp_path / "cache.jsonl"
+        write_cache_file([(clip_content_hash(clip), "first")], path)
+        spec = RecognizerSpec.cache(str(path))
+        assert transcribe(spec, clip).text == "first"
+        inode = path.stat().st_ino
+        # a new size moves the stamp even where the filesystem clock is coarse
+        write_cache_file([(clip_content_hash(clip), "second words")], path)
+        assert path.stat().st_ino == inode
+        assert transcribe(spec, clip) == Transcript("second words", f"cache:{path}")
 
     def test_malformed_cache_row(self, tmp_path):
         clear_recognizer_state()
