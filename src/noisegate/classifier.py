@@ -152,19 +152,19 @@ def forward_batch(model: Model, flat_features: np.ndarray) -> np.ndarray:
     return _forward_batch(model, x)[0]
 
 
-def _input_row(model: Model, features) -> np.ndarray:
-    """One feature matrix flattened to a (1, input_dim) row."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != model.layer_dims[0]:
+def _input_rows(model: Model, features, lead=(1,)) -> np.ndarray:
+    """Feature matrices flattened to rows of shape (*lead, input_dim)."""
+    x = np.asarray(features, dtype=np.float64).reshape(*lead, -1)
+    if x.shape[-1] != model.layer_dims[0]:
         raise ValueError(
-            f"feature matrix flattens to {x.shape[1]} values, model expects {model.layer_dims[0]}"
+            f"feature matrix flattens to {x.shape[-1]} values, model expects {model.layer_dims[0]}"
         )
     return x
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature matrix; sums to 1 within 1e-9."""
-    return _forward_batch(model, _input_row(model, features))[0][0]
+    return _forward_batch(model, _input_rows(model, features))[0][0]
 
 
 def loss_and_gradient(model: Model, features: np.ndarray, label: str):
@@ -174,7 +174,7 @@ def loss_and_gradient(model: Model, features: np.ndarray, label: str):
     shaped like `features`).
     """
     target = model.label_index(label)
-    probs, activations = _forward_batch(model, _input_row(model, features))
+    probs, activations = _forward_batch(model, _input_rows(model, features))
     loss = -math.log(max(probs[0, target], 1e-300))
     delta = probs.copy()
     delta[0, target] -= 1.0
@@ -204,11 +204,30 @@ def _features_for_clip(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
     return mfcc_from_array(samples, clip.sample_rate_hz, cfg)
 
 
+def predict_clips(model: Model, clips) -> list:
+    """(label, probability) for each clip; ties break to the lowest class index.
+
+    The clips of each sample rate go through one `mfcc_batch` as int16 rows,
+    and the MLP runs on their features shaped (n, 1, input_dim), so numpy
+    takes each row's matrix-vector products on its own. A clip's result is
+    then bit-identical to `forward` on its features alone, whatever else is
+    in the list (for a given BLAS).
+    """
+    out = [None] * len(clips)
+    for rate in dict.fromkeys(clip.sample_rate_hz for clip in clips):
+        group = [i for i, clip in enumerate(clips) if clip.sample_rate_hz == rate]
+        rows = np.stack([pad_or_trim(clips[i].samples, rate) for i in group])
+        feats = mfcc_batch(rows, rate, model.feature_config)
+        x = _input_rows(model, feats, (len(group), 1))
+        for i, probs in zip(group, _forward_batch(model, x)[0][:, 0]):
+            idx = int(np.argmax(probs))
+            out[i] = (model.class_labels[idx], float(probs[idx]))
+    return out
+
+
 def predict(model: Model, clip: AudioClip):
-    """(label, probability) for a clip; ties break to the lowest class index."""
-    probs = forward(model, _features_for_clip(clip, model.feature_config))
-    idx = int(np.argmax(probs))
-    return model.class_labels[idx], float(probs[idx])
+    """(label, probability) for a clip: `predict_clips` on a list of one."""
+    return predict_clips(model, [clip])[0]
 
 
 def predict_samples_batch(model: Model, batch: np.ndarray, sample_rate_hz: int,

@@ -31,7 +31,7 @@ from noisegate.experiments import (
 )
 from noisegate.features import spectrogram_image, write_pgm
 from noisegate.manifests import load_manifest
-from noisegate.recognition import parse_recognizer
+from noisegate.recognition import RecognizerError, parse_recognizer
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
 from noisegate.transforms import NOISE_KINDS, NoiseSpec, apply_transform, parse_transform
@@ -317,7 +317,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_config(args.config))
-    except ValueError as exc:  # a bad setting, spec or input: one line, not a traceback
+    # a bad setting, spec or input, a file that cannot be read or a recognizer
+    # that fails: one line, not a traceback
+    except (ValueError, OSError, RecognizerError) as exc:
         raise SystemExit(f"noisegate {args.command}: {exc}") from None
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
-from noisegate.classifier import Model, predict
+from noisegate.classifier import Model, predict_clips
 from noisegate.detection import CR_MODES, RocResult, roc, transcript_change
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
@@ -24,7 +24,7 @@ from noisegate.metrics import (
     emit_report,
     similarity,
 )
-from noisegate.recognition import RecognizerSpec, transcribe
+from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
 from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
 from noisegate.transforms import apply_transform as _apply
@@ -81,16 +81,21 @@ def _prepare(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Mani
 def _hear(hear, groups, spec: TransformSpec | None = None, seed=None):
     """Each group's clips as heard after `spec`, or plain when it is None.
 
-    Clip i of group g gets the seed `seed(g, i)`, so a noise draw never
-    depends on which other clips are in the call.
+    `hear` takes a group's list of clips at once. Clip i of group g gets the
+    seed `seed(g, i)`, so a noise draw never depends on which other clips are
+    in the call.
     """
-    return [[hear(clip if spec is None else _apply(spec.with_seed(seed(group, idx)), clip))
-             for idx, (_, clip) in enumerate(loaded)]
+    return [hear([clip if spec is None else _apply(spec.with_seed(seed(group, idx)), clip)
+                  for idx, (_, clip) in enumerate(loaded)])
             for group, loaded in zip(GROUPS, groups)]
 
 
+def _labeler(model: Model):
+    return lambda clips: [label for label, _ in predict_clips(model, clips)]
+
+
 def _transcriber(recognizer: RecognizerSpec):
-    return lambda clip: transcribe(recognizer, clip).text
+    return lambda clips: [heard.text for heard in transcribe_clips(recognizer, clips)]
 
 
 def _text_scores(loaded, plain, heard):
@@ -122,7 +127,7 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
         clean_records = [EvalRecord(path=row.path, true_label=row.label) for row, _ in groups[0]]
         adv_records = [EvalRecord(path=row.path, true_label=row.label, target_label=row.target)
                        for row, _ in groups[1]]
-        hear, columns, name = (lambda clip: predict(model, clip)[0]), COMMAND_COLUMNS, files[0]
+        hear, columns, name = _labeler(model), COMMAND_COLUMNS, files[0]
     else:
         hear, columns, name = _transcriber(recognizer), TEXT_COLUMNS, files[1]
         plain = _hear(hear, groups)

@@ -29,6 +29,8 @@ class ExternalTimeoutError(RecognizerError):
 class CacheMissError(RecognizerError, KeyError):
     """No cached transcript for this clip's content hash."""
 
+    __str__ = RecognizerError.__str__  # the message, not KeyError's quoted repr of it
+
 
 @dataclass(frozen=True)
 class Transcript:
@@ -158,32 +160,44 @@ def _run_external(spec: RecognizerSpec, clip: AudioClip) -> str:
     return first_line
 
 
-def _cached_transcript(spec: RecognizerSpec, clip: AudioClip) -> str:
-    digest = clip_content_hash(clip)
+def _cached_transcripts(spec: RecognizerSpec, clips) -> list:
     table = _load(spec.arg, _load_cache_file)
-    if digest not in table:
-        raise CacheMissError(f"no cached transcript for content hash {digest}")
-    return table[digest]
+    out = []
+    for clip in clips:
+        digest = clip_content_hash(clip)
+        if digest not in table:
+            raise CacheMissError(f"no cached transcript for content hash {digest}")
+        out.append(table[digest])
+    return out
 
 
-# kind -> (what `arg` names, hear: (spec, clip) -> raw transcript). The external
-# entry looks _run_external up at call time, so a wrapper set on the module
-# attribute (as perfbench/tracing.py does) sees every spawn.
+# kind -> (what `arg` names, hear: (spec, clips) -> a raw transcript per clip).
+# A list stats its model or transcript file once. The external entry looks
+# _run_external up at call time, so a wrapper set on the module attribute (as
+# perfbench/tracing.py does) sees every spawn.
 _KINDS = {
-    "builtin": ("a model path",
-                lambda spec, clip: clf.predict(_load(spec.arg, clf.load), clip)[0]),
-    "external": ("a command template", lambda spec, clip: _run_external(spec, clip)),
-    "cache": ("a transcript file path", _cached_transcript),
+    "builtin": ("a model path", lambda spec, clips: [
+        label for label, _ in clf.predict_clips(_load(spec.arg, clf.load), clips)]),
+    "external": ("a command template",
+                 lambda spec, clips: [_run_external(spec, clip) for clip in clips]),
+    "cache": ("a transcript file path", _cached_transcripts),
 }
 
 
-def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
-    """Run the recognizer described by `spec` on a clip.
+def transcribe_clips(spec: RecognizerSpec, clips) -> list:
+    """Run the recognizer described by `spec` on each clip of a list.
 
     Output text is normalized (trim, lowercase, collapsed whitespace) so
     downstream distances never react to casing or spacing.
     """
-    return Transcript(normalize_text(_KINDS[spec.kind][1](spec, clip)), f"{spec.kind}:{spec.arg}")
+    recognizer_id = f"{spec.kind}:{spec.arg}"
+    return [Transcript(normalize_text(text), recognizer_id)
+            for text in _KINDS[spec.kind][1](spec, clips)]
+
+
+def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
+    """`transcribe_clips` on a list of one clip."""
+    return transcribe_clips(spec, [clip])[0]
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -58,9 +58,12 @@ def add_noise(clip: AudioClip, spec: NoiseSpec) -> AudioClip:
     n = len(clip)
     if spec.kind == "uniform":
         deltas = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
+        noisy = clip.samples.astype(np.int32) + deltas
     else:
-        deltas = np.round(rng.normal(0.0, float(spec.intensity), size=n)).astype(np.int32)
-    out = np.clip(clip.samples.astype(np.int32) + deltas, I16_MIN, I16_MAX).astype(np.int16)
+        # whole-number float64 sums are exact, so this equals the int32 sum
+        noisy = np.round(rng.normal(0.0, float(spec.intensity), size=n))
+        noisy += clip.samples
+    out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
 
 
@@ -110,13 +113,17 @@ def silence_removal(clip: AudioClip, threshold: float) -> AudioClip:
     _check("silence threshold", threshold)
     frame_len = max(1, clip.sample_rate_hz * SILENCE_FRAME_MS // 1000)
     n = len(clip)
-    bounds = [(s, min(s + frame_len, n)) for s in range(0, n, frame_len)]
-    means = [np.abs(clip.samples[a:b].astype(np.int32)).mean() for a, b in bounds]
-    kept = [clip.samples[a:b] for (a, b), m in zip(bounds, means) if m >= threshold]
-    if not kept:
-        a, b = bounds[int(np.argmax(means))]
-        kept = [clip.samples[a:b]]
-    return AudioClip(samples=np.concatenate(kept), sample_rate_hz=clip.sample_rate_hz)
+    whole = n - n % frame_len
+    magnitudes = np.abs(clip.samples.astype(np.int32))
+    # whole frames as rows, then the short tail frame; integer sums are exact
+    means = magnitudes[:whole].reshape(-1, frame_len).mean(axis=1)
+    if whole < n:
+        means = np.append(means, magnitudes[whole:].mean())
+    loud = means >= threshold
+    if not loud.any():
+        loud[np.argmax(means)] = True
+    kept = clip.samples[np.repeat(loud, frame_len)[:n]]
+    return AudioClip(samples=kept, sample_rate_hz=clip.sample_rate_hz)
 
 
 def down_up_sample(clip: AudioClip, factor: int) -> AudioClip:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisegate.audio import AudioClip
 from noisegate.classifier import (
@@ -15,6 +17,7 @@ from noisegate.classifier import (
     loss_and_gradient,
     new_model,
     predict,
+    predict_clips,
     save,
     train,
 )
@@ -202,6 +205,51 @@ class TestPredict:
         long = AudioClip(samples=np.ones(RATE * 2, dtype=np.int16), sample_rate_hz=RATE)
         assert predict(model, short)
         assert predict(model, long)
+
+
+# a full-size model with nonzero biases, so every layer's products matter
+LIST_MODEL = new_model([f"w{i}" for i in range(6)], seed=11)
+for _bias in LIST_MODEL.biases:
+    _bias[:] = np.random.default_rng(_bias.size).normal(0.0, 0.5, _bias.size)
+
+
+@st.composite
+def clip_lists(draw):
+    """A random list of clips with lengths around one second; a list of two or
+    more holds both 16 kHz and 8 kHz clips."""
+    clips = []
+    for k, seed in enumerate(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                           max_size=9))):
+        rng = np.random.default_rng(seed)
+        rate = (16000, 8000)[k] if k < 2 else int(rng.choice([16000, 8000]))
+        samples = rng.integers(-4000, 4001, int(rng.integers(rate // 4, 5 * rate // 4)))
+        clips.append(AudioClip(samples=samples.astype(np.int16), sample_rate_hz=rate))
+    return clips
+
+
+class TestPredictClips:
+    @settings(max_examples=25, deadline=None)
+    @given(clips=clip_lists(), order_seed=st.integers(0, 2**32 - 1))
+    def test_each_row_equals_predict_alone(self, clips, order_seed):
+        """A clip's label and probability do not depend on the list it is heard in:
+        bit for bit, in any group size and order (for a given BLAS)."""
+        alone = [predict(LIST_MODEL, clip) for clip in clips]
+        order = np.random.default_rng(order_seed).permutation(len(clips))
+        heard = predict_clips(LIST_MODEL, [clips[i] for i in order])
+        assert heard == [alone[i] for i in order]
+        # the group of one sample rate heard on its own
+        rate = clips[0].sample_rate_hz
+        same_rate = [i for i in range(len(clips)) if clips[i].sample_rate_hz == rate]
+        assert predict_clips(LIST_MODEL, [clips[i] for i in same_rate]) == [
+            alone[i] for i in same_rate]
+
+    def test_empty_list(self):
+        assert predict_clips(LIST_MODEL, []) == []
+
+    def test_feature_width_mismatch_rejected(self):
+        clip = AudioClip(samples=np.ones(RATE, dtype=np.int16), sample_rate_hz=RATE)
+        with pytest.raises(ValueError, match="model expects 10"):
+            predict_clips(tiny_model(), [clip])
 
 
 class TestSerialization:

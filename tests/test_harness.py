@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from noisegate import experiments
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig, predict
-from noisegate.detection import DetectionConfig, change_rate, roc
+from noisegate.detection import DetectionConfig, change_rate, roc, transcript_change
 from noisegate.experiments import (
     DEFAULT_COMPARISON_TRANSFORMS,
     DEFAULT_GRID,
@@ -25,10 +26,10 @@ from noisegate.experiments import (
 from noisegate.attacks import GaConfig, PgdConfig
 from noisegate.manifests import Manifest, ManifestRow, load_manifest, write_manifest
 from noisegate.metrics import distance_ratio, similarity
-from noisegate.recognition import RecognizerSpec, transcribe
+from noisegate.recognition import RecognizerSpec, transcribe, transcribe_clips
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import class_label, synth_dataset
-from noisegate.transforms import NoiseSpec, apply_transform, parse_transform
+from noisegate.transforms import NoiseSpec, add_noise, apply_transform, parse_transform
 from noisegate import cli
 from noisegate.classifier import save as save_model
 
@@ -227,11 +228,11 @@ class TestTextMode:
                  for m in (clean, adv) for row in m.rows}
         heard = []
 
-        def counting(spec, clip):
-            heard.append(hashlib.sha256(clip.samples.tobytes()).hexdigest())
-            return transcribe(spec, clip)
+        def counting(spec, clips):
+            heard.extend(hashlib.sha256(clip.samples.tobytes()).hexdigest() for clip in clips)
+            return transcribe_clips(spec, clips)
 
-        monkeypatch.setattr(experiments, "transcribe", counting)
+        monkeypatch.setattr(experiments, "transcribe_clips", counting)
         cfg = ExperimentConfig(master_seed=7, grid=(10, 50, 200),
                                transforms=("uniform:100", "gaussian:100"),
                                recognizer=OD_RECOGNIZER, out_dir=str(tmp_path))
@@ -246,6 +247,85 @@ class TestTextMode:
             cells = 6
         assert sorted(d for d in heard if d in plain) == sorted(plain)
         assert len(heard) == len(plain) * (cells + 1)
+
+
+def percent(hits):
+    return sum(hits) / len(hits) * 100.0
+
+
+def command_reference(model, clean, adv, rows, stage, master_seed):
+    """Report rows as command-mode sweep/compare define them: each clip
+    predicted on its own after the transform."""
+    out = []
+    for key, spec in rows:
+        heard = {}
+        for group, manifest in (("clean", clean), ("adv", adv)):
+            heard[group] = []
+            for idx, row in enumerate(manifest.rows):
+                clip = read_wav(manifest.resolve(row))
+                if spec is not None:
+                    clip = apply_transform(spec.with_seed(derive_seed(
+                        master_seed, f"{stage}-{group}", spec.label, idx)), clip)
+                heard[group].append(predict(model, clip)[0])
+        out.append((*key, percent([label == row.target for label, row
+                                   in zip(heard["adv"], adv.rows)]),
+                    percent([label == row.label for label, row
+                             in zip(heard["clean"], clean.rows)])))
+    return out
+
+
+class TestCommandMode:
+    """Each group of a cell is heard as one list; every report must equal
+    predicting each clip on its own."""
+
+    @pytest.fixture(scope="class")
+    def sets(self, tiny_corpus):
+        clean = Manifest(rows=tiny_corpus.rows[:7], base_dir=tiny_corpus.base_dir)
+        adv = Manifest(rows=[ManifestRow(path=r.path, label=r.label, target="no", source=r.path)
+                             for r in tiny_corpus.rows[7:16]],
+                       base_dir=tiny_corpus.base_dir)
+        return clean, adv
+
+    def test_sweep_matches_predict_per_clip(self, tmp_path, tiny_model, sets):
+        clean, adv = sets
+        cfg = ExperimentConfig(master_seed=12, grid=(30, 500, 3000), out_dir=str(tmp_path))
+        report = run_intensity_sweep(cfg, clean, adv, model=tiny_model)
+        rows = [((kind, i), parse_transform(f"{kind}:{i}"))
+                for kind in ("uniform", "gaussian") for i in cfg.grid]
+        assert report.rows == command_reference(tiny_model, clean, adv, rows, "sweep", 12)
+        assert len({row[2:] for row in report.rows}) > 1  # the noise is heard
+
+    def test_compare_matches_predict_per_clip(self, tmp_path, tiny_model, sets):
+        clean, adv = sets
+        cfg = ExperimentConfig(master_seed=13, out_dir=str(tmp_path))
+        report = run_transform_comparison(cfg, clean, adv, model=tiny_model)
+        rows = [(("none",), None)] + [((text,), parse_transform(text))
+                                      for text in cfg.transforms]
+        assert report.rows == command_reference(tiny_model, clean, adv, rows, "compare", 13)
+
+    @pytest.mark.parametrize("mode", ["edit", "flip"])
+    def test_roc_through_builtin_matches_predict_per_clip(self, tmp_path, tiny_model, sets,
+                                                          mode):
+        clean, adv = sets
+        save_model(tiny_model, tmp_path / "model.txt")
+        cfg = ExperimentConfig(master_seed=14, grid=(100, 3000), out_dir=str(tmp_path),
+                               recognizer=RecognizerSpec.builtin(str(tmp_path / "model.txt")),
+                               cr_mode=mode)
+        cells = run_detection_eval(cfg, clean, adv)
+        for kind in ("uniform", "gaussian"):
+            for intensity in cfg.grid:
+                scored = []
+                for group, manifest, flag in (("clean", clean, False), ("adv", adv, True)):
+                    for idx, row in enumerate(manifest.rows):
+                        clip = read_wav(manifest.resolve(row))
+                        noisy = add_noise(clip, NoiseSpec(kind, intensity, seed=derive_seed(
+                            14, "detect", kind, intensity, group, idx)))
+                        scored.append((transcript_change(predict(tiny_model, clip)[0],
+                                                         predict(tiny_model, noisy)[0], mode),
+                                       flag))
+                want = None if len({s for s, _ in scored}) == 1 else roc(scored)
+                assert cells[(kind, intensity)] == want
+        assert any(cell is not None for cell in cells.values())
 
 
 class TestIntensitySweep:
@@ -723,6 +803,21 @@ class TestCliDetect:
         assert crs() == [1.0] * 4
         edit = crs("--cr-mode", "edit")
         assert len(edit) == 4 and all(0.0 < cr < 1.0 for cr in edit)
+
+    @pytest.mark.parametrize("recognizer, line", [
+        ("cache:{t}/nope.jsonl", r"\[Errno 2\] No such file or directory: '.*/nope\.jsonl'"),
+        # without the quotes KeyError puts around its message
+        ("cache:{t}/other.jsonl", r"no cached transcript for content hash [0-9a-f]{64}"),
+        ("external:sh -c 'echo broken >&2; exit 3' {}", r"recognizer .* exited 3: broken"),
+    ], ids=["missing-cache-file", "cache-miss", "external-exit"])
+    def test_recognizer_failure_exits_with_one_line(self, tmp_path, manifest_arg, recognizer,
+                                                    line):
+        (tmp_path / "other.jsonl").write_text('{"sha256": "00", "transcript": "yes"}\n')
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--manifest", manifest_arg,
+                      "--recognizer", recognizer.replace("{t}", str(tmp_path)),
+                      "--out", str(tmp_path / "detect.csv")])
+        assert re.fullmatch("noisegate detect: " + line, str(exc.value.code))
 
     def test_noise_without_intensity_exits(self, tmp_path, manifest_arg):
         with pytest.raises(SystemExit, match="intensity"):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from noisegate.recognition import (
     normalize_text,
     parse_recognizer,
     transcribe,
+    transcribe_clips,
     write_cache_file,
 )
 
@@ -196,6 +198,38 @@ class TestBuiltinRecognizer:
         expected = clf.predict(reversed_model, clip)[0]
         assert expected != clf.predict(tiny_model, clip)[0]
         assert transcribe(spec, clip).text == expected
+
+
+class TestListHearing:
+    @pytest.fixture
+    def specs(self, tmp_path, tiny_model, tiny_clips):
+        import noisegate.classifier as clf
+
+        clips = [clip for _, clip in tiny_clips[:5]]
+        clf.save(tiny_model, tmp_path / "model.txt")
+        write_cache_file([(clip_content_hash(clip), f"Word {i}") for i, clip in enumerate(clips)],
+                         tmp_path / "cache.jsonl")
+        return clips, {"builtin": RecognizerSpec.builtin(str(tmp_path / "model.txt")),
+                       "cache": RecognizerSpec.cache(str(tmp_path / "cache.jsonl"))}
+
+    @pytest.mark.parametrize("kind", ["builtin", "cache"])
+    def test_a_list_stats_its_file_once(self, monkeypatch, specs, kind):
+        clear_recognizer_state()
+        clips, by_kind = specs
+        spec = by_kind[kind]
+        one_by_one = [transcribe(spec, clip) for clip in clips]
+        stats, real_stat = [], os.stat
+
+        def counting(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting)
+        assert transcribe_clips(spec, clips) == one_by_one
+        assert stats.count(spec.arg) == 1
+
+    def test_empty_list(self, specs):
+        assert transcribe_clips(specs[1]["builtin"], []) == []
 
 
 class TestCacheRecognizer:

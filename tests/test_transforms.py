@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisegate import transforms
-from noisegate.audio import AudioClip
+from noisegate.audio import I16_MAX, I16_MIN, AudioClip
 from noisegate.transforms import (
     NoiseSpec,
     TransformSpec,
@@ -70,6 +70,24 @@ class TestAddNoise:
         deltas = out.samples.astype(np.float64)
         assert abs(deltas.mean()) < 1.0
         assert abs(deltas.std() - 100.0) / 100.0 < 0.02
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.lists(st.integers(I16_MIN, I16_MAX), min_size=1, max_size=3000),
+           intensity=st.one_of(st.sampled_from([0, 1, I16_MAX]), st.integers(0, I16_MAX)),
+           seed=st.integers(0, 2**63 - 1))
+    def test_gaussian_matches_the_int32_formula(self, samples, intensity, seed):
+        # the int32 formula add_noise used before it summed in float64, kept as the oracle
+        clip = clip_of(samples)
+        spec = NoiseSpec("gaussian", intensity, seed=seed)
+        if intensity == 0:
+            want = clip.samples
+        else:
+            rng = np.random.default_rng(seed)
+            deltas = np.round(rng.normal(0.0, float(intensity), size=len(clip))).astype(np.int32)
+            want = np.clip(clip.samples.astype(np.int32) + deltas, I16_MIN, I16_MAX
+                           ).astype(np.int16)
+        out = add_noise(clip, spec).samples
+        assert out.dtype == np.int16 and out.tobytes() == want.tobytes()
 
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
@@ -147,6 +165,25 @@ class TestSilenceRemoval:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             silence_removal(tone(300, 0.05), -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(st.integers(I16_MIN, I16_MAX), min_size=1, max_size=1500),
+           rate=st.sampled_from([50, 8000, 16000, 44100]),
+           threshold=st.one_of(st.integers(0, 40000), st.floats(0, 40000)))
+    def test_matches_the_frame_loop(self, samples, rate, threshold):
+        # the frame-by-frame loop silence_removal used before, kept as the oracle
+        clip = clip_of(samples, rate)
+        frame_len = max(1, rate * 20 // 1000)
+        bounds = [(s, min(s + frame_len, len(clip))) for s in range(0, len(clip), frame_len)]
+        means = [np.abs(clip.samples[a:b].astype(np.int32)).mean() for a, b in bounds]
+        kept = [clip.samples[a:b] for (a, b), m in zip(bounds, means) if m >= threshold]
+        if not kept:
+            a, b = bounds[int(np.argmax(means))]
+            kept = [clip.samples[a:b]]
+        out = silence_removal(clip, threshold)
+        assert out.sample_rate_hz == rate
+        assert out.samples.dtype == np.int16
+        assert out.samples.tobytes() == np.concatenate(kept).tobytes()
 
 
 class TestDownUpSample:
