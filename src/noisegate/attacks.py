@@ -1,9 +1,9 @@
 """Targeted adversarial example generation.
 
 Two routes against the built-in classifier: a gradient-free genetic attack
-(selection over target-class probability, uniform crossover, LSB-scale
-mutation) and a projected-gradient attack that walks the sign of the exact
-sample gradient while keeping the perturbation under a peak-dB budget.
+(selection over target-class probability, uniform crossover, mutations of up
+to +-150 from 8-bit init noise) and a projected-gradient attack that walks the
+sign of the exact sample gradient under a peak-dB budget on the perturbation.
 """
 
 import math

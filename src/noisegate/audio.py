@@ -63,10 +63,6 @@ class AudioClip:
             self.samples, other.samples
         )
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 @dataclass(eq=False)
 class Perturbation:

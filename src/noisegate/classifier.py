@@ -162,11 +162,6 @@ def _input_rows(model: Model, features, lead=(1,)) -> np.ndarray:
     return x
 
 
-def forward(model: Model, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature matrix; sums to 1 within 1e-9."""
-    return _forward_batch(model, _input_rows(model, features))[0][0]
-
-
 def loss_and_gradient(model: Model, features: np.ndarray, label: str):
     """Cross-entropy loss plus exact gradients.
 
@@ -210,8 +205,8 @@ def predict_clips(model: Model, clips) -> list:
     The clips of each sample rate go through one `mfcc_batch` as int16 rows,
     and the MLP runs on their features shaped (n, 1, input_dim), so numpy
     takes each row's matrix-vector products on its own. A clip's result is
-    then bit-identical to `forward` on its features alone, whatever else is
-    in the list (for a given BLAS).
+    then bit-identical to `forward_batch` on its features as a batch of one,
+    whatever else is in the list (for a given BLAS).
     """
     out = [None] * len(clips)
     for rate in dict.fromkeys(clip.sample_rate_hz for clip in clips):

@@ -12,14 +12,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from noisegate import classifier
 from noisegate.attacks import GaConfig, PgdConfig
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig
-from noisegate.detection import DetectionConfig, detect
+from noisegate.detection import DetectionConfig, detect_clips
 from noisegate.experiments import (
     COMPARE_FILES,
     SWEEP_FILES,
@@ -185,12 +185,11 @@ def cmd_detect(args, config):
     seed = _master_seed(args, config)
     cfg = _from_flags(DetectionConfig, args, config)
     manifest = load_manifest(args.manifest)
+    outcomes = detect_clips(cfg, [read_wav(manifest.resolve(row)) for row in manifest.rows],
+                            [derive_seed(seed, "detect", idx) for idx in range(len(manifest))])
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
-    for idx, row in enumerate(manifest.rows):
-        noise = replace(cfg.noise, seed=derive_seed(seed, "detect", idx))
-        outcome = detect(replace(cfg, noise=noise), read_wav(manifest.resolve(row)))
-        rows.append((row.path, f"{outcome.cr:.6f}", outcome.verdict,
-                     outcome.transcript_before, outcome.transcript_after))
+    rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
+              outcome.transcript_after) for row, outcome in zip(manifest.rows, outcomes)]
     out = Path(_setting(args, config, "out", "detection_report.csv"))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -6,7 +6,7 @@ from itertools import groupby
 import numpy as np
 
 from noisegate.audio import AudioClip
-from noisegate.recognition import RecognizerSpec, levenshtein, transcribe
+from noisegate.recognition import RecognizerSpec, levenshtein, transcribe_clips
 from noisegate.seeds import derive_seed
 from noisegate.transforms import NoiseSpec, add_noise
 
@@ -61,35 +61,47 @@ def transcript_change(before: str, after: str, mode: str = "edit") -> float:
     return min(levenshtein(after, before), len(before)) / len(before)
 
 
+def change_rates(recognizer: RecognizerSpec, clips, draws, mode: str = "edit"):
+    """Transcript change of each clip after each noise draw (see `transcript_change`).
+
+    `draws` holds one list per draw of one NoiseSpec per clip. The plain clips
+    are heard as one list, then each draw's noisy copies as one list. Returns
+    (plain transcripts, noisy transcripts per draw, CRs per draw).
+    """
+    plain = [heard.text for heard in transcribe_clips(recognizer, clips)]
+    noisy = [[heard.text for heard in transcribe_clips(
+        recognizer, [add_noise(clip, noise) for clip, noise in zip(clips, draw)])]
+        for draw in draws]
+    crs = [[transcript_change(before, after, mode) for before, after in zip(plain, afters)]
+           for afters in noisy]
+    return plain, noisy, crs
+
+
 def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: NoiseSpec,
                 mode: str = "edit"):
-    """Transcript change of one clip after one noise draw (see `transcript_change`).
+    """`change_rates` of one clip and one draw: (cr, transcript_before, transcript_after)."""
+    plain, noisy, crs = change_rates(recognizer, [clip], [[noise]], mode)
+    return crs[0][0], plain[0], noisy[0][0]
 
-    Returns (cr, transcript_before, transcript_after).
+
+def detect_clips(cfg: DetectionConfig, clips, noise_seeds) -> list:
+    """A DetectionOutcome per clip: the median change rate over its votes (for an
+    odd count, the majority verdict) against the threshold. Vote v of clip i
+    draws `cfg.noise` seeded by `derive_seed(noise_seeds[i], "vote", v)`, or by
+    `noise_seeds[i]` itself when `votes` is 1.
     """
-    before = transcribe(recognizer, clip).text
-    after = transcribe(recognizer, add_noise(clip, noise)).text
-    return transcript_change(before, after, mode), before, after
+    draws = [[replace(cfg.noise, seed=seed if cfg.votes == 1 else derive_seed(seed, "vote", v))
+              for seed in noise_seeds] for v in range(cfg.votes)]
+    plain, noisy, crs = change_rates(cfg.recognizer, clips, draws, cfg.cr_mode)
+    scores = [float(np.median(votes)) for votes in zip(*crs)]
+    return [DetectionOutcome(score, "adversarial" if score > cfg.threshold else "normal",
+                             before, after)
+            for score, before, after in zip(scores, plain, noisy[0])]
 
 
 def detect(cfg: DetectionConfig, clip: AudioClip) -> DetectionOutcome:
-    """Compare the change rate against the threshold.
-
-    The clip is heard plain once. With votes > 1, independent noise draws are
-    scored and the median CR is used; for an odd vote count that equals the
-    majority verdict.
-    """
-    before = transcribe(cfg.recognizer, clip).text
-    afters, crs = [], []
-    for i in range(cfg.votes):
-        noise = (cfg.noise if cfg.votes == 1
-                 else replace(cfg.noise, seed=derive_seed(cfg.noise.seed, "vote", i)))
-        afters.append(transcribe(cfg.recognizer, add_noise(clip, noise)).text)
-        crs.append(transcript_change(before, afters[-1], cfg.cr_mode))
-    score = float(np.median(crs))
-    verdict = "adversarial" if score > cfg.threshold else "normal"
-    return DetectionOutcome(cr=score, verdict=verdict,
-                            transcript_before=before, transcript_after=afters[0])
+    """`detect_clips` of one clip, its votes seeded from `cfg.noise.seed`."""
+    return detect_clips(cfg, [clip], [cfg.noise.seed])[0]
 
 
 @dataclass(frozen=True)

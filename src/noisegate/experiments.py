@@ -13,7 +13,7 @@ import numpy as np
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import Model, predict_clips
-from noisegate.detection import CR_MODES, RocResult, roc, transcript_change
+from noisegate.detection import CR_MODES, RocResult, change_rates, roc
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
     EvalRecord,
@@ -26,7 +26,7 @@ from noisegate.metrics import (
 )
 from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
+from noisegate.transforms import NOISE_KINDS, NoiseSpec, TransformSpec, parse_transform
 from noisegate.transforms import apply_transform as _apply
 
 DEFAULT_GRID = (10, 30, 50, 70, 100, 200, 500)
@@ -177,10 +177,10 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
                        adv_manifest: Manifest) -> dict:
     """Change-rate ROC per (noise kind, intensity) cell.
 
-    Each clip is heard plain once per call; each cell hears only its noisy
-    copies. Writes detection_auc.csv (one row per cell; blank AUC marks a
-    degenerate cell where every score is identical) and a per-cell curve CSV
-    of (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
+    The clips are heard plain once per call, then as one noisy list per cell.
+    Writes detection_auc.csv (one row per cell; blank AUC marks a degenerate
+    cell where every score is identical) and a per-cell curve CSV of
+    (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
     {(kind, intensity): RocResult | None}.
     """
     if cfg.recognizer is None:
@@ -188,16 +188,16 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
-    hear = _transcriber(cfg.recognizer)
-    plain = _hear(hear, groups)
+    cells = [key for key, _ in _noise_rows(cfg.grid)]
+    tags = [(group, idx) for group, loaded in zip(GROUPS, groups) for idx in range(len(loaded))]
+    draws = [[NoiseSpec(kind, level, derive_seed(cfg.master_seed, "detect", kind, level, *tag))
+              for tag in tags] for kind, level in cells]
+    _, _, crs = change_rates(cfg.recognizer, [clip for loaded in groups for _, clip in loaded],
+                             draws, cfg.cr_mode)
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
-    for (kind, intensity), spec in _noise_rows(cfg.grid):
-        heard = _hear(hear, groups, spec, lambda group, idx: derive_seed(
-            cfg.master_seed, "detect", kind, intensity, group, idx))
-        scored = [(transcript_change(before, after, cfg.cr_mode), flag)
-                  for flag, befores, afters in zip((False, True), plain, heard)
-                  for before, after in zip(befores, afters)]
+    for (kind, intensity), cell_crs in zip(cells, crs):
+        scored = [(cr, group == "adv") for cr, (group, _) in zip(cell_crs, tags)]
         if len({s for s, _ in scored}) == 1:
             results[(kind, intensity)] = None  # noise moved nothing; no curve
             summary.add_row(kind, intensity, None, None)

@@ -29,10 +29,6 @@ class Manifest:
         p = Path(row.path)
         return p if p.is_absolute() else self.base_dir / p
 
-    @property
-    def is_adversarial(self) -> bool:
-        return any(row.target is not None for row in self.rows)
-
 
 def load_manifest(path) -> Manifest:
     """Read a manifest and fail fast on the first missing audio file."""
@@ -63,9 +59,8 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
-def write_manifest(manifest: Manifest, path, adversarial: bool | None = None) -> None:
-    if adversarial is None:
-        adversarial = manifest.is_adversarial
+def write_manifest(manifest: Manifest, path, adversarial: bool) -> None:
+    """Write the rows as CSV; adversarial manifests add the target and source columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["path", "label", "target", "source"] if adversarial

@@ -7,10 +7,11 @@ import os
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 
-from noisegate import _kernels
 from noisegate import classifier as clf
+from noisegate._kernels import levenshtein  # re-exported for detection and metrics
 from noisegate.audio import AudioClip, write_wav
 
 
@@ -70,10 +71,6 @@ class RecognizerSpec:
     def external(command: str, timeout_s: float = 30.0) -> "RecognizerSpec":
         return RecognizerSpec("external", command, timeout_s)
 
-    @staticmethod
-    def cache(cache_path: str) -> "RecognizerSpec":
-        return RecognizerSpec("cache", str(cache_path))
-
 
 def parse_recognizer(text: str) -> RecognizerSpec:
     """Parse CLI syntax: builtin:<model>, external:<command with {}>, cache:<jsonl>."""
@@ -115,23 +112,33 @@ def write_cache_file(entries, path) -> None:
             fh.write(json.dumps({"sha256": digest, "transcript": text}) + "\n")
 
 
+# (path, loader) -> (stamp, time of the last check, sha256 of the bytes, loaded value)
 _loaded: dict = {}
+_TICK_NS = 2_000_000_000  # the coarsest filesystem clock in common use (FAT's 2 s)
 
 
 def _load(path: str, loader):
-    """`loader(path)`, memoized until the file changes.
+    """`loader(path)`, memoized until the file's bytes change.
 
-    A file rewritten or replaced in place gets a new stamp and is loaded again.
-    (st_dev, st_ino) names the file: one stat per call, where resolving the path
-    as well cost ~20x more per transcript. A rewrite that keeps the size within
-    one tick of a coarse filesystem clock keeps the stamp, so it is not seen.
+    One stat per call checks the stamp (device, inode, mtime, size; the device
+    and inode name the file at ~1/20 the cost of resolving the path). A same-size
+    rewrite within one tick of a coarse clock keeps the stamp, so, by Git's
+    racy-clean rule, a file whose mtime is within a tick of the last check is
+    hashed again on use: a mismatch reloads it, a match moves the check time on.
+    The time is taken before the hash and the hash before the load, so a later
+    write never passes for the loaded bytes.
     """
     st = os.stat(path)
     stamp = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
     cached = _loaded.get((path, loader))
-    if cached is None or cached[0] != stamp:
-        cached = _loaded[(path, loader)] = (stamp, loader(path))
-    return cached[1]
+    if cached is not None and cached[0] == stamp and st.st_mtime_ns + _TICK_NS <= cached[1]:
+        return cached[3]
+    checked_ns = time.time_ns()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    value = cached[3] if cached and (cached[0], cached[2]) == (stamp, digest) else loader(path)
+    _loaded[(path, loader)] = (stamp, checked_ns, digest, value)
+    return value
 
 
 def clear_recognizer_state() -> None:
@@ -198,8 +205,3 @@ def transcribe_clips(spec: RecognizerSpec, clips) -> list:
 def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
     """`transcribe_clips` on a list of one clip."""
     return transcribe_clips(spec, [clip])[0]
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Minimum single-character insertions, deletions, substitutions from a to b."""
-    return _kernels.levenshtein(a, b)

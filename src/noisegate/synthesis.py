@@ -90,5 +90,5 @@ def synth_dataset(classes: int, per_class: int, seed: int, out_dir) -> Manifest:
             rows.append(ManifestRow(path=rel, label=label))
 
     manifest = Manifest(rows=rows, base_dir=out_dir)
-    write_manifest(manifest, out_dir / "manifest.csv")
+    write_manifest(manifest, out_dir / "manifest.csv", adversarial=False)
     return manifest

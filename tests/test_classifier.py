@@ -11,7 +11,6 @@ from noisegate.classifier import (
     ModelFormatError,
     ModelVersionError,
     TrainConfig,
-    forward,
     forward_batch,
     load,
     loss_and_gradient,
@@ -53,7 +52,7 @@ class TestForward:
         model = tiny_model()
         rng = np.random.default_rng(3)
         for _ in range(20):
-            probs = forward(model, rng.normal(0, 5, (2, 5)))
+            probs = forward_batch(model, rng.normal(0, 5, (1, 10)))[0]
             assert abs(probs.sum() - 1.0) < 1e-9
             assert (probs >= 0).all()
 
@@ -63,18 +62,18 @@ class TestForward:
             w[:] = 0.0
         for b in model.biases:
             b[:] = 0.0
-        probs = forward(model, np.ones((2, 5)))
+        probs = forward_batch(model, np.ones((1, 10)))[0]
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            forward(tiny_model(), np.ones(9))
+            forward_batch(tiny_model(), np.ones((1, 9)))
 
     def test_batch_matches_single(self):
         model = tiny_model(4)
         x = np.random.default_rng(5).normal(0, 3, (6, 10))
         batch = forward_batch(model, x)
-        singles = np.stack([forward(model, row) for row in x])
+        singles = np.stack([forward_batch(model, row[None])[0] for row in x])
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
 

@@ -31,7 +31,7 @@ def clip_of(values):
 def cached_recognizer(tmp_path, mapping):
     path = tmp_path / "transcripts.jsonl"
     write_cache_file([(clip_content_hash(c), text) for c, text in mapping], path)
-    return RecognizerSpec.cache(str(path))
+    return RecognizerSpec("cache", str(path))
 
 
 def with_noise(clip, noise):
@@ -190,11 +190,12 @@ class TestDetect:
         noise = NoiseSpec("uniform", 6, seed=77)
         heard = []
 
-        def fake_transcribe(spec, seen):
-            heard.append(seen)
-            return Transcript(text="same" if seen is clip else "lame", recognizer_id="fake")
+        def fake_transcribe_clips(spec, clips):
+            heard.extend(clips)
+            return [Transcript(text="same" if seen is clip else "lame", recognizer_id="fake")
+                    for seen in clips]
 
-        monkeypatch.setattr(detection, "transcribe", fake_transcribe)
+        monkeypatch.setattr(detection, "transcribe_clips", fake_transcribe_clips)
         rec = RecognizerSpec.external("sh -c true {}")
         out = detect(DetectionConfig(noise=noise, threshold=0.1, recognizer=rec, votes=3), clip)
         assert [seen is clip for seen in heard] == [True, False, False, False]

@@ -3,13 +3,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisegate import experiments
+from noisegate import detection, experiments
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig, predict
 from noisegate.detection import DetectionConfig, change_rate, roc, transcript_change
@@ -94,7 +96,7 @@ class TestManifests:
         ]
         manifest = Manifest(rows=rows, base_dir=tiny_corpus.base_dir)
         out = tmp_path / "adv.csv"
-        write_manifest(manifest, out)
+        write_manifest(manifest, out, adversarial=True)
         header = out.read_text().splitlines()[0]
         assert header == "path,label,target,source"
 
@@ -232,7 +234,9 @@ class TestTextMode:
             heard.extend(hashlib.sha256(clip.samples.tobytes()).hexdigest() for clip in clips)
             return transcribe_clips(spec, clips)
 
-        monkeypatch.setattr(experiments, "transcribe_clips", counting)
+        # the ROC hears through the change-rate body in detection
+        monkeypatch.setattr(detection if driver == "roc" else experiments, "transcribe_clips",
+                            counting)
         cfg = ExperimentConfig(master_seed=7, grid=(10, 50, 200),
                                transforms=("uniform:100", "gaussian:100"),
                                recognizer=OD_RECOGNIZER, out_dir=str(tmp_path))
@@ -436,69 +440,80 @@ class TestDetectionEval:
                 assert curve.read_text().splitlines()[-1].startswith("auc,")
 
 
+# a small CLI pipeline, every path relative to the working directory; the
+# gradient attack gives a reliable adversarial set for the report commands
+CLI_PIPELINE = [
+    ["synth", "--classes", "2", "--per-class", "3", "--out-dir", "corpus", "--seed", "11"],
+    ["train", "--manifest", "corpus/manifest.csv", "--out", "model.txt", "--epochs", "40",
+     "--learning-rate", "5e-5", "--seed", "1"],
+    ["attack", "ga", "--model", "model.txt", "--manifest", "corpus/manifest.csv",
+     "--out-dir", "adv", "--k-max", "5", "--population-size", "6", "--seed", "2"],
+    ["defend", "--transform", "gaussian:100", "--in", "corpus/wavs/yes_0000.wav",
+     "--out", "defended.wav"],
+    ["detect", "--manifest", "corpus/manifest.csv", "--recognizer", "builtin:model.txt",
+     "--noise", "gaussian:100", "--threshold", "0.5", "--out", "detect.csv", "--seed", "3"],
+    ["detect", "--manifest", "corpus/manifest.csv", "--recognizer", "builtin:model.txt",
+     "--noise", "gaussian:2000", "--votes", "3", "--out", "detect_votes.csv", "--seed", "3"],
+    ["spectrogram", "--in", "corpus/wavs/yes_0000.wav", "--out", "spec.pgm"],
+    ["attack", "pgd", "--model", "model.txt", "--manifest", "corpus/manifest.csv",
+     "--out-dir", "adv_pgd", "--tau", "0", "--steps", "40", "--step-size", "16", "--seed", "8"],
+    ["sweep", "--model", "model.txt", "--clean-manifest", "corpus/manifest.csv",
+     "--adv-manifest", "adv_pgd/manifest.csv", "--grid", "10,50", "--out-dir", "reports",
+     "--seed", "4"],
+    ["compare", "--model", "model.txt", "--clean-manifest", "corpus/manifest.csv",
+     "--adv-manifest", "adv_pgd/manifest.csv", "--transforms", "uniform:100,requant8",
+     "--out-dir", "reports", "--seed", "5"],
+    ["roc", "--recognizer", "builtin:model.txt", "--clean-manifest", "corpus/manifest.csv",
+     "--adv-manifest", "adv_pgd/manifest.csv", "--grid", "10,50", "--out-dir", "reports",
+     "--seed", "6"],
+]
+
+
 class TestCli:
     def test_end_to_end_pipeline(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
-        corpus = tmp_path / "corpus"
-        assert cli.main(["synth", "--classes", "2", "--per-class", "3",
-                         "--out-dir", str(corpus), "--seed", "11"]) == 0
-        model_path = tmp_path / "model.txt"
-        assert cli.main(["train", "--manifest", str(corpus / "manifest.csv"),
-                         "--out", str(model_path), "--epochs", "40",
-                         "--learning-rate", "5e-5", "--seed", "1"]) == 0
-        attack_dir = tmp_path / "adv"
-        assert cli.main(["attack", "ga", "--model", str(model_path),
-                         "--manifest", str(corpus / "manifest.csv"),
-                         "--out-dir", str(attack_dir), "--k-max", "5",
-                         "--population-size", "6", "--seed", "2"]) == 0
-        assert (attack_dir / "records.jsonl").is_file()
+        monkeypatch.chdir(tmp_path)
+        for argv in CLI_PIPELINE:
+            assert cli.main(argv) == 0, argv
+        assert (tmp_path / "adv" / "records.jsonl").is_file()
+        assert (tmp_path / "defended.wav").is_file()
+        for name in ("detect.csv", "detect_votes.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "path,cr,verdict,transcript_before,transcript_after"
+            assert len(lines) == 7
+        assert (tmp_path / "spec.pgm").read_bytes().startswith(b"P5\n")
+        assert load_manifest(tmp_path / "adv_pgd" / "manifest.csv").rows, \
+            "pgd attack produced no adversarial examples"
+        for name in ("sweep_command.csv", "compare_command.csv", "detection_auc.csv"):
+            assert (tmp_path / "reports" / name).is_file()
 
-        wav_in = corpus / "wavs" / "yes_0000.wav"
-        defended = tmp_path / "defended.wav"
-        assert cli.main(["defend", "--transform", "gaussian:100",
-                         "--in", str(wav_in), "--out", str(defended)]) == 0
-        assert defended.is_file()
-
-        report = tmp_path / "detect.csv"
-        assert cli.main(["detect", "--manifest", str(corpus / "manifest.csv"),
-                         "--recognizer", f"builtin:{model_path}",
-                         "--noise", "gaussian:100", "--threshold", "0.5",
-                         "--out", str(report), "--seed", "3"]) == 0
-        lines = report.read_text().splitlines()
-        assert lines[0] == "path,cr,verdict,transcript_before,transcript_after"
-        assert len(lines) == 7
-
-        spec_out = tmp_path / "spec.pgm"
-        assert cli.main(["spectrogram", "--in", str(wav_in), "--out", str(spec_out)]) == 0
-        assert spec_out.read_bytes().startswith(b"P5\n")
-
-        # gradient attack gives a reliable adversarial set for the report commands
-        pgd_dir = tmp_path / "adv_pgd"
-        assert cli.main(["attack", "pgd", "--model", str(model_path),
-                         "--manifest", str(corpus / "manifest.csv"),
-                         "--out-dir", str(pgd_dir), "--tau", "0", "--steps", "40",
-                         "--step-size", "16", "--seed", "8"]) == 0
-        adv_manifest = load_manifest(pgd_dir / "manifest.csv")
-        assert adv_manifest.rows, "pgd attack produced no adversarial examples"
-
-        out_dir = tmp_path / "reports"
-        clean_arg = str(corpus / "manifest.csv")
-        adv_arg = str(pgd_dir / "manifest.csv")
-        assert cli.main(["sweep", "--model", str(model_path),
-                         "--clean-manifest", clean_arg, "--adv-manifest", adv_arg,
-                         "--grid", "10,50", "--out-dir", str(out_dir),
-                         "--seed", "4"]) == 0
-        assert (out_dir / "sweep_command.csv").is_file()
-        assert cli.main(["compare", "--model", str(model_path),
-                         "--clean-manifest", clean_arg, "--adv-manifest", adv_arg,
-                         "--transforms", "uniform:100,requant8",
-                         "--out-dir", str(out_dir), "--seed", "5"]) == 0
-        assert (out_dir / "compare_command.csv").is_file()
-        assert cli.main(["roc", "--recognizer", f"builtin:{model_path}",
-                         "--clean-manifest", clean_arg, "--adv-manifest", adv_arg,
-                         "--grid", "10,50", "--out-dir", str(out_dir),
-                         "--seed", "6"]) == 0
-        assert (out_dir / "detection_auc.csv").is_file()
+    def test_two_fresh_interpreters_write_the_same_bytes(self, tmp_path):
+        """The pipeline, run in two fresh interpreters with other hash seeds and
+        working directories, writes the same bytes. Each interpreter runs every
+        command through `cli.main`, so state that lives across calls (such as the
+        recognizer file memo) carries from one command to the next."""
+        script = ("import json, sys\nfrom noisegate.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
+        env = {key: value for key, value in os.environ.items() if key != "NOISEGATE_SEED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"  # two runs share the CPUs
+        runs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"run{hash_seed}"
+            cwd.mkdir()
+            runs.append((cwd, subprocess.Popen(
+                [sys.executable, "-c", script, json.dumps(CLI_PIPELINE)], cwd=cwd,
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+        for _, proc in runs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+        (a, _), (b, _) = runs
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert len(files) > 20
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NOISEGATE_SEED", "4242")
@@ -749,7 +764,8 @@ class TestCliSettings:
         for name, manifest in zip(("clean.csv", "adv.csv"), text_sets):
             rows = [ManifestRow(path=str(manifest.resolve(row)), label=row.label,
                                 target=row.target, source=row.source) for row in manifest.rows]
-            write_manifest(Manifest(rows=rows, base_dir=tmp_path), tmp_path / name)
+            write_manifest(Manifest(rows=rows, base_dir=tmp_path), tmp_path / name,
+                           adversarial=name == "adv.csv")
         save_model(tiny_model, tmp_path / "model.txt")
         common = [command, "--clean-manifest", str(tmp_path / "clean.csv"),
                   "--adv-manifest", str(tmp_path / "adv.csv"), "--grid", "10",
@@ -818,6 +834,23 @@ class TestCliDetect:
                       "--recognizer", recognizer.replace("{t}", str(tmp_path)),
                       "--out", str(tmp_path / "detect.csv")])
         assert re.fullmatch("noisegate detect: " + line, str(exc.value.code))
+
+    def test_votes_are_heard_as_lists(self, tmp_path, monkeypatch, manifest_arg, tiny_model):
+        # 4 clips, 3 votes: one plain list and one list per vote, each stats the
+        # model once (hearing each clip and vote on its own took 16)
+        model_path = str(tmp_path / "model.txt")
+        save_model(tiny_model, model_path)
+        stats, real_stat = [], os.stat
+
+        def counting(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting)
+        assert cli.main(["detect", "--manifest", manifest_arg, "--recognizer",
+                         f"builtin:{model_path}", "--votes", "3",
+                         "--out", str(tmp_path / "detect.csv")]) == 0
+        assert stats.count(model_path) == 4
 
     def test_noise_without_intensity_exits(self, tmp_path, manifest_arg):
         with pytest.raises(SystemExit, match="intensity"):

@@ -105,7 +105,7 @@ class TestSpecs:
     def test_spec_is_the_kind_and_the_text_after_it(self, kind, arg):
         spec = parse_recognizer(f"{kind}:{arg}")
         assert (spec.kind, spec.arg) == (kind, arg)
-        assert spec == getattr(RecognizerSpec, kind)(arg)
+        assert spec == RecognizerSpec(kind, arg)
 
     @pytest.mark.parametrize("kind", [kind for kind, _ in KIND_ARGS])
     def test_empty_arg_rejected(self, kind):
@@ -210,7 +210,7 @@ class TestListHearing:
         write_cache_file([(clip_content_hash(clip), f"Word {i}") for i, clip in enumerate(clips)],
                          tmp_path / "cache.jsonl")
         return clips, {"builtin": RecognizerSpec.builtin(str(tmp_path / "model.txt")),
-                       "cache": RecognizerSpec.cache(str(tmp_path / "cache.jsonl"))}
+                       "cache": RecognizerSpec("cache", str(tmp_path / "cache.jsonl"))}
 
     @pytest.mark.parametrize("kind", ["builtin", "cache"])
     def test_a_list_stats_its_file_once(self, monkeypatch, specs, kind):
@@ -228,6 +228,39 @@ class TestListHearing:
         assert transcribe_clips(spec, clips) == one_by_one
         assert stats.count(spec.arg) == 1
 
+    @pytest.mark.parametrize("kind", ["builtin", "cache"])
+    def test_rewrite_that_keeps_the_stamp_is_heard(self, monkeypatch, tiny_model, specs, kind):
+        import noisegate.classifier as clf
+
+        clear_recognizer_state()
+        clips, by_kind = specs
+        spec = by_kind[kind]
+        before = transcribe_clips(spec, clips)
+        st = os.stat(spec.arg)
+        # the same size by construction, and the old mtime put back: the stamp
+        # is what a coarse filesystem clock would keep
+        if kind == "builtin":
+            swapped = dataclasses.replace(
+                tiny_model, class_labels=list(reversed(tiny_model.class_labels)))
+            clf.save(swapped, spec.arg)
+            want = [label for label, _ in clf.predict_clips(swapped, clips)]
+        else:
+            want = [f"drow {i}" for i in range(len(clips))]
+            write_cache_file([(clip_content_hash(clip), text) for clip, text in zip(clips, want)],
+                             spec.arg)
+        os.utime(spec.arg, ns=(st.st_atime_ns, st.st_mtime_ns))
+        keep = ("st_dev", "st_ino", "st_mtime_ns", "st_size")
+        assert [getattr(os.stat(spec.arg), k) for k in keep] == [getattr(st, k) for k in keep]
+        after = transcribe_clips(spec, clips)
+        assert after != before
+        assert [heard.text for heard in after] == want
+
+        # a file older than one tick is not read again while its stamp holds
+        os.utime(spec.arg, ns=(st.st_atime_ns, st.st_mtime_ns - 10 * 10**9))
+        assert transcribe_clips(spec, clips) == after
+        monkeypatch.setattr(recognition, "open", None, raising=False)  # a read would now fail
+        assert transcribe_clips(spec, clips) == after
+
     def test_empty_list(self, specs):
         assert transcribe_clips(specs[1]["builtin"], []) == []
 
@@ -238,7 +271,7 @@ class TestCacheRecognizer:
         clip = clip_of([4, 5, 6])
         path = tmp_path / "cache.jsonl"
         write_cache_file([(clip_content_hash(clip), "Cached  Words")], path)
-        spec = RecognizerSpec.cache(str(path))
+        spec = RecognizerSpec("cache", str(path))
         assert transcribe(spec, clip).text == "cached words"
         with pytest.raises(CacheMissError) as err:
             transcribe(spec, clip_of([9, 9]))
@@ -249,7 +282,7 @@ class TestCacheRecognizer:
         clip = clip_of([4, 5, 6])
         path = tmp_path / "cache.jsonl"
         write_cache_file([(clip_content_hash(clip), "first")], path)
-        spec = RecognizerSpec.cache(str(path))
+        spec = RecognizerSpec("cache", str(path))
         assert transcribe(spec, clip).text == "first"
         inode = path.stat().st_ino
         # a new size moves the stamp even where the filesystem clock is coarse
@@ -262,7 +295,7 @@ class TestCacheRecognizer:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"sha256": "x"}\n')
         with pytest.raises(Exception, match="bad cache row"):
-            transcribe(RecognizerSpec.cache(str(path)), clip_of([1]))
+            transcribe(RecognizerSpec("cache", str(path)), clip_of([1]))
 
     def test_hash_is_content_based(self):
         assert clip_content_hash(clip_of([1, 2])) == clip_content_hash(clip_of([1, 2]))
