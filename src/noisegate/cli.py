@@ -37,6 +37,7 @@ from noisegate.synthesis import synth_dataset
 from noisegate.transforms import NOISE_KINDS, NoiseSpec, apply_transform, parse_transform
 
 SEED_ENV_VAR = "NOISEGATE_SEED"
+DETECT_BLOCK = 64  # clips `detect` holds in memory at a time, with their noisy copies
 
 
 def _load_config(path):
@@ -185,11 +186,13 @@ def cmd_detect(args, config):
     seed = _master_seed(args, config)
     cfg = _from_flags(DetectionConfig, args, config)
     manifest = load_manifest(args.manifest)
-    outcomes = detect_clips(cfg, [read_wav(manifest.resolve(row)) for row in manifest.rows],
-                            [derive_seed(seed, "detect", idx) for idx in range(len(manifest))])
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
-    rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
-              outcome.transcript_after) for row, outcome in zip(manifest.rows, outcomes)]
+    for start in range(0, len(manifest), DETECT_BLOCK):
+        block = manifest.rows[start:start + DETECT_BLOCK]
+        outcomes = detect_clips(cfg, [read_wav(manifest.resolve(row)) for row in block],
+                                [derive_seed(seed, "detect", start + i) for i in range(len(block))])
+        rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
+                  outcome.transcript_after) for row, outcome in zip(block, outcomes)]
     out = Path(_setting(args, config, "out", "detection_report.csv"))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

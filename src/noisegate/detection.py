@@ -99,11 +99,6 @@ def detect_clips(cfg: DetectionConfig, clips, noise_seeds) -> list:
             for score, before, after in zip(scores, plain, noisy[0])]
 
 
-def detect(cfg: DetectionConfig, clip: AudioClip) -> DetectionOutcome:
-    """`detect_clips` of one clip, its votes seeded from `cfg.noise.seed`."""
-    return detect_clips(cfg, [clip], [cfg.noise.seed])[0]
-
-
 @dataclass(frozen=True)
 class RocResult:
     points: list  # (threshold, fpr, tpr), thresholds descending, final (-inf, 1, 1)

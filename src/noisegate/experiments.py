@@ -188,7 +188,7 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
-    cells = [key for key, _ in _noise_rows(cfg.grid)]
+    cells = [(kind, level) for kind in NOISE_KINDS for level in cfg.grid]
     tags = [(group, idx) for group, loaded in zip(GROUPS, groups) for idx in range(len(loaded))]
     draws = [[NoiseSpec(kind, level, derive_seed(cfg.master_seed, "detect", kind, level, *tag))
               for tag in tags] for kind, level in cells]

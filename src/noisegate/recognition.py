@@ -133,9 +133,11 @@ def _load(path: str, loader):
     cached = _loaded.get((path, loader))
     if cached is not None and cached[0] == stamp and st.st_mtime_ns + _TICK_NS <= cached[1]:
         return cached[3]
-    checked_ns = time.time_ns()
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).digest()
+    checked_ns, sha = time.time_ns(), hashlib.sha256()
+    with open(path, "rb") as fh:  # in blocks: no second copy of the file in memory
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    digest = sha.digest()
     value = cached[3] if cached and (cached[0], cached[2]) == (stamp, digest) else loader(path)
     _loaded[(path, loader)] = (stamp, checked_ns, digest, value)
     return value

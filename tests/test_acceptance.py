@@ -18,7 +18,7 @@ from noisegate._kernels import levenshtein as lev_fast
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import AudioClip, read_wav
 from noisegate.classifier import Model, TrainConfig, loss_and_gradient, predict, train
-from noisegate.detection import DetectionConfig, detect
+from noisegate.detection import DetectionConfig, detect_clips
 from noisegate.experiments import (
     ExperimentConfig,
     attack_manifest,
@@ -315,22 +315,16 @@ def test_criterion_detection_quality(tmp_path, trained, clean_eval, strong_adv):
     (kind, intensity), best = max(defined.items(), key=lambda kv: kv[1].auc)
 
     # fresh noise draws at the tuned cell, thresholded at its Youden point
-    tp = tn = 0
+    detect_cfg = DetectionConfig(noise=NoiseSpec(kind, intensity),
+                                 threshold=best.youden_threshold, recognizer=recognizer)
+    hits = {}
     for group, manifest, want in (("clean", clean_eval, "normal"),
                                   ("adv", adv_manifest, "adversarial")):
-        for idx, row in enumerate(manifest.rows):
-            noise = NoiseSpec(kind, intensity,
-                              seed=derive_seed(MASTER_SEED, "verdict", group, idx))
-            outcome = detect(
-                DetectionConfig(noise=noise, threshold=best.youden_threshold,
-                                recognizer=recognizer),
-                read_wav(manifest.resolve(row)),
-            )
-            if outcome.verdict == want:
-                if group == "clean":
-                    tn += 1
-                else:
-                    tp += 1
+        outcomes = detect_clips(
+            detect_cfg, [read_wav(manifest.resolve(row)) for row in manifest.rows],
+            [derive_seed(MASTER_SEED, "verdict", group, idx) for idx in range(len(manifest))])
+        hits[group] = sum(outcome.verdict == want for outcome in outcomes)
+    tp, tn = hits["adv"], hits["clean"]
     tpr = tp / len(adv_manifest)
     tnr = tn / len(clean_eval)
     ok = best.auc >= 0.90 and tpr >= 0.90 and tnr >= 0.90

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from noisegate.detection import (
     SingleClassError,
     UndefinedChangeRateError,
     change_rate,
-    detect,
+    detect_clips,
     roc,
     transcript_change,
 )
@@ -143,7 +145,8 @@ class TestDetect:
         noise = NoiseSpec("uniform", 4, seed=6)
         rec = cached_recognizer(tmp_path, [(clip, "abc"),
                                            (with_noise(clip, noise), "xyz")])
-        outcome = detect(DetectionConfig(noise=noise, threshold=1.0, recognizer=rec), clip)
+        cfg = DetectionConfig(noise=noise, threshold=1.0, recognizer=rec)
+        outcome = detect_clips(cfg, [clip], [noise.seed])[0]
         assert outcome.cr == 1.0
         assert outcome.verdict == "normal"  # cr is capped at 1, never above
 
@@ -152,10 +155,11 @@ class TestDetect:
         noise = NoiseSpec("uniform", 4, seed=6)
         rec = cached_recognizer(tmp_path, [(clip, "abcd"),
                                            (with_noise(clip, noise), "abcx")])
-        out = detect(DetectionConfig(noise=noise, threshold=0.2, recognizer=rec), clip)
+        cfg = DetectionConfig(noise=noise, threshold=0.2, recognizer=rec)
+        out = detect_clips(cfg, [clip], [noise.seed])[0]
         assert out.cr == pytest.approx(0.25)
         assert out.verdict == "adversarial"
-        out2 = detect(DetectionConfig(noise=noise, threshold=0.25, recognizer=rec), clip)
+        out2 = detect_clips(replace(cfg, threshold=0.25), [clip], [noise.seed])[0]
         assert out2.verdict == "normal"  # strict inequality at the threshold
 
     def test_config_validation(self, tmp_path):
@@ -179,7 +183,8 @@ class TestDetect:
             draw = NoiseSpec("uniform", 6, seed=derive_seed(77, "vote", i))
             mapping.append((with_noise(clip, draw), text))
         rec = cached_recognizer(tmp_path, mapping)
-        out = detect(DetectionConfig(noise=base, threshold=0.1, recognizer=rec, votes=3), clip)
+        cfg = DetectionConfig(noise=base, threshold=0.1, recognizer=rec, votes=3)
+        out = detect_clips(cfg, [clip], [base.seed])[0]
         assert out.cr == 0.0
         assert out.verdict == "normal"
 
@@ -197,7 +202,8 @@ class TestDetect:
 
         monkeypatch.setattr(detection, "transcribe_clips", fake_transcribe_clips)
         rec = RecognizerSpec.external("sh -c true {}")
-        out = detect(DetectionConfig(noise=noise, threshold=0.1, recognizer=rec, votes=3), clip)
+        cfg = DetectionConfig(noise=noise, threshold=0.1, recognizer=rec, votes=3)
+        out = detect_clips(cfg, [clip], [noise.seed])[0]
         assert [seen is clip for seen in heard] == [True, False, False, False]
         assert (out.cr, out.transcript_before, out.transcript_after) == (0.25, "same", "lame")
 

@@ -852,6 +852,29 @@ class TestCliDetect:
                          "--out", str(tmp_path / "detect.csv")]) == 0
         assert stats.count(model_path) == 4
 
+    def test_blocks_keep_every_byte(self, tmp_path, monkeypatch, manifest_arg):
+        # the manifest is heard a block of clips at a time; each clip keeps the
+        # seed of its place in the manifest, so the block size changes no byte
+        # (the checksum transcript shows every noise draw)
+        heard = []
+
+        def counting(cfg, clips, noise_seeds):
+            heard.append(len(clips))
+            return detection.detect_clips(cfg, clips, noise_seeds)
+
+        monkeypatch.setattr(cli, "detect_clips", counting)
+
+        def report(name):
+            assert cli.main(["detect", "--manifest", manifest_arg, "--recognizer",
+                             "external:sh -c 'cksum < \"$0\"' {}", "--votes", "3",
+                             "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name).read_bytes()
+
+        whole = report("whole.csv")
+        monkeypatch.setattr(cli, "DETECT_BLOCK", 3)
+        assert report("blocks.csv") == whole
+        assert heard == [4, 3, 1]
+
     def test_noise_without_intensity_exits(self, tmp_path, manifest_arg):
         with pytest.raises(SystemExit, match="intensity"):
             cli.main(["detect", "--manifest", manifest_arg,

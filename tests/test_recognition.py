@@ -105,7 +105,7 @@ class TestSpecs:
     def test_spec_is_the_kind_and_the_text_after_it(self, kind, arg):
         spec = parse_recognizer(f"{kind}:{arg}")
         assert (spec.kind, spec.arg) == (kind, arg)
-        assert spec == RecognizerSpec(kind, arg)
+        assert spec == getattr(RecognizerSpec, kind, lambda a: RecognizerSpec(kind, a))(arg)
 
     @pytest.mark.parametrize("kind", [kind for kind, _ in KIND_ARGS])
     def test_empty_arg_rejected(self, kind):
