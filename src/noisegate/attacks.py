@@ -75,7 +75,6 @@ class PgdConfig:
     tau: float = -20.0
     steps: int = 100
     step_size: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.tau):
@@ -108,13 +107,14 @@ def _carrier_peak(original: AudioClip) -> int:
 
 
 def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: str,
-            iterations: int, distortion_trace=None, fitness_trace=None) -> AttackResult:
+            iterations: int, distortion_trace=None, fitness_trace=None,
+            probs=None) -> AttackResult:
+    """The result for `adv_samples`, scored by `probs` or else by `predict_samples_batch`."""
     adversarial = AudioClip(samples=adv_samples, sample_rate_hz=original.sample_rate_hz)
     deltas = adversarial.samples.astype(np.int32) - original.samples.astype(np.int32)
     perturbation = Perturbation(deltas=deltas)
-    probs = predict_samples_batch(
-        model, adversarial.samples[None, :], original.sample_rate_hz
-    )[0]
+    if probs is None:
+        probs = predict_samples_batch(model, adv_samples[None, :], original.sample_rate_hz)[0]
     target_idx = model.label_index(target)
     return AttackResult(
         adversarial=adversarial,
@@ -250,14 +250,14 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
                    fitness_trace=fitness_trace)
 
 
-def _forward_with_backward(model: Model, samples_f: np.ndarray, rate: int):
+def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames=None):
     """Class probabilities for one sample row, and a `backward(target_idx)` that
     gives the gradient of the cross-entropy toward the target w.r.t. the samples.
 
     On a row of int16 values the probabilities equal the row's
-    `predict_samples_batch` scores bit for bit.
+    `predict_samples_batch` scores bit for bit. `frames` is the forward's work buffer.
     """
-    features, cache = mfcc_with_gradient_cache(samples_f, rate, model.feature_config)
+    features, cache = mfcc_with_gradient_cache(samples, rate, model.feature_config, frames)
     probs, activations = _forward_batch(model, features.reshape(1, -1))
 
     def backward(target_idx: int) -> np.ndarray:
@@ -274,11 +274,10 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
 
     Uses the analytic gradient through a float feature pipeline (the sample
     gradient of the MFCC+MLP composition). The iterate is the int16 signal the
-    attack would emit: after every step the perturbation is rescaled so its
-    peak stays within tau dB of the carrier peak, then rounded to integers
-    under the same bound, so the budget holds at every iterate. The gradient
-    is taken at that rounded signal, and the forward of step k+1 is also
-    step k's success check, so a step costs one MFCC forward. At least one
+    attack would emit, in integer arithmetic; `_pgd_step` rescales a step onto
+    the budget, tau dB under the carrier peak, so it holds at every iterate.
+    The gradient is taken at that signal, and the forward of step k+1 is also
+    step k's success check and, where the run stops, its score. At least one
     step is taken, and the run stops once an emitted iterate equals the one
     before it (the original counts as the first). The distortion of each
     emitted iterate is recorded in the result's distortion_trace. A silent
@@ -286,38 +285,45 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
-    x = original.samples.astype(np.float64)
+    x = original.samples.astype(np.int32)
     peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
+    fc = model.feature_config  # the forwards' work buffer, zeroed once per attack
+    frames = np.zeros((1, fc.frame_count(pad_or_trim(x, rate).size, rate), fc.fft_size))
 
-    adv, previous = original.samples, None
-    trace = []
-    iterations = 0
+    adv, previous, trace, iterations = x, None, [], 0
 
     for step in range(cfg.steps):
-        probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), rate),
-                                                 rate)
+        probs, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, frames)
         # a step depends only on the iterate, so a repeated one would repeat forever
         if step and (int(np.argmax(probs)) == target_idx or np.array_equal(adv, previous)):
             break
-        grad = backward(target_idx)
-        delta = adv - x
-        # the gradient covers the padded or trimmed one-second signal
-        delta[:grad.size] -= cfg.step_size * np.sign(grad[:x.size])
-        delta = np.clip(x + delta, I16_MIN, I16_MAX) - x  # stay a valid 16-bit signal
-        peak_delta = float(np.max(np.abs(delta)))
-        if peak_delta > bound:
-            delta *= bound / peak_delta
-        previous, adv = adv, _project_rounded(x, delta, bound)
-        trace.append(relative_peak_db(peak_amplitude(adv - x), peak))
+        previous = adv
+        adv, peak_delta = _pgd_step(x, adv, backward(target_idx), cfg.step_size, bound)
+        trace.append(relative_peak_db(peak_delta, peak))
         iterations = step + 1
+    else:
+        probs = None  # the last iterate has had no forward
 
-    return _result(model, original, adv, target, iterations, distortion_trace=trace)
+    return _result(model, original, adv.astype(np.int16), target, iterations,
+                   distortion_trace=trace, probs=probs)
 
 
-def _project_rounded(x: np.ndarray, delta: np.ndarray, bound: float) -> np.ndarray:
-    """Round the float perturbation to integers without breaching the dB bound."""
-    rounded = np.round(delta)
+def _pgd_step(x: np.ndarray, adv: np.ndarray, grad: np.ndarray, step_size: int, bound: float):
+    """The int32 iterate one sign step from `adv` against `grad`, clipped to 16
+    bits, and its peak distance from `x`. A step whose peak passes the bound is
+    rescaled onto it in float64 and rounded under it, which only shrinks it."""
+    new = adv.copy()
+    # the gradient covers the padded or trimmed one-second signal
+    n = min(x.size, grad.size)
+    sign = (grad[:n] > 0).view(np.int8) - (grad[:n] < 0).view(np.int8)
+    # a longer step clips to the same 16-bit edge, and could overflow int32
+    new[:n] -= np.multiply(sign, min(step_size, I16_MAX - I16_MIN), dtype=np.int32)
+    np.clip(new, I16_MIN, I16_MAX, out=new)
+    delta = new - x
+    peak_delta = max(int(delta.max()), -int(delta.min()))
+    if peak_delta <= bound:
+        return new, peak_delta
     cap = math.floor(bound)
-    rounded = np.clip(rounded, -cap, cap)
-    return np.clip(x + rounded, I16_MIN, I16_MAX).astype(np.int16)
+    rounded = np.clip(np.rint(delta * (bound / peak_delta)), -cap, cap).astype(np.int32)
+    return x + rounded, max(int(rounded.max()), -int(rounded.min()))

@@ -335,10 +335,9 @@ def save(model: Model, path) -> None:
         f"feature {cfg.frame_ms} {cfg.hop_ms} {cfg.fft_size} {cfg.mel_filters} "
         f"{cfg.num_coeffs} {cfg.log_floor!r}",
     ]
-    chunks = []
-    for w, b in zip(model.weights, model.biases):
-        chunks.append(" ".join(f"{v:.17g}" for v in w.reshape(-1)))
-        chunks.append(" ".join(f"{v:.17g}" for v in b))
+    # one %-format per weight or bias block
+    chunks = [" ".join(["%.17g"] * block.size) % tuple(block.reshape(-1).tolist())
+              for w, b in zip(model.weights, model.biases) for block in (w, b)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.write("\n".join(chunks) + "\n")

@@ -152,9 +152,9 @@ def cmd_train(args, config):
 
 def cmd_attack(args, config):
     seed = _master_seed(args, config)
-    # attack_manifest derives each attack's own seed
+    # attack_manifest derives each genetic attack's own seed
     ga_cfg = _from_flags(GaConfig, args, config, seed=0)
-    pgd_cfg = _from_flags(PgdConfig, args, config, seed=0)
+    pgd_cfg = _from_flags(PgdConfig, args, config)
     model = classifier.load(args.model)
     manifest = load_manifest(args.manifest)
 

@@ -256,11 +256,11 @@ def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
     record_lines = []
     for idx, (row, target) in enumerate(zip(manifest.rows, targets)):
         clip = read_wav(manifest.resolve(row))
-        seed = derive_seed(master_seed, f"attack-{kind}", idx)
         if kind == "ga":
+            seed = derive_seed(master_seed, "attack-ga", idx)
             res = ga_attack(model, clip, target, replace(ga_cfg, seed=seed))
         else:
-            res = pgd_attack(model, clip, target, replace(pgd_cfg, seed=seed))
+            res = pgd_attack(model, clip, target, pgd_cfg)
         results.append(res)
         rel = f"wavs/adv_{idx:04d}.wav"
         write_wav(res.adversarial, out_dir / rel)

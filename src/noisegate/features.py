@@ -111,17 +111,22 @@ def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
     window, fbank, _, dct = _plan(cfg, sample_rate_hz, dtype)
     x = np.asarray(x, dtype=dtype)
     k = len(x)
-    # pre-emphasis: y[t] = x[t] - PREEMPHASIS * x[t - 1], y[0] = x[0]
-    y = np.empty_like(x)
+    hop, count = cfg.hop_len(sample_rate_hz), cfg.frame_count(x.shape[1], sample_rate_hz)
+    blocks, used = -(-window.size // hop), (count - 1) * hop + window.size
+    # pre-emphasis, y[t] = x[t] - PREEMPHASIS * x[t - 1] and y[0] = x[0], of the
+    # samples the frames use, in rows of `hop`: frame t holds rows t .. t+blocks-1
+    y = np.empty((k, (count + blocks - 1) * hop), dtype=dtype)
     y[:, 0] = x[:, 0]
-    np.multiply(x[:, :-1], dtype(-PREEMPHASIS), out=y[:, 1:])
-    y[:, 1:] += x[:, 1:]
-    np.multiply(np.lib.stride_tricks.sliding_window_view(y, window.size, axis=1)
-                [:, ::cfg.hop_len(sample_rate_hz)],
-                window, out=frames[:k, :, :window.size])
+    np.multiply(x[:, :used - 1], dtype(-PREEMPHASIS), out=y[:, 1:used])
+    y[:, 1:used] += x[:, 1:used]
+    y = y.reshape(k, -1, hop)
+    # window block j of every frame at once, the mirror of mfcc_backprop's overlap-add
+    for j in range(blocks):
+        lo, hi = j * hop, min((j + 1) * hop, window.size)
+        np.multiply(y[:, j:count + j, :hi - lo], window[lo:hi], out=frames[:k, :, lo:hi])
     spectrum = rfft(frames[:k])
-    power = spectrum.real**2 + spectrum.imag**2
-    raw_energies = power @ fbank.T
+    squares = np.square(spectrum.view(dtype))  # |X|^2 = re^2 + im^2 from (re, im) pairs
+    raw_energies = np.add(squares[..., ::2], squares[..., 1::2]) @ fbank.T
     energies = np.maximum(raw_energies, dtype(cfg.log_floor))
     return np.log(energies) @ dct.T, spectrum, raw_energies, energies
 
@@ -155,16 +160,20 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int,
     return out
 
 
-def mfcc_with_gradient_cache(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()):
-    """Forward MFCC plus the intermediates needed to backpropagate to the samples."""
+def mfcc_with_gradient_cache(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig(),
+                             frames=None):
+    """Forward MFCC plus the intermediates needed to backpropagate to the samples;
+    `frames` is an optional `_forward` work buffer, for callers that reuse one."""
     x = np.asarray(samples, dtype=np.float64)[None, :]
-    frames = np.zeros((1, cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size))
+    if frames is None:
+        frames = np.zeros((1, cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size))
     coeffs, spectrum, raw_energies, energies = _forward(x, sample_rate_hz, cfg, frames)
     return coeffs[0], (x.shape[1], sample_rate_hz, cfg, spectrum[0], raw_energies[0], energies[0])
 
 
 def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
-    """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs)."""
+    """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs).
+    Leaves the cache unchanged."""
     n_samples, sample_rate_hz, cfg, spectrum, raw_energies, energies = cache
     window, fbank, _, dct = _plan(cfg, sample_rate_hz)
     flen = cfg.frame_len(sample_rate_hz)
@@ -176,10 +185,9 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     grad_power = grad_energy @ fbank
     # adjoint of the one-sided power spectrum: double the DC/Nyquist bins so
     # m * irfft reproduces 2*Re(conj(X_k) e^{-2pi i kn/m}) for every k
-    c = grad_power * spectrum
-    c[:, 0] *= 2.0
-    c[:, -1] *= 2.0
-    grad_frames = m * irfft(c, m)[:, :flen]
+    grad_power[:, 0] *= 2.0
+    grad_power[:, -1] *= 2.0
+    grad_frames = m * irfft(grad_power * spectrum, m)[:, :flen]
     grad_frames *= window
 
     # overlap-add over blocks of `hop` samples: frame t covers blocks t .. t+k-1.
@@ -192,9 +200,11 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
         grad_pre[j:count + j, :width] += grad_frames[:, j * hop:j * hop + width]
     grad_pre = grad_pre.reshape(-1)[:n_samples]
 
+    # adjoint of the pre-emphasis: grad_x[t] = grad_pre[t] - PREEMPHASIS * grad_pre[t + 1]
     grad_x = np.empty(n_samples)
     grad_x[-1] = grad_pre[-1]
-    grad_x[:-1] = grad_pre[:-1] - PREEMPHASIS * grad_pre[1:]
+    np.multiply(grad_pre[1:], -PREEMPHASIS, out=grad_x[:-1])
+    grad_x[:-1] += grad_pre[:-1]
     return grad_x
 
 

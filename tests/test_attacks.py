@@ -15,6 +15,8 @@ from noisegate.attacks import (
     pgd_attack,
 )
 from noisegate.audio import (
+    I16_MAX,
+    I16_MIN,
     SILENT_PERTURBATION,
     AudioClip,
     SilentCarrierError,
@@ -293,13 +295,18 @@ class TestPgdStep:
         """The result, the samples each forward saw, the emitted iterates and the
         number of predict_samples_batch calls."""
         seen, iterates, predicts = [], [], []
-        forward, project, predict_batch = (attacks.mfcc_with_gradient_cache,
-                                           attacks._project_rounded,
-                                           attacks.predict_samples_batch)
+        forward, pgd_step, predict_batch = (attacks.mfcc_with_gradient_cache,
+                                            attacks._pgd_step,
+                                            attacks.predict_samples_batch)
         monkeypatch.setattr(attacks, "mfcc_with_gradient_cache",
                             lambda samples, *a: seen.append(samples.copy()) or forward(samples, *a))
-        monkeypatch.setattr(attacks, "_project_rounded",
-                            lambda *a: iterates.append(project(*a)) or iterates[-1])
+
+        def record_step(*args):
+            iterate, peak_delta = pgd_step(*args)
+            iterates.append(iterate.copy())
+            return iterate, peak_delta
+
+        monkeypatch.setattr(attacks, "_pgd_step", record_step)
         monkeypatch.setattr(attacks, "predict_samples_batch",
                             lambda *a, **k: predicts.append(1) or predict_batch(*a, **k))
         target = wrong_label(model, predict(model, clip)[0])
@@ -309,9 +316,10 @@ class TestPgdStep:
     def test_one_forward_per_step(self, tiny_model, tiny_clips, monkeypatch, index, cfg):
         _, clip = tiny_clips[index]
         res, seen, _, predicts = self._run(tiny_model, clip, cfg, monkeypatch)
-        assert predicts == 1  # the final re-score in _result
         assert 1 <= res.iterations_used <= cfg.steps
         stopped_early = res.iterations_used < cfg.steps
+        # a run that stops on a forward is scored by it; one that runs out re-scores
+        assert predicts == (0 if stopped_early else 1)
         # no iterate of these runs repeats, so a run stops early only when the
         # forward after the last step hears the target
         assert not stopped_early or res.success
@@ -332,7 +340,9 @@ class TestPgdStep:
         assert len(iterates) == len(res.distortion_trace) == res.iterations_used
         carrier = peak_amplitude(clip.samples)
         for iterate, entry in zip(iterates, res.distortion_trace):
-            assert iterate.dtype == np.int16
+            # an emitted iterate is a valid 16-bit signal, held in int32
+            assert iterate.dtype == np.int32
+            assert I16_MIN <= iterate.min() and iterate.max() <= I16_MAX
             deltas = iterate.astype(np.int32) - clip.samples
             assert entry == relative_peak_db(peak_amplitude(deltas), carrier)
         assert np.array_equal(iterates[-1], res.adversarial.samples)
@@ -375,3 +385,81 @@ class TestPgdStep:
                 probs, _ = _forward_with_backward(
                     tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE)
                 assert np.array_equal(probs, predict_samples_batch(tiny_model, row[None], RATE)[0])
+
+
+def _pgd_float_loop(model, original, target, cfg):
+    """The PGD loop in float64 iterate arithmetic, its result re-scored by
+    `predict_samples_batch`: the oracle for `pgd_attack`'s integer steps.
+
+    Returns (adversarial samples, distortion trace, iterations, success, target
+    score, number of rescaled steps, how the run ended).
+    """
+    target_idx = model.label_index(target)
+    x = original.samples.astype(np.float64)
+    peak = peak_amplitude(original.samples)
+    bound = peak * 10.0 ** (cfg.tau / 20.0)
+    adv, previous, trace, iterations = original.samples, None, [], 0
+    rescaled, ending = 0, "ran out"
+    for step in range(cfg.steps):
+        probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), RATE),
+                                                 RATE)
+        if step and int(np.argmax(probs)) == target_idx:
+            ending = "landed"
+            break
+        if step and np.array_equal(adv, previous):
+            ending = "repeated"
+            break
+        grad = backward(target_idx)
+        delta = adv - x
+        delta[:grad.size] -= cfg.step_size * np.sign(grad[:x.size])
+        delta = np.clip(x + delta, I16_MIN, I16_MAX) - x
+        peak_delta = float(np.max(np.abs(delta)))
+        if peak_delta > bound:
+            delta *= bound / peak_delta
+            rescaled += 1
+        rounded = np.clip(np.round(delta), -math.floor(bound), math.floor(bound))
+        previous, adv = adv, np.clip(x + rounded, I16_MIN, I16_MAX).astype(np.int16)
+        trace.append(relative_peak_db(peak_amplitude(adv - x), peak))
+        iterations = step + 1
+    probs = predict_samples_batch(model, adv[None, :], RATE)[0]
+    return (adv, trace, iterations, int(np.argmax(probs)) == target_idx,
+            float(probs[target_idx]), rescaled, ending)
+
+
+class TestPgdOracle:
+    """pgd_attack's integer steps reproduce the float64 loop bit for bit."""
+
+    # plus a bound under one LSB, and a step past the 16-bit span and int32
+    CASES = [*TestPgdStep.CASES, (2, PgdConfig(tau=-90.0, steps=100)),
+             (3, PgdConfig(tau=0.0, steps=3, step_size=2**40))]
+    LENGTHS = (RATE, RATE - 1234, RATE + 777)
+
+    def _clip_and_target(self, model, clips, index, n):
+        clip = AudioClip(samples=np.resize(clips[index][1].samples, n), sample_rate_hz=RATE)
+        return clip, wrong_label(model, predict(model, clip)[0])
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("index, cfg", CASES)
+    def test_equals_the_float_loop(self, tiny_model, tiny_clips, index, cfg, n):
+        clip, target = self._clip_and_target(tiny_model, tiny_clips, index, n)
+        res = pgd_attack(tiny_model, clip, target, cfg)
+        adv, trace, iterations, success, score, _, _ = _pgd_float_loop(tiny_model, clip, target,
+                                                                        cfg)
+        assert res.adversarial.samples.dtype == np.int16
+        assert np.array_equal(res.adversarial.samples, adv)
+        assert res.distortion_trace == trace
+        assert (res.iterations_used, res.success) == (iterations, success)
+        assert res.final_target_score == score
+
+    def test_cases_cover_every_ending_and_both_step_kinds(self, tiny_model, tiny_clips):
+        endings, rescaled_steps, plain_steps = set(), 0, 0
+        for index, cfg in self.CASES:
+            for n in self.LENGTHS:
+                clip, target = self._clip_and_target(tiny_model, tiny_clips, index, n)
+                *_, iterations, _, _, rescaled, ending = _pgd_float_loop(tiny_model, clip,
+                                                                         target, cfg)
+                endings.add(ending)
+                rescaled_steps += rescaled
+                plain_steps += iterations - rescaled
+        assert endings == {"landed", "ran out", "repeated"}
+        assert rescaled_steps > 0 and plain_steps > 0

@@ -286,6 +286,23 @@ class TestSerialization:
         with pytest.raises(ModelVersionError):
             load(path)
 
+    def test_parameter_text_matches_the_per_value_formatter(self, tmp_path):
+        model = tiny_model(seed=4)
+        # signed zeros, a subnormal, whole numbers and extremes among random values
+        model.weights[0][0, :8] = [0.0, -0.0, 5e-324, -2.5e-310, 3.0, -17.0,
+                                   1.7976931348623157e308, 1e-300]
+        model.biases[1][:2] = [-0.0, 1e22]
+        path = tmp_path / "m.txt"
+        save(model, path)
+        # the oracle: one f-string per value
+        blocks = [" ".join(f"{v:.17g}" for v in block.reshape(-1))
+                  for w, b in zip(model.weights, model.biases) for block in (w, b)]
+        assert path.read_text(encoding="ascii").splitlines()[4:] == blocks
+        loaded = load(path)
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_whitespace_label_rejected_on_save(self, tmp_path):
         model = new_model(["ok", "not ok"], seed=0)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.fft import irfft
+from scipy.fft import irfft, rfft
 
 from noisegate.audio import AudioClip
 from noisegate.features import (
@@ -18,6 +18,7 @@ from noisegate.features import (
     mfcc_with_gradient_cache,
     spectrogram_image,
     write_pgm,
+    _forward,
     _plan,
 )
 
@@ -114,12 +115,43 @@ class TestMfcc:
                 assert np.array_equal(mfcc_from_array(row, RATE), expected)
                 assert np.array_equal(mfcc_with_gradient_cache(row, RATE)[0], expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_samples", [400, 559, 4000, 16000, 16123])
+    def test_forward_equals_sliding_window_frames(self, dtype, n_samples):
+        cfg = FeatureConfig()
+        rng = np.random.default_rng(n_samples)
+        frames = np.zeros((3, cfg.frame_count(n_samples, RATE), cfg.fft_size), dtype=dtype)
+        # two batches through one work buffer: the first leaves no trace in the second
+        for _ in range(2):
+            batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
+            got = _forward(batch, RATE, cfg, frames)
+            want = _forward_sliding_window(batch, RATE, cfg, dtype)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FeatureConfig(num_coeffs=50)
         with pytest.raises(ValueError):
             FeatureConfig(fft_size=128)  # smaller than the 400-sample frame
             mfcc(tone(100, 0.1), FeatureConfig(fft_size=128))
+
+
+def _forward_sliding_window(x, sample_rate_hz, cfg, dtype):
+    """The MFCC forward with strided frames and |X|^2 = re^2 + im^2: the oracle."""
+    window, fbank, _, dct = _plan(cfg, sample_rate_hz, dtype)
+    x = np.asarray(x, dtype=dtype)
+    y = np.empty_like(x)
+    y[:, 0] = x[:, 0]
+    y[:, 1:] = x[:, 1:] + x[:, :-1] * dtype(-PREEMPHASIS)
+    frames = np.zeros((len(x), cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size),
+                      dtype=dtype)
+    frames[:, :, :window.size] = (np.lib.stride_tricks.sliding_window_view(
+        y, window.size, axis=1)[:, ::cfg.hop_len(sample_rate_hz)] * window)
+    spectrum = rfft(frames)
+    raw_energies = (spectrum.real**2 + spectrum.imag**2) @ fbank.T
+    energies = np.maximum(raw_energies, dtype(cfg.log_floor))
+    return np.log(energies) @ dct.T, spectrum, raw_energies, energies
 
 
 class TestFeatureGradient:
@@ -150,8 +182,11 @@ class TestFeatureGradient:
         rng = np.random.default_rng(seed)
         feats, cache = mfcc_with_gradient_cache(rng.normal(0.0, 3000.0, n_samples), RATE)
         upstream = rng.normal(size=feats.shape)
-        assert np.array_equal(mfcc_backprop(upstream, cache),
-                              _mfcc_backprop_frame_loop(upstream, cache))
+        arrays = [a.copy() for a in cache[3:]]
+        grad = mfcc_backprop(upstream, cache)
+        # the backprop leaves the cache as the forward wrote it
+        assert all(np.array_equal(a, b) for a, b in zip(cache[3:], arrays))
+        assert np.array_equal(grad, _mfcc_backprop_frame_loop(upstream, cache))
 
 
 def _mfcc_backprop_frame_loop(grad_coeffs, cache):
