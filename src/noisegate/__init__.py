@@ -1,13 +1,11 @@
 """noisegate: audio adversarial examples — attack, devastate, detect."""
 
-from noisegate.audio import AudioClip, Perturbation, clamped_add, db_distortion, read_wav, write_wav
+from noisegate.audio import AudioClip, db_distortion, read_wav, write_wav
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip",
-    "Perturbation",
-    "clamped_add",
     "db_distortion",
     "read_wav",
     "write_wav",

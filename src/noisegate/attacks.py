@@ -15,7 +15,6 @@ from noisegate.audio import (
     AudioClip,
     I16_MAX,
     I16_MIN,
-    Perturbation,
     SilentCarrierError,
     db_distortion,
     peak_amplitude,
@@ -88,7 +87,6 @@ class PgdConfig:
 @dataclass
 class AttackResult:
     adversarial: AudioClip
-    perturbation: Perturbation
     success: bool
     iterations_used: int
     target: str
@@ -111,18 +109,15 @@ def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: 
             probs=None) -> AttackResult:
     """The result for `adv_samples`, scored by `probs` or else by `predict_samples_batch`."""
     adversarial = AudioClip(samples=adv_samples, sample_rate_hz=original.sample_rate_hz)
-    deltas = adversarial.samples.astype(np.int32) - original.samples.astype(np.int32)
-    perturbation = Perturbation(deltas=deltas)
     if probs is None:
         probs = predict_samples_batch(model, adv_samples[None, :], original.sample_rate_hz)[0]
     target_idx = model.label_index(target)
     return AttackResult(
         adversarial=adversarial,
-        perturbation=perturbation,
         success=int(np.argmax(probs)) == target_idx,
         iterations_used=iterations,
         target=target,
-        distortion_db=db_distortion(original, perturbation),
+        distortion_db=db_distortion(original, adversarial),
         final_target_score=float(probs[target_idx]),
         distortion_trace=distortion_trace,
         fitness_trace=fitness_trace,

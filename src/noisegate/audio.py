@@ -1,4 +1,4 @@
-"""16-bit mono PCM clips: WAV I/O, saturating mixing, and peak-dB levels."""
+"""16-bit mono PCM clips: WAV I/O and peak-dB levels."""
 
 import math
 import struct
@@ -9,7 +9,7 @@ import numpy as np
 I16_MIN = -32768
 I16_MAX = 32767
 
-# Distinguished db_distortion result for an all-zero perturbation.
+# Distinguished db_distortion result for two identical clips.
 SILENT_PERTURBATION = float("-inf")
 
 
@@ -62,31 +62,6 @@ class AudioClip:
         return self.sample_rate_hz == other.sample_rate_hz and np.array_equal(
             self.samples, other.samples
         )
-
-
-@dataclass(eq=False)
-class Perturbation:
-    """Additive sample deltas, same length as the clip they target."""
-
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.deltas)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("deltas must be a non-empty one-dimensional sequence")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"deltas must be integers, got dtype {arr.dtype}")
-        out = arr.astype(np.int32)
-        out.flags.writeable = False
-        self.deltas = out
-
-    def __len__(self) -> int:
-        return int(self.deltas.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perturbation):
-            return NotImplemented
-        return np.array_equal(self.deltas, other.deltas)
 
 
 def read_wav(path) -> AudioClip:
@@ -165,15 +140,6 @@ def write_wav(clip: AudioClip, path) -> None:
         fh.write(payload)
 
 
-def clamped_add(clip: AudioClip, p: Perturbation) -> AudioClip:
-    """Per-sample sum of clip and perturbation, saturated into the 16-bit range."""
-    if len(clip) != len(p):
-        raise ValueError(f"length mismatch: clip has {len(clip)} samples, perturbation {len(p)}")
-    total = clip.samples.astype(np.int32) + p.deltas
-    out = np.clip(total, I16_MIN, I16_MAX).astype(np.int16)
-    return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
-
-
 def relative_peak_db(peak_delta: float, peak_carrier: float) -> float:
     """Peak level of a perturbation relative to its carrier's peak, in dB:
     20*log10(peak_delta) - 20*log10(peak_carrier).
@@ -193,12 +159,15 @@ def peak_amplitude(values: np.ndarray) -> int:
     return int(np.max(np.abs(values.astype(np.int64))))
 
 
-def db_distortion(x: AudioClip, p: Perturbation) -> float:
-    """Loudness of the perturbation relative to the carrier, in dB of peak amplitude.
+def db_distortion(original: AudioClip, adversarial: AudioClip) -> float:
+    """Loudness of `adversarial - original` relative to the original, in dB of
+    peak amplitude.
 
-    Follows `relative_peak_db`: SILENT_PERTURBATION (-inf) for an all-zero
-    perturbation, SilentCarrierError for a silent carrier.
+    Follows `relative_peak_db`: SILENT_PERTURBATION (-inf) for identical clips,
+    SilentCarrierError for a silent original.
     """
-    if len(x) != len(p):
-        raise ValueError(f"length mismatch: clip has {len(x)} samples, perturbation {len(p)}")
-    return relative_peak_db(peak_amplitude(p.deltas), peak_amplitude(x.samples))
+    if len(original) != len(adversarial):
+        raise ValueError(f"length mismatch: original has {len(original)} samples, "
+                         f"adversarial {len(adversarial)}")
+    deltas = adversarial.samples.astype(np.int32) - original.samples.astype(np.int32)
+    return relative_peak_db(peak_amplitude(deltas), peak_amplitude(original.samples))

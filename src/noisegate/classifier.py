@@ -233,7 +233,7 @@ def predict_samples_batch(model: Model, batch: np.ndarray, sample_rate_hz: int,
     probabilities can differ at ~1e-15 with the batch's size and row order,
     so a candidate scored again need not reproduce its earlier score.
     """
-    padded = pad_or_trim(np.asarray(batch, dtype=dtype), sample_rate_hz)
+    padded = pad_or_trim(np.asarray(batch), sample_rate_hz)
     feats = mfcc_batch(padded, sample_rate_hz, model.feature_config, dtype=dtype)
     return forward_batch(model, feats.reshape(feats.shape[0], -1))
 

@@ -46,7 +46,7 @@ def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise SystemExit(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return cfg
 
 
@@ -120,7 +120,7 @@ def _master_seed(args, config) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
+            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
     return _setting(args, config, "seed", 0)
 
 
@@ -214,8 +214,6 @@ def cmd_report(args, config):
 
 def cmd_roc(args, config):
     cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
-    if cfg.recognizer is None:
-        raise SystemExit("roc needs --recognizer (builtin:/external:/cache:)")
     results = run_detection_eval(cfg, load_manifest(args.clean_manifest),
                                  load_manifest(args.adv_manifest))
     defined = {k: v for k, v in results.items() if v is not None}

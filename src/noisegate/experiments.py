@@ -16,7 +16,6 @@ from noisegate.classifier import Model, predict_clips
 from noisegate.detection import CR_MODES, RocResult, change_rates, roc
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
-    EvalRecord,
     MetricsReport,
     acc,
     asr_avg,
@@ -124,9 +123,8 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
         for row in adv_manifest.rows:
             if row.target is None:
                 raise ValueError(f"adversarial manifest row {row.path} has no target label")
-        clean_records = [EvalRecord(path=row.path, true_label=row.label) for row, _ in groups[0]]
-        adv_records = [EvalRecord(path=row.path, true_label=row.label, target_label=row.target)
-                       for row, _ in groups[1]]
+        labels = [row.label for row, _ in groups[0]]
+        targets = [row.target for row, _ in groups[1]]
         hear, columns, name = _labeler(model), COMMAND_COLUMNS, files[0]
     else:
         hear, columns, name = _transcriber(recognizer), TEXT_COLUMNS, files[1]
@@ -140,7 +138,7 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
         clean, adv = _hear(hear, groups, spec, lambda group, idx: derive_seed(
             cfg.master_seed, f"{stage}-{group}", spec.label, idx))
         if model is not None:
-            report.add_row(*key, asr_avg(adv_records, adv), acc(clean_records, clean))
+            report.add_row(*key, asr_avg(targets, adv), acc(labels, clean))
         else:
             sb, rb = _text_scores(groups[0], plain[0], clean)
             sa, ra = _text_scores(groups[1], plain[1], adv)
@@ -184,7 +182,7 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     {(kind, intensity): RocResult | None}.
     """
     if cfg.recognizer is None:
-        raise ValueError("detection eval needs cfg.recognizer")
+        raise ValueError("detection eval needs a recognizer (builtin:, external: or cache:)")
     groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)

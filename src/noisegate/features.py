@@ -65,7 +65,7 @@ def mel_to_hz(m):
 
 @lru_cache(maxsize=8)
 def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
-    """Precomputed window, mel filterbank, filter centers, and DCT matrix.
+    """Precomputed window, mel filterbank and DCT matrix.
 
     The window, filterbank and DCT are built in float64 and cast to `dtype`.
     """
@@ -91,12 +91,7 @@ def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
     dct = math.sqrt(2.0 / m) * np.cos(np.pi * k * (2 * n + 1) / (2.0 * m))
     dct[0] /= math.sqrt(2.0)
 
-    return window.astype(dtype), fbank.astype(dtype), hz_pts[1:-1], dct.astype(dtype)
-
-
-def mel_filter_centers(cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
-    """Center frequency (Hz) of each triangular mel filter."""
-    return _plan(cfg, sample_rate_hz)[2].copy()
+    return window.astype(dtype), fbank.astype(dtype), dct.astype(dtype)
 
 
 def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
@@ -108,7 +103,7 @@ def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
     frame_len samples are written, so the rest stays the FFT's zero padding.
     """
     dtype = frames.dtype.type
-    window, fbank, _, dct = _plan(cfg, sample_rate_hz, dtype)
+    window, fbank, dct = _plan(cfg, sample_rate_hz, dtype)
     x = np.asarray(x, dtype=dtype)
     k = len(x)
     hop, count = cfg.hop_len(sample_rate_hz), cfg.frame_count(x.shape[1], sample_rate_hz)
@@ -175,7 +170,7 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs).
     Leaves the cache unchanged."""
     n_samples, sample_rate_hz, cfg, spectrum, raw_energies, energies = cache
-    window, fbank, _, dct = _plan(cfg, sample_rate_hz)
+    window, fbank, dct = _plan(cfg, sample_rate_hz)
     flen = cfg.frame_len(sample_rate_hz)
     hop = cfg.hop_len(sample_rate_hz)
     m = cfg.fft_size

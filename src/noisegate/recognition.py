@@ -36,11 +36,6 @@ class CacheMissError(RecognizerError, KeyError):
 @dataclass(frozen=True)
 class Transcript:
     text: str
-    recognizer_id: str
-
-    def __post_init__(self):
-        if not self.recognizer_id:
-            raise ValueError("recognizer_id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,7 @@ def transcribe_clips(spec: RecognizerSpec, clips) -> list:
     Output text is normalized (trim, lowercase, collapsed whitespace) so
     downstream distances never react to casing or spacing.
     """
-    recognizer_id = f"{spec.kind}:{spec.arg}"
-    return [Transcript(normalize_text(text), recognizer_id)
+    return [Transcript(normalize_text(text))
             for text in _KINDS[spec.kind][1](spec, clips)]
 
 

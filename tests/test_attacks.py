@@ -20,7 +20,6 @@ from noisegate.audio import (
     SILENT_PERTURBATION,
     AudioClip,
     SilentCarrierError,
-    clamped_add,
     db_distortion,
     peak_amplitude,
     relative_peak_db,
@@ -33,6 +32,11 @@ RATE = 16000
 
 def wrong_label(model, label):
     return next(l for l in model.class_labels if l != label)
+
+
+def deltas_of(res, clip):
+    """The result's perturbation: its adversarial clip minus the original."""
+    return res.adversarial.samples.astype(np.int32) - clip.samples.astype(np.int32)
 
 
 class TestGaConfig:
@@ -69,7 +73,7 @@ class TestGaAttack:
         res = ga_attack(tiny_model, clip, label, GaConfig(seed=1))
         assert res.success
         assert res.iterations_used == 0
-        assert np.all(res.perturbation.deltas == 0)
+        assert np.all(deltas_of(res, clip) == 0)
         assert res.distortion_db == SILENT_PERTURBATION
         assert res.adversarial == clip
 
@@ -88,7 +92,8 @@ class TestGaAttack:
         row, clip = tiny_clips[1]
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
         res = ga_attack(tiny_model, clip, target, GaConfig(k_max=4, population_size=8, seed=3))
-        assert res.adversarial == clamped_add(clip, res.perturbation)
+        assert len(res.adversarial) == len(clip)
+        assert res.adversarial.sample_rate_hz == clip.sample_rate_hz
         assert res.adversarial.samples.dtype == np.int16
         assert res.success == (predict(tiny_model, res.adversarial)[0] == target)
         assert 0.0 <= res.final_target_score <= 1.0
@@ -102,7 +107,7 @@ class TestGaAttack:
                         GaConfig(k_max=1, population_size=6, mutation_probability=0.0,
                                  init_noise_bits=1, seed=5))
         if not res.success:
-            assert int(np.abs(res.perturbation.deltas).max()) <= 1
+            assert int(np.abs(deltas_of(res, clip)).max()) <= 1
 
     def test_widest_init_noise_keeps_the_sign_bit(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[2]
@@ -244,7 +249,10 @@ class TestPgdAttack:
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
         res = pgd_attack(tiny_model, clip, target, PgdConfig(tau=0.0, steps=80, step_size=16))
         assert res.success
-        assert res.distortion_db == db_distortion(clip, res.perturbation)
+        assert res.distortion_db == db_distortion(clip, res.adversarial)
+        peaks = peak_amplitude(deltas_of(res, clip)), peak_amplitude(clip.samples)
+        want = 20.0 * math.log10(peaks[0] / peaks[1])
+        assert res.distortion_db == pytest.approx(want, abs=1e-9)
 
     def test_budget_holds_at_every_iterate(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[5]
@@ -259,7 +267,7 @@ class TestPgdAttack:
         row, clip = tiny_clips[6]
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
         res = pgd_attack(tiny_model, clip, target, PgdConfig(tau=0.0, steps=1, step_size=1))
-        assert int(np.abs(res.perturbation.deltas).max()) <= 1
+        assert int(np.abs(deltas_of(res, clip)).max()) <= 1
 
     def test_deterministic(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[7]
@@ -373,7 +381,7 @@ class TestPgdStep:
         res = pgd_attack(tiny_model, clip, target, cfg)
         # the 32-sample step is rescaled to the bound and rounded down under it
         bound = peak_amplitude(clip.samples) * 10.0 ** (cfg.tau / 20.0)
-        assert peak_amplitude(res.perturbation.deltas) == math.floor(bound) < 32
+        assert peak_amplitude(deltas_of(res, clip)) == math.floor(bound) < 32
         assert res.distortion_trace[-1] == res.distortion_db
 
     def test_forward_scores_int16_rows_as_predict(self, tiny_model, tiny_clips):

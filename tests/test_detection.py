@@ -197,7 +197,7 @@ class TestDetect:
 
         def fake_transcribe_clips(spec, clips):
             heard.extend(clips)
-            return [Transcript(text="same" if seen is clip else "lame", recognizer_id="fake")
+            return [Transcript(text="same" if seen is clip else "lame")
                     for seen in clips]
 
         monkeypatch.setattr(detection, "transcribe_clips", fake_transcribe_clips)

@@ -190,8 +190,8 @@ def text_reference(recognizer, clean, adv, rows, stage, master_seed):
                 clip = read_wav(manifest.resolve(row))
                 seeded = spec.with_seed(derive_seed(master_seed, f"{stage}-{group}",
                                                     spec.label, idx))
-                before = transcribe(recognizer, clip)
-                after = transcribe(recognizer, apply_transform(seeded, clip))
+                before = transcribe(recognizer, clip).text
+                after = transcribe(recognizer, apply_transform(seeded, clip)).text
                 sims.append(similarity(before, after))
                 ratio = distance_ratio(row.label, before, after)
                 if ratio is not None:
@@ -677,7 +677,7 @@ class TestCliSettings:
 
     def test_bad_env_seed_exits_naming_the_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOISEGATE_SEED", "abc")
-        with pytest.raises(SystemExit, match="NOISEGATE_SEED"):
+        with pytest.raises(SystemExit, match="^noisegate synth: NOISEGATE_SEED"):
             cli.main(["synth", "--classes", "2", "--per-class", "1",
                       "--out-dir", str(tmp_path)])
 
@@ -718,10 +718,16 @@ class TestCliSettings:
         # a flag's list item that is not of the setting's type
         (["sweep", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out",
           "--recognizer", "external:echo yes {}", "--grid", "1.5"], {}, "grid"),
+        # a config file that holds no JSON object
+        (["synth", "--out-dir", "{t}/out"], [1], "JSON object"),
+        # roc with no recognizer
+        (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out"], {},
+         "recognizer (builtin:"),
     ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
             "DetectionConfig", "TransformSpec", "RecognizerSpec", "epochs-float", "epochs-bool",
             "k_max-float", "votes-float", "grid-float-item", "transforms-int-item", "grid-int",
-            "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item"])
+            "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item",
+            "config-not-object", "roc-no-recognizer"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)

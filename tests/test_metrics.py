@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisegate.metrics import (
-    EvalRecord,
     MetricsReport,
     acc,
     asr_avg,
@@ -12,31 +11,26 @@ from noisegate.metrics import (
     emit_report,
     similarity,
 )
-from noisegate.recognition import Transcript
-
-
-def t(text):
-    return Transcript(text=text, recognizer_id="test")
 
 
 class TestSimilarity:
     def test_identical_is_100(self):
-        assert similarity(t("hello"), t("hello")) == 100.0
+        assert similarity("hello", "hello") == 100.0
 
     def test_disjoint_equal_length_is_0(self):
-        assert similarity(t("abc"), t("xyz")) == 0.0
+        assert similarity("abc", "xyz") == 0.0
 
     def test_hand_computed_example(self):
         before = "she had her dark suit"
         after = "she had er dark suit"
-        assert similarity(t(before), t(after)) == pytest.approx(100 * (1 - 1 / 21))
+        assert similarity(before, after) == pytest.approx(100 * (1 - 1 / 21))
 
     def test_empty_before_rejected(self):
         with pytest.raises(ValueError):
-            similarity(t(""), t("abc"))
+            similarity("", "abc")
 
     def test_empty_after_scores_zero(self):
-        assert similarity(t("abc"), t("")) == 0.0
+        assert similarity("abc", "") == 0.0
 
     def test_accepts_plain_strings(self):
         assert similarity("abc", "abc") == 100.0
@@ -44,48 +38,41 @@ class TestSimilarity:
     @given(st.text(min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_self_similarity(self, s):
-        assert similarity(t(s), t(s)) == 100.0
+        assert similarity(s, s) == 100.0
 
     @given(st.text(min_size=1, max_size=20), st.text(min_size=1, max_size=20))
     @settings(max_examples=80, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
-        ab = similarity(t(a), t(b))
-        ba = similarity(t(b), t(a))
+        ab = similarity(a, b)
+        ba = similarity(b, a)
         assert ab == pytest.approx(ba)
         assert 0.0 <= ab <= 100.0
 
 
 class TestDistanceRatio:
     def test_none_when_before_matches_reference(self):
-        assert distance_ratio("go", t("go"), t("stop")) is None
+        assert distance_ratio("go", "go", "stop") is None
 
     def test_ratio_value(self):
-        assert distance_ratio("abcd", t("abcx"), t("abxx")) == pytest.approx(2.0)
-
-
-def adv_record(path, target):
-    return EvalRecord(path=path, true_label="orig", target_label=target)
+        assert distance_ratio("abcd", "abcx", "abxx") == pytest.approx(2.0)
 
 
 class TestAsrAvg:
     def test_all_hit(self):
-        records = [adv_record(f"{i}.wav", "go") for i in range(4)]
-        assert asr_avg(records, ["go"] * 4) == 100.0
+        assert asr_avg(["go"] * 4, ["go"] * 4) == 100.0
 
     def test_one_of_four(self):
-        records = [adv_record(f"{i}.wav", "go") for i in range(4)]
-        assert asr_avg(records, ["go", "no", "up", "off"]) == 25.0
+        assert asr_avg(["go"] * 4, ["go", "no", "up", "off"]) == 25.0
 
     def test_requires_targets(self):
-        bad = EvalRecord(path="x.wav", true_label="yes")
-        with pytest.raises(ValueError):
-            asr_avg([bad], ["yes"])
+        with pytest.raises(ValueError, match="label 1 is missing"):
+            asr_avg(["go", None], ["go", "yes"])
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             asr_avg([], [])
         with pytest.raises(ValueError):
-            asr_avg([adv_record("a", "go")], [])
+            asr_avg(["go"], [])
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40),
            st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40))
@@ -93,16 +80,14 @@ class TestAsrAvg:
     def test_matches_brute_force_count(self, targets, preds):
         n = min(len(targets), len(preds))
         targets, preds = targets[:n], preds[:n]
-        records = [adv_record(f"{i}.wav", tgt) for i, tgt in enumerate(targets)]
         expected = sum(1 for x, y in zip(targets, preds) if x == y) / n * 100
-        assert asr_avg(records, preds) == pytest.approx(expected)
+        assert asr_avg(targets, preds) == pytest.approx(expected)
 
 
 class TestAcc:
     def test_perfect_and_zero(self):
-        records = [EvalRecord(path=f"{i}.wav", true_label="yes") for i in range(3)]
-        assert acc(records, ["yes"] * 3) == 100.0
-        assert acc(records, ["no"] * 3) == 0.0
+        assert acc(["yes"] * 3, ["yes"] * 3) == 100.0
+        assert acc(["yes"] * 3, ["no"] * 3) == 0.0
 
     @given(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=30),
            st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=30))
@@ -110,15 +95,12 @@ class TestAcc:
     def test_matches_brute_force_count(self, labels, preds):
         n = min(len(labels), len(preds))
         labels, preds = labels[:n], preds[:n]
-        records = [EvalRecord(path=f"{i}.wav", true_label=y) for i, y in enumerate(labels)]
         expected = sum(1 for x, y in zip(labels, preds) if x == y) / n * 100
-        assert acc(records, preds) == pytest.approx(expected)
+        assert acc(labels, preds) == pytest.approx(expected)
 
-
-class TestEvalRecord:
     def test_rejects_empty_label(self):
-        with pytest.raises(ValueError):
-            EvalRecord(path="x.wav", true_label="")
+        with pytest.raises(ValueError, match="label 0 is missing or empty"):
+            acc([""], ["yes"])
 
 
 class TestEmitReport:

@@ -1,13 +1,20 @@
-"""The README's syntax examples and CLI block agree with the parsers."""
+"""The README's syntax examples, CLI block and library layout agree with the code."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import noisegate
 from noisegate.cli import build_parser
+from noisegate.recognition import _KINDS as RECOGNIZER_KINDS
 from noisegate.recognition import parse_recognizer
 from noisegate.transforms import parse_transform
+
+MODULES = [noisegate, *(importlib.import_module(f"noisegate.{info.name}")
+                        for info in pkgutil.iter_modules(noisegate.__path__))]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,9 +24,27 @@ def _paragraph(text, lead):
     return text[start:text.index("\n\n", start)]
 
 
+def _resolves(name, commands) -> bool:
+    """Whether `name` is a subcommand (`noisegate <sub>` or bare), a recognizer
+    kind (`kind:`), a module (`noisegate.x`) or a dotted attribute of one."""
+    if name.endswith(":"):
+        return name[:-1] in RECOGNIZER_KINDS
+    if name.removeprefix("noisegate ") in commands:
+        return True
+    for module in MODULES:
+        target = module
+        for part in name.removeprefix("noisegate.").split("."):
+            target = getattr(target, part, None)
+        if target is not None:
+            return True
+    return False
+
+
 def readme_drift(text):
-    """Each syntax example a parser rejects, and each `--flag` of the CLI block
-    that its subcommand does not have."""
+    """Each syntax example a parser rejects, each `--flag` of the CLI block
+    that its subcommand does not have, and each backticked name in the
+    Library-layout table that names nothing in noisegate (a message form such
+    as `noisegate <command>: ...` is not a name)."""
     problems = []
     examples = [(parse_transform, example) for example in
                 re.findall(r"`([^`]+)`", _paragraph(text, "Transform syntax:"))]
@@ -40,6 +65,11 @@ def readme_drift(text):
                  **subparsers.choices[command]._option_string_actions}
         problems += [f"noisegate {command}: no flag {word}" for word in words
                      if word.startswith("--") and word not in known]
+    layout = text[text.index("\n## Library layout\n"):].split("\n## ")[1]
+    names = re.findall(r"`((?:noisegate )?[A-Za-z_][\w.]*:?)`",
+                       "\n".join(re.findall(r"^\|.*\|$", layout, re.M)))
+    problems += [f"Library layout: `{name}` names no noisegate attribute, subcommand or "
+                 f"recognizer kind" for name in names if not _resolves(name, subparsers.choices)]
     return problems
 
 
@@ -52,8 +82,18 @@ def test_readme_examples_and_flags_parse():
     ("`median:3`", "`medain:3`", "medain:3: unknown transform kind 'medain'"),
     ("`cache:<transcripts.jsonl>`", "`cahce:<transcripts.jsonl>`", "cahce:<transcripts.jsonl>: "
      "unknown recognizer 'cahce:<transcripts.jsonl>' (expected builtin:/external:/cache:)"),
+    ("`relative_peak_db`", "`clamped_add`", "Library layout: `clamped_add` names no noisegate "
+     "attribute, subcommand or recognizer kind"),
+    ("`noisegate detect`", "`noisegate detcet`", "Library layout: `noisegate detcet` names no "
+     "noisegate attribute, subcommand or recognizer kind"),
+    ("`cache:`", "`cahce:`", "Library layout: `cahce:` names no noisegate attribute, "
+     "subcommand or recognizer kind"),
 ])
 def test_a_misspelling_is_caught(good, bad, problem):
     text = README.read_text(encoding="utf-8")
     assert text.count(good) == 1
     assert readme_drift(text.replace(good, bad)) == [problem]
+
+
+def test_every_public_name_resolves():
+    assert [name for name in noisegate.__all__ if not hasattr(noisegate, name)] == []

@@ -114,17 +114,12 @@ class TestSpecs:
         with pytest.raises(ValueError, match=f"^{kind} recognizer needs "):
             RecognizerSpec(kind, "")
 
-    def test_transcript_requires_recognizer_id(self):
-        with pytest.raises(ValueError):
-            Transcript(text="x", recognizer_id="")
-
 
 class TestExternalRecognizer:
     def test_stub_echo(self):
         spec = RecognizerSpec.external("sh -c 'echo Hello' {}")
         out = transcribe(spec, clip_of([1, 2, 3]))
-        assert out.text == "hello"
-        assert out.recognizer_id.startswith("external:")
+        assert out == Transcript("hello")
 
     def test_reads_first_stdout_line(self):
         spec = RecognizerSpec.external("sh -c 'echo one line; echo two' {}")
@@ -171,8 +166,7 @@ class TestBuiltinRecognizer:
         spec = RecognizerSpec.builtin(str(model_path))
         row, clip = tiny_clips[0]
         out = transcribe(spec, clip)
-        assert out.text == clf.predict(tiny_model, clip)[0]
-        assert out.recognizer_id == f"builtin:{model_path}"
+        assert out == Transcript(clf.predict(tiny_model, clip)[0])
 
     def test_model_rewritten_in_place_is_reloaded(self, tmp_path, tiny_model, tiny_clips):
         import noisegate.classifier as clf
@@ -288,7 +282,7 @@ class TestCacheRecognizer:
         # a new size moves the stamp even where the filesystem clock is coarse
         write_cache_file([(clip_content_hash(clip), "second words")], path)
         assert path.stat().st_ino == inode
-        assert transcribe(spec, clip) == Transcript("second words", f"cache:{path}")
+        assert transcribe(spec, clip) == Transcript("second words")
 
     def test_malformed_cache_row(self, tmp_path):
         clear_recognizer_state()
