@@ -33,7 +33,7 @@ def _as_sample_array(samples) -> np.ndarray:
         raise ValueError("samples must be non-empty")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
-    if arr.min() < I16_MIN or arr.max() > I16_MAX:
+    if arr.dtype != np.int16 and (arr.min() < I16_MIN or arr.max() > I16_MAX):
         raise ValueError("samples outside the signed 16-bit range")
     out = arr.astype(np.int16)
     out.flags.writeable = False

@@ -301,11 +301,15 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), progress=None) -> Model:
             grads, _ = _backward(model, activations, delta)
             for (grad_w, grad_b), (vw, vb), w, b in zip(grads, velocity, model.weights,
                                                        model.biases):
-                vw *= cfg.momentum
-                vw -= cfg.learning_rate * grad_w
+                # in place, 16 rows at a time: layer 0's 1.3 MB matrices do not stay in cache
+                for r in range(0, len(w), 16):
+                    v, g, p = vw[r:r + 16], grad_w[r:r + 16], w[r:r + 16]
+                    v *= cfg.momentum
+                    g *= cfg.learning_rate
+                    v -= g
+                    p += v
                 vb *= cfg.momentum
                 vb -= cfg.learning_rate * grad_b
-                w += vw
                 b += vb
 
         if progress is not None:

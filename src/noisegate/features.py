@@ -17,12 +17,12 @@ from noisegate.audio import AudioClip
 PREEMPHASIS = 0.97
 
 # Rows per mfcc_batch pass. One pass over a whole 49-row population spends
-# its extra time on large temporaries (frames, spectrum, power), not on FFT
+# its extra time on large buffers (frames, spectrum, squares), not on FFT
 # work. Measured on a 2-vCPU Xeon (2 MiB L2 per core) with one core and one
-# BLAS thread, 49 one-second rows, medians of 40 calls in two sweeps:
-# float32 one pass 11.3-15.4 ms, chunks of 4 rows 9.7-10.2 ms; float64 one
-# pass 28.2-28.4 ms, chunks of 4 rows 17.9-18.2 ms. Chunks of 2-12 rows
-# came within 10% of 4 in float32.
+# BLAS thread, 49 one-second rows, medians of 20 interleaved rounds of 4 calls:
+# float32 one pass 19.9 ms, chunks of 4 rows 15.0 ms; float64 one pass
+# 48.1 ms, chunks of 4 rows 25.7 ms. Chunks of 1-8 rows came within 7% of 4
+# in both dtypes.
 MFCC_CHUNK_ROWS = 4
 
 
@@ -94,36 +94,47 @@ def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
     return window.astype(dtype), fbank.astype(dtype), dct.astype(dtype)
 
 
-def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, frames: np.ndarray):
-    """The MFCC forward for the (k, n_samples) rows of `x`, in the dtype of `frames`.
+def _work(rows, n_samples, sample_rate_hz, cfg: FeatureConfig, dtype, frames=None):
+    """`_forward`'s buffers for up to `rows` rows: frames (or the caller's) zeroed so their
+    tails stay the FFT's zero padding, pre-emphasis in rows of hop, squares, power, and the
+    mel energies, floored energies and logs in one block (three made peak RSS layout-bound)."""
+    hop, count = cfg.hop_len(sample_rate_hz), cfg.frame_count(n_samples, sample_rate_hz)
+    frames = np.zeros((rows, count, cfg.fft_size), dtype=dtype) if frames is None else frames
+    bins, blocks = cfg.fft_size // 2 + 1, -(-cfg.frame_len(sample_rate_hz) // hop)
+    shapes = [(count + blocks - 1, hop), (count, 2 * bins), (count, bins)]
+    arrays = [np.empty((rows, *shape), dtype=frames.dtype) for shape in shapes]
+    return (frames, *arrays, *np.empty((3, rows, count, cfg.mel_filters), dtype=frames.dtype))
 
-    Returns (coeffs, spectrum, raw_energies, energies): the coefficients and
-    the intermediates `mfcc_backprop` needs. `frames` is a zeroed work buffer
-    of at least k rows of (frame_count, fft_size); only each frame's first
-    frame_len samples are written, so the rest stays the FFT's zero padding.
+
+def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, work, out):
+    """The MFCC forward for the (k, n_samples) rows of `x`, in the dtype of `work`.
+
+    Writes the coefficients into `out`, k rows of (frame_count, num_coeffs), and
+    returns (spectrum, raw_energies, energies), the intermediates `mfcc_backprop`
+    needs; the last two are views into `work`, from `_work` for at least k rows.
     """
+    frames, y, squares, power, raw_energies, energies, logs = (a[:len(x)] for a in work)
     dtype = frames.dtype.type
     window, fbank, dct = _plan(cfg, sample_rate_hz, dtype)
-    x = np.asarray(x, dtype=dtype)
-    k = len(x)
-    hop, count = cfg.hop_len(sample_rate_hz), cfg.frame_count(x.shape[1], sample_rate_hz)
-    blocks, used = -(-window.size // hop), (count - 1) * hop + window.size
-    # pre-emphasis, y[t] = x[t] - PREEMPHASIS * x[t - 1] and y[0] = x[0], of the
-    # samples the frames use, in rows of `hop`: frame t holds rows t .. t+blocks-1
-    y = np.empty((k, (count + blocks - 1) * hop), dtype=dtype)
-    y[:, 0] = x[:, 0]
-    np.multiply(x[:, :used - 1], dtype(-PREEMPHASIS), out=y[:, 1:used])
-    y[:, 1:used] += x[:, 1:used]
-    y = y.reshape(k, -1, hop)
+    count, hop = frames.shape[1], y.shape[2]
+    used, flat = (count - 1) * hop + window.size, y.reshape(len(x), -1)
+    # pre-emphasis, y[t] = x[t] - PREEMPHASIS * x[t - 1] and y[0] = x[0], of the samples
+    # the frames use, in rows of `hop`: frame t holds rows t .. t+blocks-1. The ufuncs
+    # cast x to `dtype` first, as an astype would
+    flat[:, 0] = x[:, 0]
+    np.multiply(x[:, :used - 1], dtype(-PREEMPHASIS), out=flat[:, 1:used], dtype=dtype)
+    np.add(flat[:, 1:used], x[:, 1:used], out=flat[:, 1:used], dtype=dtype)
     # window block j of every frame at once, the mirror of mfcc_backprop's overlap-add
-    for j in range(blocks):
+    for j in range(y.shape[1] - count + 1):
         lo, hi = j * hop, min((j + 1) * hop, window.size)
-        np.multiply(y[:, j:count + j, :hi - lo], window[lo:hi], out=frames[:k, :, lo:hi])
-    spectrum = rfft(frames[:k])
-    squares = np.square(spectrum.view(dtype))  # |X|^2 = re^2 + im^2 from (re, im) pairs
-    raw_energies = np.add(squares[..., ::2], squares[..., 1::2]) @ fbank.T
-    energies = np.maximum(raw_energies, dtype(cfg.log_floor))
-    return np.log(energies) @ dct.T, spectrum, raw_energies, energies
+        np.multiply(y[:, j:count + j, :hi - lo], window[lo:hi], out=frames[:, :, lo:hi])
+    spectrum = rfft(frames)
+    np.square(spectrum.view(dtype), out=squares)  # |X|^2 = re^2 + im^2 from (re, im) pairs
+    np.add(squares[..., ::2], squares[..., 1::2], out=power)
+    np.matmul(power, fbank.T, out=raw_energies)
+    np.maximum(raw_energies, dtype(cfg.log_floor), out=energies)
+    np.matmul(np.log(energies, out=logs), dct.T, out=out)
+    return spectrum, raw_energies, energies
 
 
 def mfcc_from_array(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -141,28 +152,27 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int,
     """MFCCs for a (count, n_samples) batch, MFCC_CHUNK_ROWS rows at a time.
 
     A row's coefficients do not depend on the batch it came in: in float64
-    they equal `mfcc_from_array` bit for bit. dtype=float32 roughly halves
-    the cost; attack inner loops use it, and the coefficients agree with the
-    float64 path to single precision.
+    they equal `mfcc_from_array` bit for bit, and one set of `_forward` buffers
+    serves every chunk. dtype=float32 takes about 0.6 of the time; attack inner
+    loops use it, and the coefficients agree with the float64 path to single precision.
     """
-    count, n_samples = np.shape(batch)
-    frames = np.zeros((min(count, MFCC_CHUNK_ROWS), cfg.frame_count(n_samples, sample_rate_hz),
-                       cfg.fft_size), dtype=dtype)
-    out = np.empty((count, frames.shape[1], cfg.num_coeffs), dtype=dtype)
-    for start in range(0, count, MFCC_CHUNK_ROWS):
+    batch = np.asarray(batch)
+    work = _work(min(len(batch), MFCC_CHUNK_ROWS), batch.shape[1], sample_rate_hz, cfg, dtype)
+    out = np.empty((len(batch), work[0].shape[1], cfg.num_coeffs), dtype=dtype)
+    for start in range(0, len(batch), MFCC_CHUNK_ROWS):
         chunk = batch[start:start + MFCC_CHUNK_ROWS]
-        out[start:start + len(chunk)] = _forward(chunk, sample_rate_hz, cfg, frames)[0]
+        _forward(chunk, sample_rate_hz, cfg, work, out[start:start + len(chunk)])
     return out
 
 
 def mfcc_with_gradient_cache(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig(),
                              frames=None):
-    """Forward MFCC plus the intermediates needed to backpropagate to the samples;
-    `frames` is an optional `_forward` work buffer, for callers that reuse one."""
+    """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
+    buffers of the call's own; `frames` is an optional zeroed frames buffer to reuse."""
     x = np.asarray(samples, dtype=np.float64)[None, :]
-    if frames is None:
-        frames = np.zeros((1, cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size))
-    coeffs, spectrum, raw_energies, energies = _forward(x, sample_rate_hz, cfg, frames)
+    work = _work(1, x.shape[1], sample_rate_hz, cfg, np.float64, frames)
+    coeffs = np.empty((1, work[0].shape[1], cfg.num_coeffs))
+    spectrum, raw_energies, energies = _forward(x, sample_rate_hz, cfg, work, coeffs)
     return coeffs[0], (x.shape[1], sample_rate_hz, cfg, spectrum[0], raw_energies[0], energies[0])
 
 

@@ -57,12 +57,12 @@ def add_noise(clip: AudioClip, spec: NoiseSpec) -> AudioClip:
     rng = np.random.default_rng(spec.seed)
     n = len(clip)
     if spec.kind == "uniform":
-        deltas = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
-        noisy = clip.samples.astype(np.int32) + deltas
+        noisy = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
     else:
         # whole-number float64 sums are exact, so this equals the int32 sum
-        noisy = np.round(rng.normal(0.0, float(spec.intensity), size=n))
-        noisy += clip.samples
+        noisy = rng.normal(0.0, float(spec.intensity), size=n)
+        np.round(noisy, out=noisy)
+    noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
 

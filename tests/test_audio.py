@@ -33,8 +33,28 @@ class TestClipTypes:
             clip_of([])
 
     def test_rejects_out_of_range(self):
+        for dtype in (np.int32, np.int64):
+            for value in (40000, 32768, -32769):
+                with pytest.raises(ValueError, match="16-bit"):
+                    AudioClip(samples=np.array([0, value], dtype=dtype), sample_rate_hz=16000)
+            edges = AudioClip(samples=np.array([-32768, 32767], dtype=dtype), sample_rate_hz=16000)
+            assert edges.samples.dtype == np.int16 and edges.samples.tolist() == [-32768, 32767]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_float(self, dtype):
+        with pytest.raises(ValueError, match="integers"):
+            AudioClip(samples=np.array([0.0, 1.0], dtype=dtype), sample_rate_hz=16000)
+
+    def test_int16_samples_are_a_read_only_copy(self):
+        caller = np.array([-32768, 0, 32767], dtype=np.int16)
+        clip = AudioClip(samples=caller, sample_rate_hz=16000)
+        assert not np.shares_memory(clip.samples, caller)
+        assert not clip.samples.flags.writeable
         with pytest.raises(ValueError):
-            AudioClip(samples=np.array([40000], dtype=np.int32), sample_rate_hz=16000)
+            clip.samples[0] = 1
+        assert caller.flags.writeable and caller.tolist() == [-32768, 0, 32767]
+        caller[0] = 5
+        assert clip.samples.tolist() == [-32768, 0, 32767]
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfft, rfft
 
+from noisegate import features
 from noisegate.audio import AudioClip
 from noisegate.features import (
     PREEMPHASIS,
@@ -19,6 +20,7 @@ from noisegate.features import (
     write_pgm,
     _forward,
     _plan,
+    _work,
 )
 
 RATE = 16000
@@ -121,14 +123,30 @@ class TestMfcc:
     def test_forward_equals_sliding_window_frames(self, dtype, n_samples):
         cfg = FeatureConfig()
         rng = np.random.default_rng(n_samples)
-        frames = np.zeros((3, cfg.frame_count(n_samples, RATE), cfg.fft_size), dtype=dtype)
-        # two batches through one work buffer: the first leaves no trace in the second
+        work = _work(3, n_samples, RATE, cfg, dtype)
+        # two batches through one set of buffers: the first leaves no trace in the second
         for _ in range(2):
             batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
-            got = _forward(batch, RATE, cfg, frames)
+            coeffs = np.empty((3, cfg.frame_count(n_samples, RATE), cfg.num_coeffs), dtype=dtype)
+            got = (coeffs, *_forward(batch, RATE, cfg, work, coeffs))
             want = _forward_sliding_window(batch, RATE, cfg, dtype)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_samples", [400, 16000, 16123])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 4])
+    def test_batch_equals_sliding_window_at_every_chunk_size(self, monkeypatch, dtype,
+                                                             n_samples, chunk_rows):
+        # 9 rows, so the last chunk is short; twice in a row, so a buffer left stale
+        # by a longer chunk or an FFT pad dirtied by an earlier chunk would show
+        monkeypatch.setattr(features, "MFCC_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng([n_samples, chunk_rows])
+        for _ in range(2):
+            batch = rng.integers(-32768, 32768, (9, n_samples)).astype(np.int16)
+            got = mfcc_batch(batch, RATE, dtype=dtype)
+            want = _forward_sliding_window(batch, RATE, FeatureConfig(), dtype)[0]
+            assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

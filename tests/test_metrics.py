@@ -32,8 +32,9 @@ class TestSimilarity:
     def test_empty_after_scores_zero(self):
         assert similarity("abc", "") == 0.0
 
-    def test_accepts_plain_strings(self):
-        assert similarity("abc", "abc") == 100.0
+    def test_counts_characters_not_bytes(self):
+        # one substitution in five characters; in UTF-8 bytes it would be 2 edits in 6
+        assert similarity("naïve", "naive") == 80.0
 
     @given(st.text(min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)

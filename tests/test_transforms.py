@@ -38,6 +38,22 @@ def rms(clip):
     return float(np.sqrt(np.mean(clip.samples.astype(np.float64) ** 2)))
 
 
+def _add_noise_oracle(clip, spec):
+    """add_noise as it was before it added the samples into the draw in place: the oracle."""
+    if spec.intensity == 0:
+        return clip
+    rng = np.random.default_rng(spec.seed)
+    n = len(clip)
+    if spec.kind == "uniform":
+        deltas = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
+        noisy = clip.samples.astype(np.int32) + deltas
+    else:
+        noisy = np.round(rng.normal(0.0, float(spec.intensity), size=n))
+        noisy += clip.samples
+    out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
+    return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
+
+
 class TestAddNoise:
     def test_zero_intensity_is_identity(self):
         clip = tone(440, 0.1)
@@ -88,6 +104,21 @@ class TestAddNoise:
                            ).astype(np.int16)
         out = add_noise(clip, spec).samples
         assert out.dtype == np.int16 and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("intensity", [1, 200, I16_MAX])
+    def test_matches_the_copying_oracle(self, kind, intensity):
+        # both rails, then a ramp: draws saturate each way, and the clip stays untouched
+        samples = np.concatenate([np.full(700, I16_MIN), np.full(700, I16_MAX),
+                                  np.arange(-3000, 3000, 3)]).astype(np.int16)
+        clip = clip_of(samples)
+        for seed in (0, 5, 2**63 - 1):
+            spec = NoiseSpec(kind, intensity, seed=seed)
+            out = add_noise(clip, spec).samples
+            want = _add_noise_oracle(clip, spec).samples
+            assert out.dtype == np.int16 and out.tobytes() == want.tobytes()
+            assert (out == I16_MIN).any() and (out == I16_MAX).any()
+        assert clip.samples.tobytes() == samples.tobytes()
 
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
