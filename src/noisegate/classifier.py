@@ -7,12 +7,13 @@ feature extraction.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from noisegate.audio import AudioClip
-from noisegate.features import FeatureConfig, mfcc_batch, mfcc_from_array
+from noisegate.features import FeatureConfig, mfcc_batch
 
 CLIP_SECONDS = 1.0
 HIDDEN_DIMS = (128, 64)
@@ -22,6 +23,8 @@ HIDDEN_DIMS = (128, 64)
 # keep a usable dynamic range instead of collapsing to {1, 1e-9, ...}, which
 # keeps score-based search and detection dynamics informative.
 LABEL_SMOOTHING = 0.15
+
+TRAIN_BLOCK_ROWS = 32  # clips per `mfcc_batch` in `train`, which never pads all at once
 
 MODEL_FORMAT_VERSION = "MODELv1"
 
@@ -194,11 +197,6 @@ def _backward(model: Model, activations: list, delta: np.ndarray,
     return (grads if param_grads else None), (delta @ model.weights[0] if input_grad else None)
 
 
-def _features_for_clip(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
-    samples = pad_or_trim(clip.samples.astype(np.float64), clip.sample_rate_hz)
-    return mfcc_from_array(samples, clip.sample_rate_hz, cfg)
-
-
 def predict_clips(model: Model, clips) -> list:
     """(label, probability) for each clip; ties break to the lowest class index.
 
@@ -267,7 +265,10 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), progress=None) -> Model:
     model = new_model(labels, feature_config, sample_rate_hz=rate, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
-    x = np.stack([_features_for_clip(clip, feature_config).reshape(-1) for clip, _ in pairs])
+    x = np.empty((len(pairs), model.layer_dims[0]))
+    for s in range(0, len(pairs), TRAIN_BLOCK_ROWS):
+        rows = np.stack([pad_or_trim(c.samples, rate) for c, _ in pairs[s:s + TRAIN_BLOCK_ROWS]])
+        x[s:s + len(rows)] = mfcc_batch(rows, rate, feature_config).reshape(len(rows), -1)
     y = np.array([labels.index(label) for _, label in pairs])
 
     order = rng.permutation(len(pairs))
@@ -339,41 +340,60 @@ def save(model: Model, path) -> None:
         f"feature {cfg.frame_ms} {cfg.hop_ms} {cfg.fft_size} {cfg.mel_filters} "
         f"{cfg.num_coeffs} {cfg.log_floor!r}",
     ]
-    # one %-format per weight or bias block
-    chunks = [" ".join(["%.17g"] * block.size) % tuple(block.reshape(-1).tolist())
-              for w, b in zip(model.weights, model.biases) for block in (w, b)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write("\n".join(chunks) + "\n")
+    path = os.path.realpath(path)  # a symlink keeps pointing at the model
+    # written a row at a time beside `path`, then moved over it: no reader sees half a model
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+            for w, b in zip(model.weights, model.biases):
+                for rows in (w, b[None]):  # a line per block, a %-format per row
+                    fmt = " ".join(["%.17g"] * rows.shape[1])
+                    for i, row in enumerate(rows):
+                        fh.write((" " if i else "") + fmt % tuple(row.tolist()))
+                    fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load(path) -> Model:
-    """Load a model saved by save(); predictions reproduce exactly."""
+    """Load a model saved by save(); predictions reproduce exactly. Values may wrap across
+    lines; numpy parses each line into one array sized from `dims`, with no object per
+    value, and a token it does not read whole (`1_0`, `0x10`, `1,2`) is a ModelFormatError."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise ModelFormatError(f"{path}: empty model file")
-    if lines[0].strip() != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path}: expected version {MODEL_FORMAT_VERSION}, got {lines[0].strip()!r}"
-        )
-    try:
-        header = {line.split(None, 1)[0]: line.split(None, 1)[1] for line in lines[1:4]}
-        dims = [int(tok) for tok in header["dims"].split()]
-        labels = header["labels"].split()
-        f = header["feature"].split()
-        feature_config = FeatureConfig(
-            frame_ms=int(f[0]), hop_ms=int(f[1]), fft_size=int(f[2]),
-            mel_filters=int(f[3]), num_coeffs=int(f[4]), log_floor=float(f[5]),
-        )
-        values = np.array([float(tok) for tok in " ".join(lines[4:]).split()])
-    except (IndexError, KeyError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed header or parameters ({exc})") from exc
-
-    expected = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
-    if values.size != expected:
-        raise ModelFormatError(f"{path}: expected {expected} parameters, found {values.size}")
+        version = fh.readline()
+        if not version:
+            raise ModelFormatError(f"{path}: empty model file")
+        if version.strip() != MODEL_FORMAT_VERSION:
+            raise ModelVersionError(
+                f"{path}: expected version {MODEL_FORMAT_VERSION}, got {version.strip()!r}"
+            )
+        try:
+            header = dict(fh.readline().split(None, 1) for _ in range(3))
+            dims = [int(tok) for tok in header["dims"].split()]
+            labels = header["labels"].split()
+            f = header["feature"].split()
+            feature_config = FeatureConfig(
+                frame_ms=int(f[0]), hop_ms=int(f[1]), fft_size=int(f[2]),
+                mel_filters=int(f[3]), num_coeffs=int(f[4]), log_floor=float(f[5]),
+            )
+            expected = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
+            if not 0 <= expected <= os.fstat(fh.fileno()).st_size:  # a value takes 2 bytes
+                raise ValueError(f"dims {dims} do not fit in the file")
+            values, pos = np.empty(expected), 0
+            for line in fh:
+                if not line.isspace():  # numpy reads a blank line as [-1.0]
+                    row = np.fromstring(line, sep=" ")
+                    # past the end, values are counted and not written
+                    values[pos:pos + row.size] = row[:max(expected - pos, 0)]
+                    pos += row.size
+        except (IndexError, KeyError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: malformed header or parameters ({exc})") from exc
+    if pos != expected:
+        raise ModelFormatError(f"{path}: expected {expected} parameters, found {pos}")
 
     weights, biases, pos = [], [], 0
     for i in range(len(dims) - 1):

@@ -1,10 +1,13 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisegate.classifier as classifier
 from noisegate.audio import AudioClip
 from noisegate.classifier import (
     Model,
@@ -15,12 +18,13 @@ from noisegate.classifier import (
     load,
     loss_and_gradient,
     new_model,
+    pad_or_trim,
     predict,
     predict_clips,
     save,
     train,
 )
-from noisegate.features import FeatureConfig
+from noisegate.features import FeatureConfig, mfcc_batch, mfcc_from_array
 from noisegate.synthesis import synth_clip
 
 RATE = 16000
@@ -45,6 +49,16 @@ def small_dataset(classes=3, per_class=4, seed=0):
             rng = np.random.default_rng(np.random.SeedSequence((seed, c, i)))
             pairs.append((synth_clip(c, rng), f"cls{c}"))
     return pairs
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestForward:
@@ -179,6 +193,27 @@ class TestTrain:
         assert [s.epoch for s in seen] == [0, 1, 2]
         assert all(0.0 <= s.train_accuracy <= 1.0 for s in seen)
 
+    def test_features_in_uneven_blocks_equal_the_one_clip_rows(self, monkeypatch):
+        pairs = small_dataset(2, 5)
+        cfg = TrainConfig(epochs=3, seed=4)
+        whole = train(pairs, cfg)
+        blocks = []
+
+        def recording(rows, rate, feature_config):
+            blocks.append(mfcc_batch(rows, rate, feature_config))
+            return blocks[-1]
+
+        monkeypatch.setattr(classifier, "TRAIN_BLOCK_ROWS", 3)
+        monkeypatch.setattr(classifier, "mfcc_batch", recording)
+        blocked = train(pairs, cfg)
+        assert [len(block) for block in blocks] == [3, 3, 3, 1]
+        one_by_one = np.stack([
+            mfcc_from_array(pad_or_trim(clip.samples.astype(np.float64), RATE), RATE)
+            for clip, _ in pairs])
+        assert np.array_equal(np.concatenate(blocks), one_by_one)
+        for got, want in zip(blocked.weights + blocked.biases, whole.weights + whole.biases):
+            assert np.array_equal(got, want)
+
 
 class TestPredict:
     def test_deterministic(self):
@@ -307,3 +342,103 @@ class TestSerialization:
         model = new_model(["ok", "not ok"], seed=0)
         with pytest.raises(ValueError):
             save(model, tmp_path / "m.txt")
+
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.txt"
+        save(tiny_model(seed=1), path)
+        before = path.read_bytes()
+
+        def failing(src, dst):
+            raise OSError("no room")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="no room"):
+            save(tiny_model(seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
+
+    def test_save_through_a_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "model.txt", tmp_path / "current.txt"
+        save(tiny_model(seed=1), target)
+        link.symlink_to(target)
+        save(tiny_model(seed=2), link)
+        assert link.is_symlink()
+        assert np.array_equal(load(target).weights[0], tiny_model(seed=2).weights[0])
+
+
+@pytest.fixture(scope="module")
+def stock_model_file(tmp_path_factory):
+    """A model of the stock size at 16 kHz and its saved file."""
+    model = new_model([f"w{i}" for i in range(10)], seed=1)
+    path = tmp_path_factory.mktemp("stock") / "model.txt"
+    save(model, path)
+    return model, path
+
+
+class TestSerializationMemory:
+    def test_load_peak_under_three_file_sizes(self, stock_model_file):
+        model, path = stock_model_file
+        assert model.layer_dims == [1274, 128, 64, 10]
+        assert traced_peak(lambda: load(path)) < 3 * path.stat().st_size
+
+    def test_save_peak_under_a_quarter_file_size(self, stock_model_file):
+        model, path = stock_model_file
+        before = path.read_bytes()
+        assert traced_peak(lambda: save(model, path)) < 0.25 * len(before)
+        assert path.read_bytes() == before
+
+
+class TestParameterParsing:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A saved model, its path, and its lines (line ends kept)."""
+        model = tiny_model(seed=6)
+        path = tmp_path / "m.txt"
+        save(model, path)
+        return model, path, path.read_text(encoding="ascii").splitlines(keepends=True)
+
+    @staticmethod
+    def count(model):
+        return sum(block.size for block in model.weights + model.biases)
+
+    @pytest.mark.parametrize("token", ["1_0", "0x10", "1,2"])
+    def test_token_not_read_whole_rejected(self, saved, token):
+        model, path, lines = saved
+        lines[5] = token + " " + lines[5].split(" ", 1)[1]  # the first layer-0 bias
+        path.write_text("".join(lines), encoding="ascii")
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load(path)
+
+    @pytest.mark.parametrize("extra", ["0.5", " ".join(["0.5"] * 300)])
+    def test_values_too_many_rejected(self, saved, extra):
+        model, path, lines = saved
+        lines[-1] = lines[-1].rstrip("\n") + " " + extra + "\n"
+        path.write_text("".join(lines), encoding="ascii")
+        found = self.count(model) + len(extra.split())
+        with pytest.raises(ModelFormatError, match=f"expected {self.count(model)} parameters, "
+                                                   f"found {found}"):
+            load(path)
+
+    def test_one_value_too_few_rejected(self, saved):
+        model, path, lines = saved
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + "\n"
+        path.write_text("".join(lines), encoding="ascii")
+        with pytest.raises(ModelFormatError, match=f"expected {self.count(model)} parameters, "
+                                                   f"found {self.count(model) - 1}"):
+            load(path)
+
+    def test_blocks_split_across_lines_with_blank_lines_between_load(self, saved):
+        model, path, lines = saved
+        tokens = "".join(lines[4:]).split()  # 9 to a line: every weight block is split
+        wrapped = ["\t".join(tokens[i:i + 9]) + "\n\n" for i in range(0, len(tokens), 9)]
+        path.write_text("".join(lines[:4] + ["\n", " \n"] + wrapped), encoding="ascii")
+        loaded = load(path)
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert np.array_equal(got, want)
+
+    def test_dims_larger_than_the_file_rejected(self, saved):
+        model, path, lines = saved
+        lines[1] = "dims 100000000 100000000 4\n"
+        path.write_text("".join(lines), encoding="ascii")
+        with pytest.raises(ModelFormatError, match="do not fit"):
+            load(path)
