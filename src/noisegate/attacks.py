@@ -29,7 +29,7 @@ from noisegate.classifier import (
     predict,
     predict_samples_batch,
 )
-from noisegate.features import mfcc_backprop, mfcc_with_gradient_cache
+from noisegate.features import FFT_SIZE, frame_count, mfcc_backprop, mfcc_with_gradient_cache
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames=
     On a row of int16 values the probabilities equal the row's
     `predict_samples_batch` scores bit for bit. `frames` is the forward's work buffer.
     """
-    features, cache = mfcc_with_gradient_cache(samples, rate, model.feature_config, frames)
+    features, cache = mfcc_with_gradient_cache(samples, rate, frames)
     probs, activations = _forward_batch(model, features.reshape(1, -1))
 
     def backward(target_idx: int) -> np.ndarray:
@@ -283,8 +283,8 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     x = original.samples.astype(np.int32)
     peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
-    fc = model.feature_config  # the forwards' work buffer, zeroed once per attack
-    frames = np.zeros((1, fc.frame_count(pad_or_trim(x, rate).size, rate), fc.fft_size))
+    # the forwards' work buffer, zeroed once per attack
+    frames = np.zeros((1, frame_count(pad_or_trim(x, rate).size, rate), FFT_SIZE))
 
     adv, previous, trace, iterations = x, None, [], 0
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from noisegate.audio import AudioClip
-from noisegate.features import FeatureConfig, mfcc_batch
+from noisegate.features import (FFT_SIZE, FRAME_MS, HOP_MS, LOG_FLOOR, MEL_FILTERS, NUM_COEFFS,
+                                frame_count, mfcc_batch)
 
 CLIP_SECONDS = 1.0
 HIDDEN_DIMS = (128, 64)
@@ -27,6 +28,8 @@ LABEL_SMOOTHING = 0.15
 TRAIN_BLOCK_ROWS = 32  # clips per `mfcc_batch` in `train`, which never pads all at once
 
 MODEL_FORMAT_VERSION = "MODELv1"
+# the front end every model hears through (noisegate.features), as `save` writes it
+FEATURE_LINE = f"feature {FRAME_MS} {HOP_MS} {FFT_SIZE} {MEL_FILTERS} {NUM_COEFFS} {LOG_FLOOR!r}"
 
 
 class ModelFormatError(ValueError):
@@ -43,7 +46,6 @@ class Model:
     weights: list  # per layer, shape (out, in)
     biases: list  # per layer, shape (out,)
     class_labels: list
-    feature_config: FeatureConfig
 
     def __post_init__(self):
         dims = [int(d) for d in self.layer_dims]
@@ -99,21 +101,18 @@ class EpochStats:
     validation_accuracy: float | None
 
 
-def new_model(class_labels, feature_config: FeatureConfig = FeatureConfig(),
-              sample_rate_hz: int = 16000, hidden_dims=HIDDEN_DIMS, seed: int = 0) -> Model:
+def new_model(class_labels, sample_rate_hz: int = 16000, seed: int = 0) -> Model:
     """Fresh model with uniform(-r, r) weights, r = sqrt(6/(fan_in+fan_out))."""
     labels = list(class_labels)
     n_target = int(round(CLIP_SECONDS * sample_rate_hz))
-    frames = feature_config.frame_count(n_target, sample_rate_hz)
-    dims = [frames * feature_config.num_coeffs, *hidden_dims, len(labels)]
+    dims = [frame_count(n_target, sample_rate_hz) * NUM_COEFFS, *HIDDEN_DIMS, len(labels)]
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         r = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Model(layer_dims=dims, weights=weights, biases=biases,
-                 class_labels=labels, feature_config=feature_config)
+    return Model(layer_dims=dims, weights=weights, biases=biases, class_labels=labels)
 
 
 def pad_or_trim(samples: np.ndarray, sample_rate_hz: int) -> np.ndarray:
@@ -210,7 +209,7 @@ def predict_clips(model: Model, clips) -> list:
     for rate in dict.fromkeys(clip.sample_rate_hz for clip in clips):
         group = [i for i, clip in enumerate(clips) if clip.sample_rate_hz == rate]
         rows = np.stack([pad_or_trim(clips[i].samples, rate) for i in group])
-        feats = mfcc_batch(rows, rate, model.feature_config)
+        feats = mfcc_batch(rows, rate)
         x = _input_rows(model, feats, (len(group), 1))
         for i, probs in zip(group, _forward_batch(model, x)[0][:, 0]):
             idx = int(np.argmax(probs))
@@ -232,7 +231,7 @@ def predict_samples_batch(model: Model, batch: np.ndarray, sample_rate_hz: int,
     so a candidate scored again need not reproduce its earlier score.
     """
     padded = pad_or_trim(np.asarray(batch), sample_rate_hz)
-    feats = mfcc_batch(padded, sample_rate_hz, model.feature_config, dtype=dtype)
+    feats = mfcc_batch(padded, sample_rate_hz, dtype=dtype)
     return forward_batch(model, feats.reshape(feats.shape[0], -1))
 
 
@@ -261,14 +260,13 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), progress=None) -> Model:
         if clip.sample_rate_hz != rate:
             raise ValueError("all training clips must share one sample rate")
 
-    feature_config = FeatureConfig()
-    model = new_model(labels, feature_config, sample_rate_hz=rate, seed=cfg.seed)
+    model = new_model(labels, sample_rate_hz=rate, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
     x = np.empty((len(pairs), model.layer_dims[0]))
     for s in range(0, len(pairs), TRAIN_BLOCK_ROWS):
         rows = np.stack([pad_or_trim(c.samples, rate) for c, _ in pairs[s:s + TRAIN_BLOCK_ROWS]])
-        x[s:s + len(rows)] = mfcc_batch(rows, rate, feature_config).reshape(len(rows), -1)
+        x[s:s + len(rows)] = mfcc_batch(rows, rate).reshape(len(rows), -1)
     y = np.array([labels.index(label) for _, label in pairs])
 
     order = rng.permutation(len(pairs))
@@ -332,13 +330,11 @@ def save(model: Model, path) -> None:
     for label in model.class_labels:
         if not label or any(ch.isspace() for ch in label):
             raise ValueError(f"label {label!r} is empty or contains whitespace")
-    cfg = model.feature_config
     lines = [
         MODEL_FORMAT_VERSION,
         "dims " + " ".join(str(d) for d in model.layer_dims),
         "labels " + " ".join(model.class_labels),
-        f"feature {cfg.frame_ms} {cfg.hop_ms} {cfg.fft_size} {cfg.mel_filters} "
-        f"{cfg.num_coeffs} {cfg.log_floor!r}",
+        FEATURE_LINE,
     ]
     path = os.path.realpath(path)  # a symlink keeps pointing at the model
     # written a row at a time beside `path`, then moved over it: no reader sees half a model
@@ -375,11 +371,9 @@ def load(path) -> Model:
             header = dict(fh.readline().split(None, 1) for _ in range(3))
             dims = [int(tok) for tok in header["dims"].split()]
             labels = header["labels"].split()
-            f = header["feature"].split()
-            feature_config = FeatureConfig(
-                frame_ms=int(f[0]), hop_ms=int(f[1]), fft_size=int(f[2]),
-                mel_filters=int(f[3]), num_coeffs=int(f[4]), log_floor=float(f[5]),
-            )
+            feature = " ".join(["feature", *header["feature"].split()])
+            if feature != FEATURE_LINE:  # every model hears through the one front end
+                raise ValueError(f"{feature!r}, expected {FEATURE_LINE!r}")
             expected = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
             if not 0 <= expected <= os.fstat(fh.fileno()).st_size:  # a value takes 2 bytes
                 raise ValueError(f"dims {dims} do not fit in the file")
@@ -403,7 +397,6 @@ def load(path) -> Model:
         biases.append(values[pos : pos + dims[i + 1]].copy())
         pos += dims[i + 1]
     try:
-        return Model(layer_dims=dims, weights=weights, biases=biases,
-                     class_labels=labels, feature_config=feature_config)
+        return Model(layer_dims=dims, weights=weights, biases=biases, class_labels=labels)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc

@@ -4,7 +4,8 @@ Each subcommand optionally reads a JSON config file (--config); explicit
 flags win over config values, and the NOISEGATE_SEED environment variable
 wins over both for the master seed. The settings dataclasses declare the
 settings: each field but the seed is a flag (`k_max` -> --k-max) and a config
-key, and a config value must have the field's type.
+key. A config value must have the field's type, and a key no subcommand has
+as a flag is an error.
 """
 
 import argparse
@@ -40,13 +41,16 @@ SEED_ENV_VAR = "NOISEGATE_SEED"
 DETECT_BLOCK = 64  # clips `detect` holds in memory at a time, with their noisy copies
 
 
-def _load_config(path):
+def _load_config(path, known):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    if unknown := sorted(set(cfg) - known):
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; a key is "
+                         f"a flag's long name with underscores, e.g. k_max")
     return cfg
 
 
@@ -299,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--clean-manifest", dest="clean_manifest", required=True)
         p.add_argument("--adv-manifest", dest="adv_manifest", required=True)
-        p.add_argument("--model")
+        if name != "roc":  # roc hears through --recognizer alone
+            p.add_argument("--model")
         _add_settings(p, ExperimentConfig)
         p.set_defaults(**defaults)
 
@@ -314,9 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # a config key is a flag of some subcommand, so one file can serve several
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    known = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
     try:
-        return args.func(args, _load_config(args.config))
+        return args.func(args, _load_config(args.config, known - {"help"}))
     # a bad setting, spec or input, a file that cannot be read or a recognizer
     # that fails: one line, not a traceback
     except (ValueError, OSError, RecognizerError) as exc:

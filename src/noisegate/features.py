@@ -1,12 +1,12 @@
 """MFCC features for the classifier and spectrogram images for inspection.
 
-Pipeline: pre-emphasis (0.97) -> 25 ms frames every 10 ms -> Hamming window
--> power spectrum -> 40 triangular mel filters (HTK scale) -> floored log
--> DCT-II, first 13 coefficients.
+Pipeline: pre-emphasis (PREEMPHASIS) -> FRAME_MS frames every HOP_MS ->
+Hamming window -> FFT_SIZE-point power spectrum -> MEL_FILTERS triangular mel
+filters (HTK scale) -> log floored at LOG_FLOOR -> DCT-II, first NUM_COEFFS
+coefficients. The settings are fixed: every model hears through this one front end.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +15,7 @@ from scipy.fft import irfft, rfft  # pocketfft, much faster than numpy's on floa
 from noisegate.audio import AudioClip
 
 PREEMPHASIS = 0.97
+FRAME_MS, HOP_MS, FFT_SIZE, MEL_FILTERS, NUM_COEFFS, LOG_FLOOR = 25, 10, 512, 40, 13, 1e-10
 
 # Rows per mfcc_batch pass. One pass over a whole 49-row population spends
 # its extra time on large buffers (frames, spectrum, squares), not on FFT
@@ -26,33 +27,19 @@ PREEMPHASIS = 0.97
 MFCC_CHUNK_ROWS = 4
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    frame_ms: int = 25
-    hop_ms: int = 10
-    fft_size: int = 512
-    mel_filters: int = 40
-    num_coeffs: int = 13
-    log_floor: float = 1e-10
+def frame_len(sample_rate_hz: int) -> int:
+    return sample_rate_hz * FRAME_MS // 1000
 
-    def __post_init__(self):
-        if self.num_coeffs > self.mel_filters:
-            raise ValueError("num_coeffs must not exceed mel_filters")
-        if min(self.frame_ms, self.hop_ms, self.fft_size, self.mel_filters,
-               self.num_coeffs) <= 0 or self.log_floor <= 0:
-            raise ValueError("feature config values must be positive")
 
-    def frame_len(self, sample_rate_hz: int) -> int:
-        return sample_rate_hz * self.frame_ms // 1000
+def hop_len(sample_rate_hz: int) -> int:
+    return sample_rate_hz * HOP_MS // 1000
 
-    def hop_len(self, sample_rate_hz: int) -> int:
-        return sample_rate_hz * self.hop_ms // 1000
 
-    def frame_count(self, n_samples: int, sample_rate_hz: int) -> int:
-        flen = self.frame_len(sample_rate_hz)
-        if n_samples < flen:
-            raise ValueError(f"clip of {n_samples} samples is shorter than one frame ({flen})")
-        return (n_samples - flen) // self.hop_len(sample_rate_hz) + 1
+def frame_count(n_samples: int, sample_rate_hz: int) -> int:
+    flen = frame_len(sample_rate_hz)
+    if n_samples < flen:
+        raise ValueError(f"clip of {n_samples} samples is shorter than one frame ({flen})")
+    return (n_samples - flen) // hop_len(sample_rate_hz) + 1
 
 
 def hz_to_mel(f):
@@ -64,29 +51,29 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
+def _plan(sample_rate_hz: int, dtype=np.float64):
     """Precomputed window, mel filterbank and DCT matrix.
 
     The window, filterbank and DCT are built in float64 and cast to `dtype`.
     """
-    flen = cfg.frame_len(sample_rate_hz)
-    if cfg.fft_size < flen:
-        raise ValueError(f"fft_size {cfg.fft_size} smaller than frame length {flen}")
+    flen = frame_len(sample_rate_hz)
+    if FFT_SIZE < flen:
+        raise ValueError(f"fft_size {FFT_SIZE} smaller than frame length {flen}")
     window = np.hamming(flen)
 
-    n_bins = cfg.fft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * sample_rate_hz / cfg.fft_size
-    mel_pts = np.linspace(0.0, float(hz_to_mel(sample_rate_hz / 2.0)), cfg.mel_filters + 2)
+    n_bins = FFT_SIZE // 2 + 1
+    bin_hz = np.arange(n_bins) * sample_rate_hz / FFT_SIZE
+    mel_pts = np.linspace(0.0, float(hz_to_mel(sample_rate_hz / 2.0)), MEL_FILTERS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    fbank = np.zeros((cfg.mel_filters, n_bins))
-    for j in range(cfg.mel_filters):
+    fbank = np.zeros((MEL_FILTERS, n_bins))
+    for j in range(MEL_FILTERS):
         left, center, right = hz_pts[j], hz_pts[j + 1], hz_pts[j + 2]
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         fbank[j] = np.maximum(0.0, np.minimum(rising, falling))
 
-    m = cfg.mel_filters
-    k = np.arange(cfg.num_coeffs)[:, None]
+    m = MEL_FILTERS
+    k = np.arange(NUM_COEFFS)[:, None]
     n = np.arange(m)[None, :]
     dct = math.sqrt(2.0 / m) * np.cos(np.pi * k * (2 * n + 1) / (2.0 * m))
     dct[0] /= math.sqrt(2.0)
@@ -94,28 +81,28 @@ def _plan(cfg: FeatureConfig, sample_rate_hz: int, dtype=np.float64):
     return window.astype(dtype), fbank.astype(dtype), dct.astype(dtype)
 
 
-def _work(rows, n_samples, sample_rate_hz, cfg: FeatureConfig, dtype, frames=None):
+def _work(rows, n_samples, sample_rate_hz, dtype, frames=None):
     """`_forward`'s buffers for up to `rows` rows: frames (or the caller's) zeroed so their
     tails stay the FFT's zero padding, pre-emphasis in rows of hop, squares, power, and the
     mel energies, floored energies and logs in one block (three made peak RSS layout-bound)."""
-    hop, count = cfg.hop_len(sample_rate_hz), cfg.frame_count(n_samples, sample_rate_hz)
-    frames = np.zeros((rows, count, cfg.fft_size), dtype=dtype) if frames is None else frames
-    bins, blocks = cfg.fft_size // 2 + 1, -(-cfg.frame_len(sample_rate_hz) // hop)
+    hop, count = hop_len(sample_rate_hz), frame_count(n_samples, sample_rate_hz)
+    frames = np.zeros((rows, count, FFT_SIZE), dtype=dtype) if frames is None else frames
+    bins, blocks = FFT_SIZE // 2 + 1, -(-frame_len(sample_rate_hz) // hop)
     shapes = [(count + blocks - 1, hop), (count, 2 * bins), (count, bins)]
     arrays = [np.empty((rows, *shape), dtype=frames.dtype) for shape in shapes]
-    return (frames, *arrays, *np.empty((3, rows, count, cfg.mel_filters), dtype=frames.dtype))
+    return (frames, *arrays, *np.empty((3, rows, count, MEL_FILTERS), dtype=frames.dtype))
 
 
-def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, work, out):
+def _forward(x, sample_rate_hz: int, work, out):
     """The MFCC forward for the (k, n_samples) rows of `x`, in the dtype of `work`.
 
-    Writes the coefficients into `out`, k rows of (frame_count, num_coeffs), and
+    Writes the coefficients into `out`, k rows of (frame_count, NUM_COEFFS), and
     returns (spectrum, raw_energies, energies), the intermediates `mfcc_backprop`
     needs; the last two are views into `work`, from `_work` for at least k rows.
     """
     frames, y, squares, power, raw_energies, energies, logs = (a[:len(x)] for a in work)
     dtype = frames.dtype.type
-    window, fbank, dct = _plan(cfg, sample_rate_hz, dtype)
+    window, fbank, dct = _plan(sample_rate_hz, dtype)
     count, hop = frames.shape[1], y.shape[2]
     used, flat = (count - 1) * hop + window.size, y.reshape(len(x), -1)
     # pre-emphasis, y[t] = x[t] - PREEMPHASIS * x[t - 1] and y[0] = x[0], of the samples
@@ -132,23 +119,22 @@ def _forward(x, sample_rate_hz: int, cfg: FeatureConfig, work, out):
     np.square(spectrum.view(dtype), out=squares)  # |X|^2 = re^2 + im^2 from (re, im) pairs
     np.add(squares[..., ::2], squares[..., 1::2], out=power)
     np.matmul(power, fbank.T, out=raw_energies)
-    np.maximum(raw_energies, dtype(cfg.log_floor), out=energies)
+    np.maximum(raw_energies, dtype(LOG_FLOOR), out=energies)
     np.matmul(np.log(energies, out=logs), dct.T, out=out)
     return spectrum, raw_energies, energies
 
 
-def mfcc_from_array(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """MFCC matrix (frames x num_coeffs) from a raw sample array."""
-    return mfcc_batch(np.asarray(samples, dtype=np.float64)[None, :], sample_rate_hz, cfg)[0]
+def mfcc_from_array(samples, sample_rate_hz: int) -> np.ndarray:
+    """MFCC matrix (frames x NUM_COEFFS) from a raw sample array."""
+    return mfcc_batch(np.asarray(samples, dtype=np.float64)[None, :], sample_rate_hz)[0]
 
 
-def mfcc(clip: AudioClip, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+def mfcc(clip: AudioClip) -> np.ndarray:
     """MFCC matrix for a clip; every value finite, shape fixed by length alone."""
-    return mfcc_from_array(clip.samples, clip.sample_rate_hz, cfg)
+    return mfcc_from_array(clip.samples, clip.sample_rate_hz)
 
 
-def mfcc_batch(batch: np.ndarray, sample_rate_hz: int,
-               cfg: FeatureConfig = FeatureConfig(), dtype=np.float64) -> np.ndarray:
+def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.ndarray:
     """MFCCs for a (count, n_samples) batch, MFCC_CHUNK_ROWS rows at a time.
 
     A row's coefficients do not depend on the batch it came in: in float64
@@ -157,36 +143,33 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int,
     loops use it, and the coefficients agree with the float64 path to single precision.
     """
     batch = np.asarray(batch)
-    work = _work(min(len(batch), MFCC_CHUNK_ROWS), batch.shape[1], sample_rate_hz, cfg, dtype)
-    out = np.empty((len(batch), work[0].shape[1], cfg.num_coeffs), dtype=dtype)
+    work = _work(min(len(batch), MFCC_CHUNK_ROWS), batch.shape[1], sample_rate_hz, dtype)
+    out = np.empty((len(batch), work[0].shape[1], NUM_COEFFS), dtype=dtype)
     for start in range(0, len(batch), MFCC_CHUNK_ROWS):
         chunk = batch[start:start + MFCC_CHUNK_ROWS]
-        _forward(chunk, sample_rate_hz, cfg, work, out[start:start + len(chunk)])
+        _forward(chunk, sample_rate_hz, work, out[start:start + len(chunk)])
     return out
 
 
-def mfcc_with_gradient_cache(samples, sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig(),
-                             frames=None):
+def mfcc_with_gradient_cache(samples, sample_rate_hz: int, frames=None):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
     buffers of the call's own; `frames` is an optional zeroed frames buffer to reuse."""
     x = np.asarray(samples, dtype=np.float64)[None, :]
-    work = _work(1, x.shape[1], sample_rate_hz, cfg, np.float64, frames)
-    coeffs = np.empty((1, work[0].shape[1], cfg.num_coeffs))
-    spectrum, raw_energies, energies = _forward(x, sample_rate_hz, cfg, work, coeffs)
-    return coeffs[0], (x.shape[1], sample_rate_hz, cfg, spectrum[0], raw_energies[0], energies[0])
+    work = _work(1, x.shape[1], sample_rate_hz, np.float64, frames)
+    coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS))
+    spectrum, raw_energies, energies = _forward(x, sample_rate_hz, work, coeffs)
+    return coeffs[0], (x.shape[1], sample_rate_hz, spectrum[0], raw_energies[0], energies[0])
 
 
 def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs).
     Leaves the cache unchanged."""
-    n_samples, sample_rate_hz, cfg, spectrum, raw_energies, energies = cache
-    window, fbank, dct = _plan(cfg, sample_rate_hz)
-    flen = cfg.frame_len(sample_rate_hz)
-    hop = cfg.hop_len(sample_rate_hz)
-    m = cfg.fft_size
+    n_samples, sample_rate_hz, spectrum, raw_energies, energies = cache
+    window, fbank, dct = _plan(sample_rate_hz)
+    flen, hop, m = frame_len(sample_rate_hz), hop_len(sample_rate_hz), FFT_SIZE
 
     grad_log = grad_coeffs @ dct
-    grad_energy = np.where(raw_energies > cfg.log_floor, grad_log / energies, 0.0)
+    grad_energy = np.where(raw_energies > LOG_FLOOR, grad_log / energies, 0.0)
     grad_power = grad_energy @ fbank
     # adjoint of the one-sided power spectrum: double the DC/Nyquist bins so
     # m * irfft reproduces 2*Re(conj(X_k) e^{-2pi i kn/m}) for every k

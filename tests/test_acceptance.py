@@ -26,7 +26,6 @@ from noisegate.experiments import (
     run_intensity_sweep,
     run_transform_comparison,
 )
-from noisegate.features import FeatureConfig
 from noisegate.manifests import Manifest, load_manifest
 from noisegate.recognition import RecognizerSpec
 from noisegate.seeds import derive_seed
@@ -139,8 +138,7 @@ def test_criterion_gradient_check():
             r = math.sqrt(6.0 / (fi + fo))
             weights.append(rng.uniform(-r, r, (fo, fi)))
             biases.append(rng.normal(0.0, 0.1, fo))
-        model = Model(layer_dims=dims, weights=weights, biases=biases,
-                      class_labels=labels, feature_config=FeatureConfig())
+        model = Model(layer_dims=dims, weights=weights, biases=biases, class_labels=labels)
         feats = rng.normal(0.0, 2.0, (dims[0] // 2, 2)) if dims[0] % 2 == 0 \
             else rng.normal(0.0, 2.0, (dims[0], 1))
         label = labels[int(rng.integers(0, len(labels)))]

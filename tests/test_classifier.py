@@ -24,7 +24,7 @@ from noisegate.classifier import (
     save,
     train,
 )
-from noisegate.features import FeatureConfig, mfcc_batch, mfcc_from_array
+from noisegate.features import mfcc_batch, mfcc_from_array
 from noisegate.synthesis import synth_clip
 
 RATE = 16000
@@ -38,8 +38,7 @@ def tiny_model(seed=0, labels=("a", "b", "c", "d")):
         r = math.sqrt(6.0 / (fi + fo))
         weights.append(rng.uniform(-r, r, (fo, fi)))
         biases.append(rng.normal(0.0, 0.05, fo))
-    return Model(layer_dims=dims, weights=weights, biases=biases,
-                 class_labels=list(labels), feature_config=FeatureConfig())
+    return Model(layer_dims=dims, weights=weights, biases=biases, class_labels=list(labels))
 
 
 def small_dataset(classes=3, per_class=4, seed=0):
@@ -199,8 +198,8 @@ class TestTrain:
         whole = train(pairs, cfg)
         blocks = []
 
-        def recording(rows, rate, feature_config):
-            blocks.append(mfcc_batch(rows, rate, feature_config))
+        def recording(rows, rate):
+            blocks.append(mfcc_batch(rows, rate))
             return blocks[-1]
 
         monkeypatch.setattr(classifier, "TRAIN_BLOCK_ROWS", 3)
@@ -425,6 +424,19 @@ class TestParameterParsing:
         path.write_text("".join(lines), encoding="ascii")
         with pytest.raises(ModelFormatError, match=f"expected {self.count(model)} parameters, "
                                                    f"found {self.count(model) - 1}"):
+            load(path)
+
+    def test_saved_feature_line_is_the_fixed_front_end(self, saved):
+        assert saved[2][3] == "feature 25 10 512 40 13 1e-10\n"
+
+    @pytest.mark.parametrize("feature", ["feature 25 10 512 40 12 1e-10",
+                                         "feature 25 10 256 40 13 1e-10"])
+    def test_other_feature_line_rejected(self, saved, feature):
+        model, path, lines = saved
+        lines[3] = feature + "\n"  # the same dims: only the front end differs
+        path.write_text("".join(lines), encoding="ascii")
+        with pytest.raises(ModelFormatError, match=f"'{feature}', expected "
+                                                   f"'feature 25 10 512 40 13 1e-10'"):
             load(path)
 
     def test_blocks_split_across_lines_with_blank_lines_between_load(self, saved):

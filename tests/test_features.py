@@ -7,8 +7,14 @@ from scipy.fft import irfft, rfft
 from noisegate import features
 from noisegate.audio import AudioClip
 from noisegate.features import (
+    FFT_SIZE,
+    LOG_FLOOR,
+    MEL_FILTERS,
+    NUM_COEFFS,
     PREEMPHASIS,
-    FeatureConfig,
+    frame_count,
+    frame_len,
+    hop_len,
     hz_to_mel,
     mel_to_hz,
     mfcc,
@@ -46,18 +52,17 @@ class TestMfcc:
         assert np.allclose(m, m[0])  # every frame identical
 
     def test_tone_hits_nearest_mel_filter(self):
-        cfg = FeatureConfig()
-        window, fbank, _ = _plan(cfg, RATE)
+        window, fbank, _ = _plan(RATE)
         clip = tone(1000)
         x = clip.samples.astype(np.float64)
         y = np.empty_like(x)
         y[0] = x[0]
         y[1:] = x[1:] - 0.97 * x[:-1]
         frames = np.lib.stride_tricks.sliding_window_view(y, 400)[::160] * window
-        spectrum = np.fft.rfft(frames, cfg.fft_size)
+        spectrum = np.fft.rfft(frames, FFT_SIZE)
         energies = ((spectrum.real**2 + spectrum.imag**2) @ fbank.T).mean(axis=0)
         # the filters' peaks sit at equal mel steps strictly inside [0, RATE/2]
-        mels = np.linspace(0.0, float(hz_to_mel(RATE / 2.0)), cfg.mel_filters + 2)
+        mels = np.linspace(0.0, float(hz_to_mel(RATE / 2.0)), MEL_FILTERS + 2)
         centers = mel_to_hz(mels)[1:-1]
         expected = int(np.argmin(np.abs(centers - 1000.0)))
         assert int(np.argmax(energies)) == expected
@@ -121,15 +126,14 @@ class TestMfcc:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_samples", [400, 559, 4000, 16000, 16123])
     def test_forward_equals_sliding_window_frames(self, dtype, n_samples):
-        cfg = FeatureConfig()
         rng = np.random.default_rng(n_samples)
-        work = _work(3, n_samples, RATE, cfg, dtype)
+        work = _work(3, n_samples, RATE, dtype)
         # two batches through one set of buffers: the first leaves no trace in the second
         for _ in range(2):
             batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
-            coeffs = np.empty((3, cfg.frame_count(n_samples, RATE), cfg.num_coeffs), dtype=dtype)
-            got = (coeffs, *_forward(batch, RATE, cfg, work, coeffs))
-            want = _forward_sliding_window(batch, RATE, cfg, dtype)
+            coeffs = np.empty((3, frame_count(n_samples, RATE), NUM_COEFFS), dtype=dtype)
+            got = (coeffs, *_forward(batch, RATE, work, coeffs))
+            want = _forward_sliding_window(batch, RATE, dtype)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -145,31 +149,29 @@ class TestMfcc:
         for _ in range(2):
             batch = rng.integers(-32768, 32768, (9, n_samples)).astype(np.int16)
             got = mfcc_batch(batch, RATE, dtype=dtype)
-            want = _forward_sliding_window(batch, RATE, FeatureConfig(), dtype)[0]
+            want = _forward_sliding_window(batch, RATE, dtype)[0]
             assert got.dtype == dtype and np.array_equal(got, want)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(num_coeffs=50)
-        with pytest.raises(ValueError):
-            FeatureConfig(fft_size=128)  # smaller than the 400-sample frame
-            mfcc(tone(100, 0.1), FeatureConfig(fft_size=128))
+    def test_config_validation(self):  # the one check the fixed settings need
+        assert frame_len(48000) == 1200 > FFT_SIZE
+        clip = AudioClip(samples=np.zeros(48000, dtype=np.int16), sample_rate_hz=48000)
+        with pytest.raises(ValueError, match="fft_size 512 smaller than frame length 1200"):
+            mfcc(clip)
 
 
-def _forward_sliding_window(x, sample_rate_hz, cfg, dtype):
+def _forward_sliding_window(x, sample_rate_hz, dtype):
     """The MFCC forward with strided frames and |X|^2 = re^2 + im^2: the oracle."""
-    window, fbank, dct = _plan(cfg, sample_rate_hz, dtype)
+    window, fbank, dct = _plan(sample_rate_hz, dtype)
     x = np.asarray(x, dtype=dtype)
     y = np.empty_like(x)
     y[:, 0] = x[:, 0]
     y[:, 1:] = x[:, 1:] + x[:, :-1] * dtype(-PREEMPHASIS)
-    frames = np.zeros((len(x), cfg.frame_count(x.shape[1], sample_rate_hz), cfg.fft_size),
-                      dtype=dtype)
+    frames = np.zeros((len(x), frame_count(x.shape[1], sample_rate_hz), FFT_SIZE), dtype=dtype)
     frames[:, :, :window.size] = (np.lib.stride_tricks.sliding_window_view(
-        y, window.size, axis=1)[:, ::cfg.hop_len(sample_rate_hz)] * window)
+        y, window.size, axis=1)[:, ::hop_len(sample_rate_hz)] * window)
     spectrum = rfft(frames)
     raw_energies = (spectrum.real**2 + spectrum.imag**2) @ fbank.T
-    energies = np.maximum(raw_energies, dtype(cfg.log_floor))
+    energies = np.maximum(raw_energies, dtype(LOG_FLOOR))
     return np.log(energies) @ dct.T, spectrum, raw_energies, energies
 
 
@@ -201,22 +203,22 @@ class TestFeatureGradient:
         rng = np.random.default_rng(seed)
         feats, cache = mfcc_with_gradient_cache(rng.normal(0.0, 3000.0, n_samples), RATE)
         upstream = rng.normal(size=feats.shape)
-        arrays = [a.copy() for a in cache[3:]]
+        arrays = [a.copy() for a in cache[2:]]
         grad = mfcc_backprop(upstream, cache)
         # the backprop leaves the cache as the forward wrote it
-        assert all(np.array_equal(a, b) for a, b in zip(cache[3:], arrays))
+        assert all(np.array_equal(a, b) for a, b in zip(cache[2:], arrays))
         assert np.array_equal(grad, _mfcc_backprop_frame_loop(upstream, cache))
 
 
 def _mfcc_backprop_frame_loop(grad_coeffs, cache):
     """The sample gradient with the overlap-add as a loop over frames: the oracle."""
-    n_samples, sample_rate_hz, cfg, spectrum, raw_energies, energies = cache
-    window, fbank, dct = _plan(cfg, sample_rate_hz)
-    flen = cfg.frame_len(sample_rate_hz)
-    hop = cfg.hop_len(sample_rate_hz)
-    m = cfg.fft_size
+    n_samples, sample_rate_hz, spectrum, raw_energies, energies = cache
+    window, fbank, dct = _plan(sample_rate_hz)
+    flen = frame_len(sample_rate_hz)
+    hop = hop_len(sample_rate_hz)
+    m = FFT_SIZE
     grad_log = grad_coeffs @ dct
-    grad_energy = np.where(raw_energies > cfg.log_floor, grad_log / energies, 0.0)
+    grad_energy = np.where(raw_energies > LOG_FLOOR, grad_log / energies, 0.0)
     c = (grad_energy @ fbank) * spectrum
     c[:, 0] *= 2.0
     c[:, -1] *= 2.0

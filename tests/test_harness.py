@@ -640,7 +640,7 @@ class TestCliSettings:
         ("detect", (DetectionConfig,), {"manifest", "out"}),
         ("sweep", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
         ("compare", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
-        ("roc", (ExperimentConfig,), {"clean_manifest", "adv_manifest", "model"}),
+        ("roc", (ExperimentConfig,), {"clean_manifest", "adv_manifest"}),
     ])
     def test_setting_flags_are_the_config_fields(self, command, classes, others):
         dests = {action.dest for action in build_parser_subcommands()[command]._actions}
@@ -759,6 +759,27 @@ class TestCliSettings:
         config_path.write_text('{"epochs": 3,}')
         with pytest.raises(SystemExit, match="^noisegate synth: Expecting property name"):
             cli.main(["--config", str(config_path), "synth", "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("key", ["k-max", "kmax", "config"])
+    def test_unknown_config_key_exits_naming_it(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"k_max": 5, key: 5}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config_path), "synth", "--classes", "2",
+                      "--per-class", "1", "--out-dir", str(tmp_path / "out")])
+        assert str(exc.value.code) == (f"noisegate synth: unknown config key {key!r}; a key is "
+                                       f"a flag's long name with underscores, e.g. k_max")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_keys_of_other_subcommands_are_allowed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"k_max": 200, "grid": [10, 50], "fft_size": 256,
+                                           "classes": 2, "per_class": 1}))
+        assert cli.main(["--config", str(config_path), "synth",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(load_manifest(tmp_path / "out" / "manifest.csv")) == 2
 
     @pytest.mark.parametrize("command, files", [("sweep", ("sweep_command.csv",
                                                            "sweep_similarity.csv")),
