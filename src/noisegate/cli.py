@@ -4,8 +4,10 @@ Each subcommand optionally reads a JSON config file (--config); explicit
 flags win over config values, and the NOISEGATE_SEED environment variable
 wins over both for the master seed. The settings dataclasses declare the
 settings: each field but the seed is a flag (`k_max` -> --k-max) and a config
-key. A config value must have the field's type, and a key no subcommand has
-as a flag is an error.
+key. The files and labels a subcommand names (--manifest, --model, --out, ...)
+are config keys as well, and a flag it requires may come from the config
+file instead. A config value must have the field's type, and a key no
+subcommand has as a flag is an error.
 """
 
 import argparse
@@ -35,7 +37,7 @@ from noisegate.manifests import load_manifest
 from noisegate.recognition import RecognizerError, parse_recognizer
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
-from noisegate.transforms import NOISE_KINDS, NoiseSpec, apply_transform, parse_transform
+from noisegate.transforms import apply_transform, parse_transform
 
 SEED_ENV_VAR = "NOISEGATE_SEED"
 DETECT_BLOCK = 64  # clips `detect` holds in memory at a time, with their noisy copies
@@ -72,21 +74,13 @@ def _items(key, value, kind):
     return tuple(_typed(key, item, kind) for item in _typed(key, value, list))
 
 
-def _noise(text: str) -> NoiseSpec:
-    spec = parse_transform(text) if ":" in text else None
-    if spec is None or spec.kind not in NOISE_KINDS:
-        raise ValueError(f"noise must be kind:intensity with a kind in {NOISE_KINDS}, "
-                         f"got {text!r}")
-    return NoiseSpec(spec.kind, *spec.params)
-
-
 # The settings that are not a plain number or string: field -> parser of the
 # flag's text or the config file's value
 _PARSERS = {
     "grid": lambda value: _items("grid", value, int),
     "transforms": lambda value: _items("transforms", value, str),
     "recognizer": lambda value: parse_recognizer(_typed("recognizer", value, str)),
-    "noise": lambda value: _noise(_typed("noise", value, str)),
+    "noise": lambda value: parse_transform(_typed("noise", value, str)),
 }
 
 
@@ -94,6 +88,15 @@ def _given(args, config, key):
     """The flag's value, else the config file's, else None."""
     value = getattr(args, key, None)
     return config.get(key) if value is None else value
+
+
+def _path(args, config, key, required=True):
+    """A file or label as flag > config file; None when neither gives it and
+    it is not `required`."""
+    value = _given(args, config, key)
+    if value is None and required:
+        raise ValueError(f"--{'in' if key == 'infile' else key.replace('_', '-')} is required")
+    return None if value is None else _typed(key, value, str)
 
 
 def _setting(args, config, key, default):
@@ -140,7 +143,8 @@ def cmd_synth(args, config):
 
 def cmd_train(args, config):
     cfg = _from_flags(TrainConfig, args, config, seed=_master_seed(args, config))
-    manifest = load_manifest(args.manifest)
+    out = _path(args, config, "out")
+    manifest = load_manifest(_path(args, config, "manifest"))
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
 
     def progress(stats):
@@ -149,8 +153,8 @@ def cmd_train(args, config):
               f"train_acc {stats.train_accuracy:.3f}  val_acc {val}")
 
     model = classifier.train(dataset, cfg, progress=progress)
-    classifier.save(model, args.out)
-    print(f"saved model to {args.out}")
+    classifier.save(model, out)
+    print(f"saved model to {out}")
     return 0
 
 
@@ -159,8 +163,10 @@ def cmd_attack(args, config):
     # attack_manifest derives each genetic attack's own seed
     ga_cfg = _from_flags(GaConfig, args, config, seed=0)
     pgd_cfg = _from_flags(PgdConfig, args, config)
-    model = classifier.load(args.model)
-    manifest = load_manifest(args.manifest)
+    out_dir = _path(args, config, "out_dir")
+    target = _path(args, config, "target", required=False)
+    model = classifier.load(_path(args, config, "model"))
+    manifest = load_manifest(_path(args, config, "manifest"))
 
     def progress(idx, res):
         status = "ok " if res.success else "FAIL"
@@ -168,28 +174,29 @@ def cmd_attack(args, config):
               f"distortion={res.distortion_db:.2f}dB score={res.final_target_score:.3f}")
 
     results, adv_manifest = attack_manifest(
-        model, manifest, args.mode, args.out_dir, master_seed=seed,
-        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, targets=args.target, progress=progress,
+        model, manifest, args.mode, out_dir, master_seed=seed,
+        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, targets=target, progress=progress,
     )
     wins = sum(1 for r in results if r.success)
     print(f"{wins}/{len(results)} attacks succeeded; "
-          f"outputs in {args.out_dir} (records.jsonl, manifest.csv)")
+          f"outputs in {out_dir} (records.jsonl, manifest.csv)")
     return 0
 
 
 def cmd_defend(args, config):
     seed = _master_seed(args, config)
-    spec = parse_transform(args.transform, seed=derive_seed(seed, "defend", 0))
-    clip = read_wav(args.infile)
-    write_wav(apply_transform(spec, clip), args.out)
-    print(f"wrote {args.out}")
+    spec = parse_transform(_path(args, config, "transform"), seed=derive_seed(seed, "defend", 0))
+    clip = read_wav(_path(args, config, "infile"))
+    out = _path(args, config, "out")
+    write_wav(apply_transform(spec, clip), out)
+    print(f"wrote {out}")
     return 0
 
 
 def cmd_detect(args, config):
     seed = _master_seed(args, config)
     cfg = _from_flags(DetectionConfig, args, config)
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(_path(args, config, "manifest"))
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
     for start in range(0, len(manifest), DETECT_BLOCK):
         block = manifest.rows[start:start + DETECT_BLOCK]
@@ -207,9 +214,10 @@ def cmd_detect(args, config):
 def cmd_report(args, config):
     """sweep and compare: `args.driver` writes one of `args.files` (command, text mode)."""
     cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
-    model = classifier.load(args.model) if args.model else None
-    report = args.driver(cfg, load_manifest(args.clean_manifest),
-                         load_manifest(args.adv_manifest),
+    model_path = _path(args, config, "model", required=False)
+    model = classifier.load(model_path) if model_path else None
+    report = args.driver(cfg, load_manifest(_path(args, config, "clean_manifest")),
+                         load_manifest(_path(args, config, "adv_manifest")),
                          model=model, recognizer=cfg.recognizer)
     name = args.files[0] if model is not None else args.files[1]
     print(f"wrote {Path(cfg.out_dir) / name} ({len(report.rows)} rows)")
@@ -218,8 +226,8 @@ def cmd_report(args, config):
 
 def cmd_roc(args, config):
     cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
-    results = run_detection_eval(cfg, load_manifest(args.clean_manifest),
-                                 load_manifest(args.adv_manifest))
+    results = run_detection_eval(cfg, load_manifest(_path(args, config, "clean_manifest")),
+                                 load_manifest(_path(args, config, "adv_manifest")))
     defined = {k: v for k, v in results.items() if v is not None}
     best = max(defined.items(), key=lambda kv: kv[1].auc) if defined else None
     print(f"wrote {Path(cfg.out_dir) / 'detection_auc.csv'} ({len(results)} cells)")
@@ -231,11 +239,12 @@ def cmd_roc(args, config):
 
 
 def cmd_spectrogram(args, config):
-    clip = read_wav(args.infile)
+    clip = read_wav(_path(args, config, "infile"))
     image = spectrogram_image(clip, _setting(args, config, "fft_size", 512),
                               _setting(args, config, "hop", 160))
-    write_pgm(image, args.out)
-    print(f"wrote {args.out} ({image.shape[1]}x{image.shape[0]})")
+    out = _path(args, config, "out")
+    write_pgm(image, out)
+    print(f"wrote {out} ({image.shape[1]}x{image.shape[0]})")
     return 0
 
 
@@ -265,30 +274,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the keyword classifier")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--manifest")
+    p.add_argument("--out")
     _add_settings(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attack", help="generate targeted adversarial examples")
     p.add_argument("mode", choices=("ga", "pgd"))
-    p.add_argument("--model", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    p.add_argument("--model")
+    p.add_argument("--manifest")
+    p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--target", help="fixed target label (default: random wrong label)")
     _add_settings(p, GaConfig, PgdConfig)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("defend", help="apply one input transform to a WAV")
-    p.add_argument("--transform", required=True,
-                   help="e.g. gaussian:200, requant8, lowpass:4000:101")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--transform", help="e.g. gaussian:200, requant8, lowpass:4000:101")
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_defend)
 
     p = sub.add_parser("detect", help="change-rate detection over a manifest")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest")
     p.add_argument("--out")
     _add_settings(p, DetectionConfig)
     p.set_defaults(func=cmd_detect)
@@ -301,16 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("roc", dict(func=cmd_roc), "detection ROC/AUC per (noise kind, intensity) cell"),
     ):
         p = sub.add_parser(name, help=extra)
-        p.add_argument("--clean-manifest", dest="clean_manifest", required=True)
-        p.add_argument("--adv-manifest", dest="adv_manifest", required=True)
+        p.add_argument("--clean-manifest", dest="clean_manifest")
+        p.add_argument("--adv-manifest", dest="adv_manifest")
         if name != "roc":  # roc hears through --recognizer alone
             p.add_argument("--model")
         _add_settings(p, ExperimentConfig)
         p.set_defaults(**defaults)
 
     p = sub.add_parser("spectrogram", help="write a PGM spectrogram of a WAV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out")
     p.add_argument("--fft-size", dest="fft_size", type=int)
     p.add_argument("--hop", type=int)
     p.set_defaults(func=cmd_spectrogram)

@@ -8,7 +8,7 @@ import numpy as np
 from noisegate.audio import AudioClip
 from noisegate.recognition import RecognizerSpec, levenshtein, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NoiseSpec, add_noise
+from noisegate.transforms import NOISE_KINDS, TransformSpec, add_noise
 
 CR_MODES = ("edit", "flip")
 
@@ -24,12 +24,15 @@ class SingleClassError(ValueError):
 @dataclass(frozen=True)
 class DetectionConfig:
     recognizer: RecognizerSpec
-    noise: NoiseSpec = NoiseSpec("gaussian", 200)
+    noise: TransformSpec = TransformSpec("gaussian", (200,))
     threshold: float = 0.5
     votes: int = 1
     cr_mode: str = "edit"
 
     def __post_init__(self):
+        if self.noise.kind not in NOISE_KINDS:
+            raise ValueError(f"noise must be kind:intensity with a kind in {NOISE_KINDS}, "
+                             f"got {self.noise.label!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.votes < 1 or self.votes % 2 != 1:
@@ -64,7 +67,7 @@ def transcript_change(before: str, after: str, mode: str = "edit") -> float:
 def change_rates(recognizer: RecognizerSpec, clips, draws, mode: str = "edit"):
     """Transcript change of each clip after each noise draw (see `transcript_change`).
 
-    `draws` holds one list per draw of one NoiseSpec per clip. The plain clips
+    `draws` holds one list per draw of one noise spec per clip. The plain clips
     are heard as one list, then each draw's noisy copies as one list. Returns
     (plain transcripts, noisy transcripts per draw, CRs per draw).
     """
@@ -77,7 +80,7 @@ def change_rates(recognizer: RecognizerSpec, clips, draws, mode: str = "edit"):
     return plain, noisy, crs
 
 
-def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: NoiseSpec,
+def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: TransformSpec,
                 mode: str = "edit"):
     """`change_rates` of one clip and one draw: (cr, transcript_before, transcript_after)."""
     plain, noisy, crs = change_rates(recognizer, [clip], [[noise]], mode)

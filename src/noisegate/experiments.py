@@ -25,7 +25,7 @@ from noisegate.metrics import (
 )
 from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, NoiseSpec, TransformSpec, parse_transform
+from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
 from noisegate.transforms import apply_transform as _apply
 
 DEFAULT_GRID = (10, 30, 50, 70, 100, 200, 500)
@@ -84,7 +84,7 @@ def _hear(hear, groups, spec: TransformSpec | None = None, seed=None):
     seed `seed(g, i)`, so a noise draw never depends on which other clips are
     in the call.
     """
-    return [hear([clip if spec is None else _apply(spec.with_seed(seed(group, idx)), clip)
+    return [hear([clip if spec is None else _apply(replace(spec, seed=seed(group, idx)), clip)
                   for idx, (_, clip) in enumerate(loaded)])
             for group, loaded in zip(GROUPS, groups)]
 
@@ -186,24 +186,26 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
-    cells = [(kind, level) for kind in NOISE_KINDS for level in cfg.grid]
+    cells = _noise_rows(cfg.grid)
     tags = [(group, idx) for group, loaded in zip(GROUPS, groups) for idx in range(len(loaded))]
-    draws = [[NoiseSpec(kind, level, derive_seed(cfg.master_seed, "detect", kind, level, *tag))
-              for tag in tags] for kind, level in cells]
+    draws = [[replace(spec, seed=derive_seed(cfg.master_seed, "detect", *cell, *tag))
+              for tag in tags] for cell, spec in cells]
     _, _, crs = change_rates(cfg.recognizer, [clip for loaded in groups for _, clip in loaded],
                              draws, cfg.cr_mode)
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
-    for (kind, intensity), cell_crs in zip(cells, crs):
+    for ((kind, intensity), _), cell_crs in zip(cells, crs):
         scored = [(cr, group == "adv") for cr, (group, _) in zip(cell_crs, tags)]
+        curve = roc_dir / f"roc_{kind}_{intensity}.csv"
         if len({s for s, _ in scored}) == 1:
             results[(kind, intensity)] = None  # noise moved nothing; no curve
             summary.add_row(kind, intensity, None, None)
+            curve.unlink(missing_ok=True)  # nor one left by an earlier run
             continue
         cell = roc(scored)
         results[(kind, intensity)] = cell
         summary.add_row(kind, intensity, cell.auc, cell.youden_threshold)
-        _write_roc_curve(cell, roc_dir / f"roc_{kind}_{intensity}.csv")
+        _write_roc_curve(cell, curve)
     emit_report(summary, out_dir / "detection_auc.csv")
     return results
 

@@ -4,7 +4,7 @@ Every transform is a pure function of (spec, clip); randomness comes only
 from the explicit seed, so batch runs stay reproducible.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +17,17 @@ SILENCE_FRAME_MS = 20
 DEFAULT_SILENCE_THRESHOLD = 328  # ~1% of full scale
 DEFAULT_LOWPASS_TAPS = 101
 
-# Every parameter rule, written once: name -> (test, what the test asks).
+# Every parameter rule, written once: "<kind> <parameter>" -> (test, what the test asks).
 # Specs check at parse time and the operations at call time, both through _check.
 _RULES = {
+    "uniform intensity": (lambda i: 0 <= i <= I16_MAX, f"in [0, {I16_MAX}]"),
     "lowpass cutoff": (lambda hz: hz > 0, "positive"),
     "lowpass taps": (lambda n: n % 2 == 1 and n >= 3, "odd and >= 3"),
     "silence threshold": (lambda t: t >= 0, ">= 0"),
     "downup factor": (lambda f: f >= 2, ">= 2"),
     "quant step": (lambda s: s >= 1, ">= 1"),
 }
+_RULES["gaussian intensity"] = _RULES["uniform intensity"]
 _RULES["median window"] = _RULES["lowpass taps"]
 
 
@@ -36,31 +38,55 @@ def _check(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Zero-mean random noise: uniform on [-I, I] or gaussian with sigma = I."""
+class TransformSpec:
+    """A parameterized transform; `seed` only matters for the noise kinds.
+
+    Text syntax: uniform:50, gaussian:200, requant8, lowpass:4000:101,
+    silence:328, downup:2, median:3, quant:256.
+    """
 
     kind: str
-    intensity: int
+    params: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if not 0 <= int(self.intensity) <= I16_MAX:
-            raise ValueError(f"intensity must be in [0, {I16_MAX}], got {self.intensity}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown transform kind {self.kind!r}")
+        names = _KINDS[self.kind][0]
+        required = list(names.values()).count(None)
+        if not required <= len(self.params) <= len(names):
+            raise ValueError(f"{self.kind} takes {required}..{len(names)} parameters "
+                             f"({', '.join(names)}), got {self.params!r}")
+        for name, value in zip(names, _resolved(self)):
+            _check(f"{self.kind} {name}", value)
+
+    @property
+    def label(self) -> str:
+        if self.params:
+            return self.kind + ":" + ":".join(str(p) for p in self.params)
+        return self.kind
 
 
-def add_noise(clip: AudioClip, spec: NoiseSpec) -> AudioClip:
-    """Add i.i.d. integer noise to every sample, saturating to 16-bit."""
-    if spec.intensity == 0:
+def _resolved(spec: TransformSpec) -> tuple:
+    """The spec's parameters, with the kind's defaults filling those left out."""
+    return spec.params + tuple(_KINDS[spec.kind][0].values())[len(spec.params):]
+
+
+def add_noise(clip: AudioClip, spec: TransformSpec) -> AudioClip:
+    """Add i.i.d. integer noise to every sample, saturating to 16-bit: uniform on
+    [-I, I] or gaussian with sigma = I, for the noise spec's intensity I."""
+    if spec.kind not in NOISE_KINDS:
+        raise ValueError(f"add_noise takes a noise kind {NOISE_KINDS}, got {spec.kind!r}")
+    (intensity,) = spec.params
+    if intensity == 0:
         return clip
     rng = np.random.default_rng(spec.seed)
     n = len(clip)
     if spec.kind == "uniform":
-        noisy = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
+        noisy = rng.integers(-intensity, intensity + 1, size=n, dtype=np.int32)
     else:
         # whole-number float64 sums are exact, so this equals the int32 sum
-        noisy = rng.normal(0.0, float(spec.intensity), size=n)
+        noisy = rng.normal(0.0, float(intensity), size=n)
         np.round(noisy, out=noisy)
     noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
@@ -155,66 +181,21 @@ def quantize(clip: AudioClip, step: int) -> AudioClip:
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """A parameterized transform; `seed` only matters for the noise kinds.
-
-    Text syntax: uniform:50, gaussian:200, requant8, lowpass:4000:101,
-    silence:328, downup:2, median:3, quant:256.
-    """
-
-    kind: str
-    params: tuple = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        defaults, check, _ = _KINDS[self.kind]
-        required = defaults.count(None)
-        if not required <= len(self.params) <= len(defaults):
-            raise ValueError(f"{self.kind} takes {required}..{len(defaults)} parameters, "
-                             f"got {self.params!r}")
-        check(*_resolved(self))
-
-    @property
-    def label(self) -> str:
-        if self.params:
-            return self.kind + ":" + ":".join(str(p) for p in self.params)
-        return self.kind
-
-    def with_seed(self, seed: int) -> "TransformSpec":
-        return replace(self, seed=seed)
-
-
-def _resolved(spec: TransformSpec) -> tuple:
-    """The spec's parameters, with the kind's defaults filling those left out."""
-    return spec.params + _KINDS[spec.kind][0][len(spec.params):]
-
-
-def _noise(kind: str) -> tuple:
-    return ((None,), lambda level: NoiseSpec(kind, level),
-            lambda clip, level, seed: add_noise(clip, NoiseSpec(kind, level, seed=seed)))
-
-
-# kind -> (defaults, None marking a required parameter; parse-time check; apply).
-# Each apply looks its operation up by name at call time, so a wrapper set on the
+# kind -> ({parameter: default, None marking a required one}, apply). A spec checks
+# each parameter against the rule "<kind> <parameter>". Each apply takes the clip and
+# the spec, and looks its operation up by name at call time, so a wrapper set on the
 # module attribute (as perfbench/tracing.py does) sees every call.
 _KINDS = {
-    "uniform": _noise("uniform"),
-    "gaussian": _noise("gaussian"),
-    "requant8": ((), lambda: None, lambda clip, seed: requantize_8bit(clip)),
-    "lowpass": ((None, DEFAULT_LOWPASS_TAPS),
-                lambda hz, taps: (_check("lowpass cutoff", hz), _check("lowpass taps", taps)),
-                lambda clip, hz, taps, seed: low_pass(clip, hz, taps)),
-    "silence": ((DEFAULT_SILENCE_THRESHOLD,), lambda t: _check("silence threshold", t),
-                lambda clip, t, seed: silence_removal(clip, t)),
-    "downup": ((2,), lambda f: _check("downup factor", f),
-               lambda clip, f, seed: down_up_sample(clip, f)),
-    "median": ((3,), lambda w: _check("median window", w),
-               lambda clip, w, seed: median_smooth(clip, w)),
-    "quant": ((None,), lambda s: _check("quant step", s),
-              lambda clip, s, seed: quantize(clip, s)),
+    "uniform": ({"intensity": None}, lambda clip, spec: add_noise(clip, spec)),
+    "gaussian": ({"intensity": None}, lambda clip, spec: add_noise(clip, spec)),
+    "requant8": ({}, lambda clip, spec: requantize_8bit(clip)),
+    "lowpass": ({"cutoff": None, "taps": DEFAULT_LOWPASS_TAPS},
+                lambda clip, spec: low_pass(clip, *_resolved(spec))),
+    "silence": ({"threshold": DEFAULT_SILENCE_THRESHOLD},
+                lambda clip, spec: silence_removal(clip, *_resolved(spec))),
+    "downup": ({"factor": 2}, lambda clip, spec: down_up_sample(clip, *_resolved(spec))),
+    "median": ({"window": 3}, lambda clip, spec: median_smooth(clip, *_resolved(spec))),
+    "quant": ({"step": None}, lambda clip, spec: quantize(clip, *_resolved(spec))),
 }
 
 
@@ -231,4 +212,4 @@ def parse_transform(text: str, seed: int = 0) -> TransformSpec:
 
 def apply_transform(spec: TransformSpec, clip: AudioClip) -> AudioClip:
     """Dispatch to the kind's operation; deterministic given (spec, clip)."""
-    return _KINDS[spec.kind][2](clip, *_resolved(spec), spec.seed)
+    return _KINDS[spec.kind][1](clip, spec)

@@ -30,7 +30,7 @@ from noisegate.manifests import Manifest, load_manifest
 from noisegate.recognition import RecognizerSpec
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
-from noisegate.transforms import NoiseSpec, add_noise, low_pass, quantize, requantize_8bit
+from noisegate.transforms import TransformSpec, add_noise, low_pass, quantize, requantize_8bit
 
 pytestmark = pytest.mark.acceptance
 
@@ -313,7 +313,7 @@ def test_criterion_detection_quality(tmp_path, trained, clean_eval, strong_adv):
     (kind, intensity), best = max(defined.items(), key=lambda kv: kv[1].auc)
 
     # fresh noise draws at the tuned cell, thresholded at its Youden point
-    detect_cfg = DetectionConfig(noise=NoiseSpec(kind, intensity),
+    detect_cfg = DetectionConfig(noise=TransformSpec(kind, (intensity,)),
                                  threshold=best.youden_threshold, recognizer=recognizer)
     hits = {}
     for group, manifest, want in (("clean", clean_eval, "normal"),
@@ -417,7 +417,7 @@ def test_criterion_transform_properties():
 
     # Kolmogorov-Smirnov distance of the gaussian sampler at one million draws
     silence = AudioClip(samples=np.zeros(1_000_000, dtype=np.int16), sample_rate_hz=16000)
-    noisy = add_noise(silence, NoiseSpec("gaussian", 100, seed=MASTER_SEED))
+    noisy = add_noise(silence, TransformSpec("gaussian", (100,), seed=MASTER_SEED))
     draws = np.sort(noisy.samples.astype(np.float64))
     values, counts = np.unique(draws, return_counts=True)
     cum = np.cumsum(counts) / draws.size

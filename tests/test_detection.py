@@ -21,7 +21,7 @@ from noisegate.recognition import (
     clip_content_hash,
     write_cache_file,
 )
-from noisegate.transforms import NoiseSpec, add_noise
+from noisegate.transforms import TransformSpec, add_noise
 
 RATE = 16000
 
@@ -91,7 +91,7 @@ class TestTranscriptChange:
 class TestChangeRate:
     def test_unchanged_transcript_gives_zero(self, tmp_path):
         clip = clip_of([100, 200, 300])
-        noise = NoiseSpec("uniform", 5, seed=1)
+        noise = TransformSpec("uniform", (5,), seed=1)
         rec = cached_recognizer(tmp_path, [(clip, "same text"),
                                            (with_noise(clip, noise), "same text")])
         cr, before, after = change_rate(rec, clip, noise)
@@ -100,7 +100,7 @@ class TestChangeRate:
 
     def test_hand_computed_ratio(self, tmp_path):
         clip = clip_of([5] * 50)
-        noise = NoiseSpec("gaussian", 9, seed=2)
+        noise = TransformSpec("gaussian", (9,), seed=2)
         rec = cached_recognizer(tmp_path, [(clip, "hello world"),
                                            (with_noise(clip, noise), "hello")])
         cr, _, _ = change_rate(rec, clip, noise)
@@ -108,7 +108,7 @@ class TestChangeRate:
 
     def test_caps_at_one(self, tmp_path):
         clip = clip_of([7] * 30)
-        noise = NoiseSpec("uniform", 3, seed=3)
+        noise = TransformSpec("uniform", (3,), seed=3)
         rec = cached_recognizer(tmp_path, [(clip, "abc"),
                                            (with_noise(clip, noise), "zzzzzzzzzz")])
         cr, _, _ = change_rate(rec, clip, noise)
@@ -116,14 +116,14 @@ class TestChangeRate:
 
     def test_empty_baseline_is_an_error(self, tmp_path):
         clip = clip_of([1, 2])
-        noise = NoiseSpec("uniform", 2, seed=4)
+        noise = TransformSpec("uniform", (2,), seed=4)
         rec = cached_recognizer(tmp_path, [(clip, ""), (with_noise(clip, noise), "x")])
         with pytest.raises(UndefinedChangeRateError):
             change_rate(rec, clip, noise)
 
     def test_flip_mode_is_binary(self, tmp_path):
         clip = clip_of([9] * 20)
-        noise = NoiseSpec("uniform", 2, seed=5)
+        noise = TransformSpec("uniform", (2,), seed=5)
         rec = cached_recognizer(tmp_path, [(clip, "left"),
                                            (with_noise(clip, noise), "lift")])
         cr, _, _ = change_rate(rec, clip, noise, mode="flip")
@@ -132,7 +132,7 @@ class TestChangeRate:
     def test_unknown_mode_rejected(self, tmp_path):
         # a miscased "Flip" used to be scored as edit mode
         clip = clip_of([5] * 50)
-        noise = NoiseSpec("gaussian", 9, seed=2)
+        noise = TransformSpec("gaussian", (9,), seed=2)
         rec = cached_recognizer(tmp_path, [(clip, "hello world"),
                                            (with_noise(clip, noise), "hello")])
         with pytest.raises(ValueError, match="cr mode"):
@@ -142,7 +142,7 @@ class TestChangeRate:
 class TestDetect:
     def test_threshold_one_never_flags(self, tmp_path):
         clip = clip_of([3] * 40)
-        noise = NoiseSpec("uniform", 4, seed=6)
+        noise = TransformSpec("uniform", (4,), seed=6)
         rec = cached_recognizer(tmp_path, [(clip, "abc"),
                                            (with_noise(clip, noise), "xyz")])
         cfg = DetectionConfig(noise=noise, threshold=1.0, recognizer=rec)
@@ -152,7 +152,7 @@ class TestDetect:
 
     def test_verdict_matches_cr_rule(self, tmp_path):
         clip = clip_of([3] * 40)
-        noise = NoiseSpec("uniform", 4, seed=6)
+        noise = TransformSpec("uniform", (4,), seed=6)
         rec = cached_recognizer(tmp_path, [(clip, "abcd"),
                                            (with_noise(clip, noise), "abcx")])
         cfg = DetectionConfig(noise=noise, threshold=0.2, recognizer=rec)
@@ -164,23 +164,25 @@ class TestDetect:
 
     def test_config_validation(self, tmp_path):
         rec = RecognizerSpec.external("sh -c true {}")
-        noise = NoiseSpec("uniform", 1)
+        noise = TransformSpec("uniform", (1,))
         with pytest.raises(ValueError):
             DetectionConfig(noise=noise, threshold=1.5, recognizer=rec)
         with pytest.raises(ValueError):
             DetectionConfig(noise=noise, threshold=0.5, recognizer=rec, votes=2)
         with pytest.raises(ValueError):
             DetectionConfig(noise=noise, threshold=0.5, recognizer=rec, cr_mode="avg")
+        with pytest.raises(ValueError, match="noise must be kind:intensity .* got 'quant:256'"):
+            DetectionConfig(noise=TransformSpec("quant", (256,)), recognizer=rec)
 
     def test_vote_mode_uses_median(self, tmp_path):
         from noisegate.seeds import derive_seed
 
         clip = clip_of([11] * 60)
-        base = NoiseSpec("uniform", 6, seed=77)
+        base = TransformSpec("uniform", (6,), seed=77)
         mapping = [(clip, "abcd")]
         texts = ["abcd", "abxx", "abcd"]  # draws disagree; median decides
         for i, text in enumerate(texts):
-            draw = NoiseSpec("uniform", 6, seed=derive_seed(77, "vote", i))
+            draw = TransformSpec("uniform", (6,), seed=derive_seed(77, "vote", i))
             mapping.append((with_noise(clip, draw), text))
         rec = cached_recognizer(tmp_path, mapping)
         cfg = DetectionConfig(noise=base, threshold=0.1, recognizer=rec, votes=3)
@@ -192,7 +194,7 @@ class TestDetect:
         import noisegate.detection as detection
 
         clip = clip_of([11] * 60)
-        noise = NoiseSpec("uniform", 6, seed=77)
+        noise = TransformSpec("uniform", (6,), seed=77)
         heard = []
 
         def fake_transcribe_clips(spec, clips):
@@ -216,7 +218,7 @@ class TestZeroIntensity:
         clf.save(tiny_model, model_path)
         rec = RecognizerSpec.builtin(str(model_path))
         _, clip = tiny_clips[0]
-        cr, before, after = change_rate(rec, clip, NoiseSpec("gaussian", 0, seed=1))
+        cr, before, after = change_rate(rec, clip, TransformSpec("gaussian", (0,), seed=1))
         assert cr == 0.0
         assert before == after
 

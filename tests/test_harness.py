@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from noisegate.metrics import distance_ratio, similarity
 from noisegate.recognition import RecognizerSpec, transcribe, transcribe_clips
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import class_label, synth_dataset
-from noisegate.transforms import NoiseSpec, add_noise, apply_transform, parse_transform
+from noisegate.transforms import TransformSpec, add_noise, apply_transform, parse_transform
 from noisegate import cli
 from noisegate.classifier import save as save_model
 
@@ -188,8 +188,8 @@ def text_reference(recognizer, clean, adv, rows, stage, master_seed):
             sims, ratios = [], []
             for idx, row in enumerate(manifest.rows):
                 clip = read_wav(manifest.resolve(row))
-                seeded = spec.with_seed(derive_seed(master_seed, f"{stage}-{group}",
-                                                    spec.label, idx))
+                seeded = replace(spec, seed=derive_seed(master_seed, f"{stage}-{group}",
+                                                        spec.label, idx))
                 before = transcribe(recognizer, clip).text
                 after = transcribe(recognizer, apply_transform(seeded, clip)).text
                 sims.append(similarity(before, after))
@@ -268,7 +268,7 @@ def command_reference(model, clean, adv, rows, stage, master_seed):
             for idx, row in enumerate(manifest.rows):
                 clip = read_wav(manifest.resolve(row))
                 if spec is not None:
-                    clip = apply_transform(spec.with_seed(derive_seed(
+                    clip = apply_transform(replace(spec, seed=derive_seed(
                         master_seed, f"{stage}-{group}", spec.label, idx)), clip)
                 heard[group].append(predict(model, clip)[0])
         out.append((*key, percent([label == row.target for label, row
@@ -322,7 +322,7 @@ class TestCommandMode:
                 for group, manifest, flag in (("clean", clean, False), ("adv", adv, True)):
                     for idx, row in enumerate(manifest.rows):
                         clip = read_wav(manifest.resolve(row))
-                        noisy = add_noise(clip, NoiseSpec(kind, intensity, seed=derive_seed(
+                        noisy = add_noise(clip, TransformSpec(kind, (intensity,), seed=derive_seed(
                             14, "detect", kind, intensity, group, idx)))
                         scored.append((transcript_change(predict(tiny_model, clip)[0],
                                                          predict(tiny_model, noisy)[0], mode),
@@ -406,7 +406,7 @@ class TestDetectionEval:
                 for group, manifest, flag in (("clean", subset, False),
                                               ("adv", adv_manifest, True)):
                     for idx, row in enumerate(manifest.rows):
-                        noise = NoiseSpec(kind, intensity, seed=derive_seed(
+                        noise = TransformSpec(kind, (intensity,), seed=derive_seed(
                             6, "detect", kind, intensity, group, idx))
                         cr, _, _ = change_rate(rec, read_wav(manifest.resolve(row)), noise,
                                                mode=mode)
@@ -438,6 +438,21 @@ class TestDetectionEval:
                 curve = tmp_path / "roc" / f"roc_{cell[0]}_{cell[1]}.csv"
                 assert curve.is_file()
                 assert curve.read_text().splitlines()[-1].startswith("auc,")
+
+    def test_degenerate_cell_removes_an_earlier_curve(self, tmp_path, text_sets):
+        # at intensity 0 no transcript changes, so no cell has a curve; one left
+        # in the same out dir by an earlier run must not outlive its cell
+        clean, adv = text_sets
+        stale = tmp_path / "roc" / "roc_uniform_0.csv"
+        stale.parent.mkdir()
+        stale.write_text("threshold,fpr,tpr\nauc,1.000000\n")
+        cfg = ExperimentConfig(master_seed=5, grid=(0,), recognizer=OD_RECOGNIZER,
+                               out_dir=str(tmp_path))
+        assert run_detection_eval(cfg, clean, adv) == {("uniform", 0): None,
+                                                       ("gaussian", 0): None}
+        assert list((tmp_path / "roc").iterdir()) == []
+        assert (tmp_path / "detection_auc.csv").read_text().splitlines()[1:] == [
+            "uniform,0,,", "gaussian,0,,"]
 
 
 # a small CLI pipeline, every path relative to the working directory; the
@@ -573,7 +588,7 @@ FLAG_SETTINGS = [
     ("pgd", "steps", 7, ["--steps", "9"], 9),
     ("pgd", "step_size", 3, ["--step-size", "4"], 4),
     ("detect", "votes", 3, ["--votes", "5"], 5),
-    ("detect", "noise", "uniform:50", ["--noise", "gaussian:30"], NoiseSpec("gaussian", 30)),
+    ("detect", "noise", "uniform:50", ["--noise", "gaussian:30"], TransformSpec("gaussian", (30,))),
     ("detect", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
      RecognizerSpec.external("echo b {}")),
     ("detect", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
@@ -788,20 +803,108 @@ class TestCliSettings:
     def test_report_commands_name_their_file(self, tmp_path, monkeypatch, capsys, tiny_model,
                                              text_sets, command, files):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
-        for name, manifest in zip(("clean.csv", "adv.csv"), text_sets):
-            rows = [ManifestRow(path=str(manifest.resolve(row)), label=row.label,
-                                target=row.target, source=row.source) for row in manifest.rows]
-            write_manifest(Manifest(rows=rows, base_dir=tmp_path), tmp_path / name,
-                           adversarial=name == "adv.csv")
-        save_model(tiny_model, tmp_path / "model.txt")
-        common = [command, "--clean-manifest", str(tmp_path / "clean.csv"),
-                  "--adv-manifest", str(tmp_path / "adv.csv"), "--grid", "10",
-                  "--transforms", "uniform:10", "--out-dir", str(tmp_path / "out")]
+        common = [command, *report_inputs(tmp_path, tiny_model, text_sets)]
         for mode, name in zip((["--model", str(tmp_path / "model.txt")],
                                ["--recognizer", "external:od -An -tx1 -N 16 {}"]), files):
             assert cli.main([*common, *mode]) == 0
             assert f"{tmp_path / 'out' / name} (" in capsys.readouterr().out
             assert (tmp_path / "out" / name).is_file()
+
+    def test_model_key_of_the_config_is_read(self, tmp_path, monkeypatch, capsys, tiny_model,
+                                             text_sets):
+        # a config file's model used to be dropped, and sweep ran in text mode
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        inputs = report_inputs(tmp_path, tiny_model, text_sets)
+        model = str(tmp_path / "model.txt")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model}))
+        assert cli.main(["--config", str(config), "sweep", *inputs]) == 0
+        from_config = (tmp_path / "out" / "sweep_command.csv").read_bytes()
+        assert cli.main(["sweep", *inputs, "--model", model]) == 0
+        assert (tmp_path / "out" / "sweep_command.csv").read_bytes() == from_config
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(config), "sweep", *inputs,
+                      "--recognizer", "external:od -An -tx1 -N 16 {}"])
+        assert str(exc.value.code) == ("noisegate sweep: pass exactly one of model "
+                                       "(command mode) or recognizer (text mode)")
+        assert not (tmp_path / "out" / "sweep_similarity.csv").exists()
+        # the flag beats the config file
+        config.write_text(json.dumps({"model": str(tmp_path / "missing.txt")}))
+        assert cli.main(["--config", str(config), "sweep", *inputs, "--model", model]) == 0
+        assert (tmp_path / "out" / "sweep_command.csv").read_bytes() == from_config
+
+    def test_manifest_key_of_the_config_is_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        manifest = str(tmp_path / "corpus" / "manifest.csv")
+        config = tmp_path / "config.json"
+        train = ["train", "--epochs", "1", "--seed", "1", "--out"]
+        config.write_text(json.dumps({"manifest": manifest}))
+        assert cli.main(["--config", str(config), *train, str(tmp_path / "a.txt")]) == 0
+        assert cli.main([*train, str(tmp_path / "b.txt"), "--manifest", manifest]) == 0
+        # the flag beats the config file
+        config.write_text(json.dumps({"manifest": str(tmp_path / "missing.csv")}))
+        assert cli.main(["--config", str(config), *train, str(tmp_path / "c.txt"),
+                         "--manifest", manifest]) == 0
+        model = (tmp_path / "a.txt").read_bytes()
+        assert (tmp_path / "b.txt").read_bytes() == model == (tmp_path / "c.txt").read_bytes()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--out", "m.txt"], "--manifest"),
+        (["train", "--manifest", "m.csv"], "--out"),
+        (["defend", "--transform", "requant8", "--out", "o.wav"], "--in"),
+        (["roc", "--adv-manifest", "a.csv"], "--clean-manifest"),
+        (["attack", "pgd", "--manifest", "m.csv", "--out-dir", "adv"], "--model"),
+    ])
+    def test_missing_required_flag_exits_naming_it(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert str(exc.value.code) == f"noisegate {argv[0]}: {flag} is required"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_flag_can_come_from_the_config(self, tmp_path, monkeypatch, capsys):
+        """The CLI pipeline, run from flags and again with each command's flags
+        moved into a config file, writes the same bytes and prints the same lines."""
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        parser, subcommands = cli.build_parser(), build_parser_subcommands()
+        printed = []
+        for run in ("flags", "config"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            for step, argv in enumerate(CLI_PIPELINE):
+                if run == "config":
+                    args = parser.parse_args(argv)
+                    keys = {a.dest for a in subcommands[argv[0]]._actions if a.option_strings}
+                    config = tmp_path / f"config_{step}.json"
+                    config.write_text(json.dumps({key: getattr(args, key) for key in keys
+                                                  if getattr(args, key, None) is not None}))
+                    argv = ["--config", str(config), argv[0],
+                            *(argv[1:2] if argv[0] == "attack" else [])]
+                assert cli.main(argv) == 0, argv
+            printed.append(capsys.readouterr().out)
+        flags, from_config = tmp_path / "flags", tmp_path / "config"
+        files = sorted(p.relative_to(flags) for p in flags.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(from_config) for p in from_config.rglob("*")
+                               if p.is_file())
+        assert len(files) > 20
+        for rel in files:
+            assert (flags / rel).read_bytes() == (from_config / rel).read_bytes(), rel
+        assert printed[0] == printed[1]
+
+
+def report_inputs(tmp_path, model, sets):
+    """sweep and compare flags over the two sets, written out as manifests, with
+    the model saved beside them."""
+    for name, manifest in zip(("clean.csv", "adv.csv"), sets):
+        rows = [ManifestRow(path=str(manifest.resolve(row)), label=row.label,
+                            target=row.target, source=row.source) for row in manifest.rows]
+        write_manifest(Manifest(rows=rows, base_dir=tmp_path), tmp_path / name,
+                       adversarial=name == "adv.csv")
+    save_model(model, tmp_path / "model.txt")
+    return ["--clean-manifest", str(tmp_path / "clean.csv"),
+            "--adv-manifest", str(tmp_path / "adv.csv"), "--grid", "10",
+            "--transforms", "uniform:10", "--out-dir", str(tmp_path / "out")]
 
 
 def build_parser_subcommands():
@@ -901,6 +1004,16 @@ class TestCliDetect:
         monkeypatch.setattr(cli, "DETECT_BLOCK", 3)
         assert report("blocks.csv") == whole
         assert heard == [4, 3, 1]
+
+    def test_noise_of_another_kind_exits(self, tmp_path, manifest_arg):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--manifest", manifest_arg,
+                      "--recognizer", "external:echo yes {}", "--noise", "requant8",
+                      "--out", str(tmp_path / "detect.csv")])
+        assert str(exc.value.code) == (
+            "noisegate detect: noise must be kind:intensity with a kind in "
+            "('uniform', 'gaussian'), got 'requant8'")
+        assert not (tmp_path / "detect.csv").exists()
 
     def test_noise_without_intensity_exits(self, tmp_path, manifest_arg):
         with pytest.raises(SystemExit, match="intensity"):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -9,7 +10,8 @@ from noisegate.attacks import PgdConfig
 from noisegate.classifier import predict
 from noisegate.manifests import Manifest, ManifestRow
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -27,6 +29,62 @@ def test_traced_names_exist():
     assert len(names) > 2
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _perfbench_reads():
+    """(file, 'name.attr...', object the name is bound to) for every noisegate name
+    a perfbench file imports and every chain of attribute reads on it."""
+    reads = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("noisegate"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):  # a submodule
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    bound[alias.asname or alias.name] = (module, alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("noisegate"):
+                        top = alias.asname or alias.name.split(".")[0]
+                        bound[top] = (importlib.import_module(top), None)
+        for node in ast.walk(tree):
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if chain is not None and (root := chain.split(".")[0]) in bound:
+                reads.append((path.name, chain, bound[root]))
+        reads += [(path.name, name, where) for name, where in bound.items()]
+    return reads
+
+
+def test_benchmark_reads_exist():
+    """Every noisegate name perfbench imports, and every attribute it reads on one
+    (`RecognizerSpec.builtin`, `recognition.transcribe`, `experiments.DEFAULT_GRID`),
+    resolves: one renamed away breaks the benchmark."""
+    reads = _perfbench_reads()
+    chains = {chain for _, chain, _ in reads}
+    assert {"recognition.RecognizerSpec.builtin", "recognition.RecognizerSpec.external",
+            "recognition.transcribe", "classifier.predict", "experiments.DEFAULT_GRID",
+            "experiments.NO_DEFENSE_LABEL", "experiments.DEFAULT_COMPARISON_TRANSFORMS",
+            "_kernels.BACKEND"} <= chains
+    absent, missing = object(), []
+    for name, chain, (module, attr) in reads:
+        value = module if attr is None else getattr(module, attr, absent)
+        for part in chain.split(".")[1:]:
+            value = getattr(value, part, absent)
+        if value is absent:
+            missing.append(f"{name}: {chain}")
     assert missing == []
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from noisegate import transforms
 from noisegate.audio import I16_MAX, I16_MIN, AudioClip
 from noisegate.transforms import (
-    NoiseSpec,
     TransformSpec,
     add_noise,
     apply_transform,
@@ -40,15 +39,16 @@ def rms(clip):
 
 def _add_noise_oracle(clip, spec):
     """add_noise as it was before it added the samples into the draw in place: the oracle."""
-    if spec.intensity == 0:
+    (intensity,) = spec.params
+    if intensity == 0:
         return clip
     rng = np.random.default_rng(spec.seed)
     n = len(clip)
     if spec.kind == "uniform":
-        deltas = rng.integers(-spec.intensity, spec.intensity + 1, size=n, dtype=np.int32)
+        deltas = rng.integers(-intensity, intensity + 1, size=n, dtype=np.int32)
         noisy = clip.samples.astype(np.int32) + deltas
     else:
-        noisy = np.round(rng.normal(0.0, float(spec.intensity), size=n))
+        noisy = np.round(rng.normal(0.0, float(intensity), size=n))
         noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
@@ -57,32 +57,32 @@ def _add_noise_oracle(clip, spec):
 class TestAddNoise:
     def test_zero_intensity_is_identity(self):
         clip = tone(440, 0.1)
-        assert add_noise(clip, NoiseSpec("uniform", 0, seed=1)) == clip
-        assert add_noise(clip, NoiseSpec("gaussian", 0, seed=1)) == clip
+        assert add_noise(clip, TransformSpec("uniform", (0,), seed=1)) == clip
+        assert add_noise(clip, TransformSpec("gaussian", (0,), seed=1)) == clip
 
     def test_deterministic_per_spec(self):
         clip = tone(200, 0.2)
-        spec = NoiseSpec("gaussian", 70, seed=42)
+        spec = TransformSpec("gaussian", (70,), seed=42)
         assert add_noise(clip, spec) == add_noise(clip, spec)
-        other = add_noise(clip, NoiseSpec("gaussian", 70, seed=43))
+        other = add_noise(clip, TransformSpec("gaussian", (70,), seed=43))
         assert other != add_noise(clip, spec)
 
     def test_uniform_bounded(self):
         clip = clip_of([0] * 5000)
-        out = add_noise(clip, NoiseSpec("uniform", 30, seed=9))
+        out = add_noise(clip, TransformSpec("uniform", (30,), seed=9))
         deltas = out.samples.astype(int)
         assert np.abs(deltas).max() <= 30
         assert deltas.max() > 0 and deltas.min() < 0
 
     def test_saturation_at_peak(self):
         clip = clip_of([32767] * 2000)
-        out = add_noise(clip, NoiseSpec("uniform", 500, seed=3))
+        out = add_noise(clip, TransformSpec("uniform", (500,), seed=3))
         assert out.samples.max() == 32767
 
     def test_gaussian_monte_carlo_moments(self):
         # mean within +-1 and std within 2% of intensity at one million draws
         clip = clip_of([0] * 1_000_000)
-        out = add_noise(clip, NoiseSpec("gaussian", 100, seed=11))
+        out = add_noise(clip, TransformSpec("gaussian", (100,), seed=11))
         deltas = out.samples.astype(np.float64)
         assert abs(deltas.mean()) < 1.0
         assert abs(deltas.std() - 100.0) / 100.0 < 0.02
@@ -94,7 +94,7 @@ class TestAddNoise:
     def test_gaussian_matches_the_int32_formula(self, samples, intensity, seed):
         # the int32 formula add_noise used before it summed in float64, kept as the oracle
         clip = clip_of(samples)
-        spec = NoiseSpec("gaussian", intensity, seed=seed)
+        spec = TransformSpec("gaussian", (intensity,), seed=seed)
         if intensity == 0:
             want = clip.samples
         else:
@@ -113,7 +113,7 @@ class TestAddNoise:
                                   np.arange(-3000, 3000, 3)]).astype(np.int16)
         clip = clip_of(samples)
         for seed in (0, 5, 2**63 - 1):
-            spec = NoiseSpec(kind, intensity, seed=seed)
+            spec = TransformSpec(kind, (intensity,), seed=seed)
             out = add_noise(clip, spec).samples
             want = _add_noise_oracle(clip, spec).samples
             assert out.dtype == np.int16 and out.tobytes() == want.tobytes()
@@ -122,11 +122,19 @@ class TestAddNoise:
 
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
-            NoiseSpec("pink", 10)
+            TransformSpec("pink", (10,))
         with pytest.raises(ValueError):
-            NoiseSpec("uniform", -1)
+            TransformSpec("uniform", (-1,))
         with pytest.raises(ValueError):
-            NoiseSpec("uniform", 40000)
+            TransformSpec("uniform", (40000,))
+        with pytest.raises(ValueError, match=r"gaussian intensity must be in \[0, 32767\]"):
+            TransformSpec("gaussian", (40000,))
+
+    @pytest.mark.parametrize("text", ["requant8", "quant:256", "lowpass:4000"])
+    def test_other_kinds_rejected(self, text):
+        # a spec of another kind would otherwise be heard as gaussian noise
+        with pytest.raises(ValueError, match="add_noise takes a noise kind"):
+            add_noise(tone(440, 0.05), parse_transform(text))
 
 
 class TestRequantize8Bit:
@@ -307,6 +315,16 @@ class TestSpecAndDispatch:
         with pytest.raises(ValueError):
             parse_transform(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("gaussian", r"gaussian takes 1\.\.1 parameters \(intensity\), got \(\)"),
+        ("lowpass:1:3:5", r"lowpass takes 1\.\.2 parameters \(cutoff, taps\)"),
+        ("uniform:-1", r"uniform intensity must be in \[0, 32767\], got -1"),
+        ("median:4", r"median window must be odd and >= 3, got 4"),
+    ])
+    def test_parse_errors_name_the_parameter(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_transform(text)
+
     @pytest.mark.parametrize("text, operation", [
         ("uniform:40", "add_noise"), ("gaussian:40", "add_noise"),
         ("requant8", "requantize_8bit"), ("lowpass:4000:31", "low_pass"),
@@ -342,7 +360,7 @@ class TestSpecAndDispatch:
         once = apply_transform(parse_transform("quant:256"), clip)
         assert apply_transform(parse_transform("quant:256"), once) == once
 
-    def test_dispatch_deterministic_with_seed(self):
+    def test_dispatch_deterministic_given_seed(self):
         clip = tone(500, 0.2)
         spec = TransformSpec(kind="uniform", params=(60,), seed=5)
         assert apply_transform(spec, clip) == apply_transform(spec, clip)
