@@ -6,16 +6,18 @@ wins over both for the master seed. The settings dataclasses declare the
 settings: each field but the seed is a flag (`k_max` -> --k-max) and a config
 key. The files and labels a subcommand names (--manifest, --model, --out, ...)
 are config keys as well, and a flag it requires may come from the config
-file instead. A config value must have the field's type, and a key no
-subcommand has as a flag is an error.
+file instead. A config value must have the flag's type, and a key no
+subcommand has as a flag is an error. `main` layers the config file under
+the flags once, before the command runs, which then reads `args` alone.
 """
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 from noisegate import classifier
@@ -84,67 +86,49 @@ _PARSERS = {
 }
 
 
-def _given(args, config, key):
-    """The flag's value, else the config file's, else None."""
-    value = getattr(args, key, None)
-    return config.get(key) if value is None else value
+def _layer(args, parser, config):
+    """Give each flag of `parser` that `args` lacks the config file's value, of
+    the flag's type; parse the `_PARSERS` settings; check the required flags."""
+    for action in parser._actions:
+        key = action.dest
+        if key in config and not hasattr(args, key):
+            value = config[key]
+            setattr(args, key, value if key in _PARSERS else _typed(key, value, action.type or str))
+        if key in _PARSERS and hasattr(args, key):
+            setattr(args, key, _PARSERS[key](getattr(args, key)))
+    for key in args.needs:
+        if not hasattr(args, key):
+            flag = next(a.option_strings[0] for a in parser._actions if a.dest == key)
+            raise ValueError(f"{flag} is required")
 
 
-def _path(args, config, key, required=True):
-    """A file or label as flag > config file; None when neither gives it and
-    it is not `required`."""
-    value = _given(args, config, key)
-    if value is None and required:
-        raise ValueError(f"--{'in' if key == 'infile' else key.replace('_', '-')} is required")
-    return None if value is None else _typed(key, value, str)
+def _from_flags(cls, args, **fixed):
+    """A `cls` config of `fixed` and the fields that `args` holds, the rest at default."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**values, **fixed})
 
 
-def _setting(args, config, key, default):
-    """flag > config file > default, of the default's type."""
-    value = _given(args, config, key)
-    return default if value is None else _typed(key, value, type(default))
-
-
-def _from_flags(cls, args, config, **fixed):
-    """A `cls` config: each field not in `fixed` resolves as flag > config file >
-    default, the fields in `_PARSERS` through their parser."""
-    values = dict(fixed)
-    for f in fields(cls):
-        if f.name in fixed:
-            continue
-        if f.name not in _PARSERS:
-            values[f.name] = _setting(args, config, f.name, f.default)
-        elif (value := _given(args, config, f.name)) is not None:
-            values[f.name] = _PARSERS[f.name](value)
-        elif f.default is MISSING:
-            raise ValueError(f"--{f.name.replace('_', '-')} is required")
-    return cls(**values)
-
-
-def _master_seed(args, config) -> int:
+def _master_seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
-    return _setting(args, config, "seed", 0)
+    return getattr(args, "seed", 0)
 
 
-def cmd_synth(args, config):
-    seed = _master_seed(args, config)
-    out_dir = Path(_setting(args, config, "out_dir", "."))
-    classes = _setting(args, config, "classes", 10)
-    per_class = _setting(args, config, "per_class", 100)
-    manifest = synth_dataset(classes, per_class, seed, out_dir)
+def cmd_synth(args):
+    out_dir = Path(getattr(args, "out_dir", "."))
+    manifest = synth_dataset(getattr(args, "classes", 10), getattr(args, "per_class", 100),
+                             _master_seed(args), out_dir)
     print(f"wrote {len(manifest)} clips and {out_dir / 'manifest.csv'}")
     return 0
 
 
-def cmd_train(args, config):
-    cfg = _from_flags(TrainConfig, args, config, seed=_master_seed(args, config))
-    out = _path(args, config, "out")
-    manifest = load_manifest(_path(args, config, "manifest"))
+def cmd_train(args):
+    cfg = _from_flags(TrainConfig, args, seed=_master_seed(args))
+    manifest = load_manifest(args.manifest)
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
 
     def progress(stats):
@@ -153,20 +137,17 @@ def cmd_train(args, config):
               f"train_acc {stats.train_accuracy:.3f}  val_acc {val}")
 
     model = classifier.train(dataset, cfg, progress=progress)
-    classifier.save(model, out)
-    print(f"saved model to {out}")
+    classifier.save(model, args.out)
+    print(f"saved model to {args.out}")
     return 0
 
 
-def cmd_attack(args, config):
-    seed = _master_seed(args, config)
+def cmd_attack(args):
     # attack_manifest derives each genetic attack's own seed
-    ga_cfg = _from_flags(GaConfig, args, config, seed=0)
-    pgd_cfg = _from_flags(PgdConfig, args, config)
-    out_dir = _path(args, config, "out_dir")
-    target = _path(args, config, "target", required=False)
-    model = classifier.load(_path(args, config, "model"))
-    manifest = load_manifest(_path(args, config, "manifest"))
+    ga_cfg = _from_flags(GaConfig, args, seed=0)
+    pgd_cfg = _from_flags(PgdConfig, args)
+    model = classifier.load(args.model)
+    manifest = load_manifest(args.manifest)
 
     def progress(idx, res):
         status = "ok " if res.success else "FAIL"
@@ -174,29 +155,27 @@ def cmd_attack(args, config):
               f"distortion={res.distortion_db:.2f}dB score={res.final_target_score:.3f}")
 
     results, adv_manifest = attack_manifest(
-        model, manifest, args.mode, out_dir, master_seed=seed,
-        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, targets=target, progress=progress,
+        model, manifest, args.mode, args.out_dir, master_seed=_master_seed(args),
+        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, targets=getattr(args, "target", None),
+        progress=progress,
     )
     wins = sum(1 for r in results if r.success)
     print(f"{wins}/{len(results)} attacks succeeded; "
-          f"outputs in {out_dir} (records.jsonl, manifest.csv)")
+          f"outputs in {args.out_dir} (records.jsonl, manifest.csv)")
     return 0
 
 
-def cmd_defend(args, config):
-    seed = _master_seed(args, config)
-    spec = parse_transform(_path(args, config, "transform"), seed=derive_seed(seed, "defend", 0))
-    clip = read_wav(_path(args, config, "infile"))
-    out = _path(args, config, "out")
-    write_wav(apply_transform(spec, clip), out)
-    print(f"wrote {out}")
+def cmd_defend(args):
+    spec = parse_transform(args.transform, seed=derive_seed(_master_seed(args), "defend", 0))
+    write_wav(apply_transform(spec, read_wav(args.infile)), args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
-def cmd_detect(args, config):
-    seed = _master_seed(args, config)
-    cfg = _from_flags(DetectionConfig, args, config)
-    manifest = load_manifest(_path(args, config, "manifest"))
+def cmd_detect(args):
+    seed = _master_seed(args)
+    cfg = _from_flags(DetectionConfig, args)
+    manifest = load_manifest(args.manifest)
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
     for start in range(0, len(manifest), DETECT_BLOCK):
         block = manifest.rows[start:start + DETECT_BLOCK]
@@ -204,30 +183,29 @@ def cmd_detect(args, config):
                                 [derive_seed(seed, "detect", start + i) for i in range(len(block))])
         rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
                   outcome.transcript_after) for row, outcome in zip(block, outcomes)]
-    out = Path(_setting(args, config, "out", "detection_report.csv"))
+    out = Path(getattr(args, "out", "detection_report.csv"))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {out}")
     return 0
 
 
-def cmd_report(args, config):
+def cmd_report(args):
     """sweep and compare: `args.driver` writes one of `args.files` (command, text mode)."""
-    cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
-    model_path = _path(args, config, "model", required=False)
+    cfg = _from_flags(ExperimentConfig, args, master_seed=_master_seed(args))
+    model_path = getattr(args, "model", None)
     model = classifier.load(model_path) if model_path else None
-    report = args.driver(cfg, load_manifest(_path(args, config, "clean_manifest")),
-                         load_manifest(_path(args, config, "adv_manifest")),
-                         model=model, recognizer=cfg.recognizer)
+    report = args.driver(cfg, load_manifest(args.clean_manifest),
+                         load_manifest(args.adv_manifest), model=model, recognizer=cfg.recognizer)
     name = args.files[0] if model is not None else args.files[1]
     print(f"wrote {Path(cfg.out_dir) / name} ({len(report.rows)} rows)")
     return 0
 
 
-def cmd_roc(args, config):
-    cfg = _from_flags(ExperimentConfig, args, config, master_seed=_master_seed(args, config))
-    results = run_detection_eval(cfg, load_manifest(_path(args, config, "clean_manifest")),
-                                 load_manifest(_path(args, config, "adv_manifest")))
+def cmd_roc(args):
+    cfg = _from_flags(ExperimentConfig, args, master_seed=_master_seed(args))
+    results = run_detection_eval(cfg, load_manifest(args.clean_manifest),
+                                 load_manifest(args.adv_manifest))
     defined = {k: v for k, v in results.items() if v is not None}
     best = max(defined.items(), key=lambda kv: kv[1].auc) if defined else None
     print(f"wrote {Path(cfg.out_dir) / 'detection_auc.csv'} ({len(results)} cells)")
@@ -238,90 +216,96 @@ def cmd_roc(args, config):
     return 0
 
 
-def cmd_spectrogram(args, config):
-    clip = read_wav(_path(args, config, "infile"))
-    image = spectrogram_image(clip, _setting(args, config, "fft_size", 512),
-                              _setting(args, config, "hop", 160))
-    out = _path(args, config, "out")
-    write_pgm(image, out)
-    print(f"wrote {out} ({image.shape[1]}x{image.shape[0]})")
+def cmd_spectrogram(args):
+    image = spectrogram_image(read_wav(args.infile), getattr(args, "fft_size", 512),
+                              getattr(args, "hop", 160))
+    write_pgm(image, args.out)
+    print(f"wrote {args.out} ({image.shape[1]}x{image.shape[0]})")
     return 0
 
 
-def _add_settings(parser, *classes):
-    """A flag per field of `classes` but the seed (`k_max` -> --k-max), and --seed."""
+def _add_settings(parser, *classes, only=None):
+    """A flag per field of `classes` but the seed (`k_max` -> --k-max), or per
+    field named in `only`, and --seed."""
     for cls in classes:
         for f in fields(cls):
-            if f.name not in ("seed", "master_seed"):
+            if f.name not in ("seed", "master_seed") and (only is None or f.name in only):
                 parser.add_argument("--" + f.name.replace("_", "-"),
                                     type=None if f.name in _PARSERS else type(f.default))
     parser.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a subcommand's flag that is not given is absent from the
+    parsed arguments, and `needs` names the flags it cannot run without."""
     parser = argparse.ArgumentParser(
         prog="noisegate",
         description="Audio adversarial examples: attack, devastate, detect.",
     )
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("synth", help="generate the synthetic keyword corpus")
+    p = command("synth", help="generate the synthetic keyword corpus")
     p.add_argument("--classes", type=int)
     p.add_argument("--per-class", type=int)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, needs=())
 
-    p = sub.add_parser("train", help="train the keyword classifier")
+    p = command("train", help="train the keyword classifier")
     p.add_argument("--manifest")
     p.add_argument("--out")
     _add_settings(p, TrainConfig)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, needs=("out", "manifest"))
 
-    p = sub.add_parser("attack", help="generate targeted adversarial examples")
+    p = command("attack", help="generate targeted adversarial examples")
     p.add_argument("mode", choices=("ga", "pgd"))
     p.add_argument("--model")
     p.add_argument("--manifest")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--target", help="fixed target label (default: random wrong label)")
     _add_settings(p, GaConfig, PgdConfig)
-    p.set_defaults(func=cmd_attack)
+    p.set_defaults(func=cmd_attack, needs=("out_dir", "model", "manifest"))
 
-    p = sub.add_parser("defend", help="apply one input transform to a WAV")
+    p = command("defend", help="apply one input transform to a WAV")
     p.add_argument("--transform", help="e.g. gaussian:200, requant8, lowpass:4000:101")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_defend)
+    p.set_defaults(func=cmd_defend, needs=("transform", "infile", "out"))
 
-    p = sub.add_parser("detect", help="change-rate detection over a manifest")
+    p = command("detect", help="change-rate detection over a manifest")
     p.add_argument("--manifest")
     p.add_argument("--out")
     _add_settings(p, DetectionConfig)
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, needs=("recognizer", "manifest"))
 
-    for name, defaults, extra in (
-        ("sweep", dict(func=cmd_report, driver=run_intensity_sweep, files=SWEEP_FILES),
+    # each report subcommand has the ExperimentConfig fields its driver reads
+    for name, only, defaults, extra in (
+        ("sweep", ("grid", "recognizer", "out_dir"),
+         dict(func=cmd_report, driver=run_intensity_sweep, files=SWEEP_FILES),
          "ASR/ACC (or similarity) over the intensity grid"),
-        ("compare", dict(func=cmd_report, driver=run_transform_comparison, files=COMPARE_FILES),
+        ("compare", ("transforms", "recognizer", "out_dir"),
+         dict(func=cmd_report, driver=run_transform_comparison, files=COMPARE_FILES),
          "compare every defense transform plus no-defense"),
-        ("roc", dict(func=cmd_roc), "detection ROC/AUC per (noise kind, intensity) cell"),
+        ("roc", ("grid", "recognizer", "out_dir", "cr_mode"), dict(func=cmd_roc),
+         "detection ROC/AUC per (noise kind, intensity) cell"),
     ):
-        p = sub.add_parser(name, help=extra)
+        p = command(name, help=extra)
         p.add_argument("--clean-manifest", dest="clean_manifest")
         p.add_argument("--adv-manifest", dest="adv_manifest")
         if name != "roc":  # roc hears through --recognizer alone
             p.add_argument("--model")
-        _add_settings(p, ExperimentConfig)
-        p.set_defaults(**defaults)
+        _add_settings(p, ExperimentConfig, only=only)
+        p.set_defaults(**defaults, needs=("clean_manifest", "adv_manifest"))
 
-    p = sub.add_parser("spectrogram", help="write a PGM spectrogram of a WAV")
+    p = command("spectrogram", help="write a PGM spectrogram of a WAV")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
     p.add_argument("--fft-size", dest="fft_size", type=int)
     p.add_argument("--hop", type=int)
-    p.set_defaults(func=cmd_spectrogram)
+    p.set_defaults(func=cmd_spectrogram, needs=("infile", "out"))
 
     return parser
 
@@ -333,7 +317,8 @@ def main(argv=None) -> int:
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     known = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
     try:
-        return args.func(args, _load_config(args.config, known - {"help"}))
+        _layer(args, sub.choices[args.command], _load_config(args.config, known - {"help"}))
+        return args.func(args)
     # a bad setting, spec or input, a file that cannot be read or a recognizer
     # that fails: one line, not a traceback
     except (ValueError, OSError, RecognizerError) as exc:

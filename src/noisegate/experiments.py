@@ -242,14 +242,16 @@ def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
     """
     if kind not in ("ga", "pgd"):
         raise ValueError(f"attack kind must be ga or pgd, got {kind!r}")
-    out_dir = Path(out_dir)
-    (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
     if targets is None:
         targets = pick_targets(model, manifest, master_seed)
     elif isinstance(targets, str):
         targets = [targets] * len(manifest.rows)
     if len(targets) != len(manifest.rows):
         raise ValueError("one target per manifest row required")
+    for target in targets:
+        model.label_index(target)  # an unknown label fails before anything is written
+    out_dir = Path(out_dir)
+    (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
 
     results = []
     adv_rows = []
@@ -275,11 +277,11 @@ def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
             "distortion_db": round(res.distortion_db, 6)
             if math.isfinite(res.distortion_db) else None,
             "final_score": round(res.final_target_score, 6),
-        }, sort_keys=True))
+        }, sort_keys=True) + "\n")
         if progress is not None:
             progress(idx, res)
 
-    (out_dir / "records.jsonl").write_text("\n".join(record_lines) + "\n", encoding="utf-8")
+    (out_dir / "records.jsonl").write_text("".join(record_lines), encoding="utf-8")
     adv_manifest = Manifest(rows=adv_rows, base_dir=out_dir)
     write_manifest(adv_manifest, out_dir / "manifest.csv", adversarial=True)
     return results, adv_manifest

@@ -180,6 +180,16 @@ class TestTrain:
               progress=lambda s: losses.append(s.train_loss))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("setting", [dict(learning_rate=float("nan")),
+                                         dict(learning_rate=float("inf")),
+                                         dict(momentum=float("nan")),
+                                         dict(momentum=float("-inf"))])
+    def test_non_finite_rate_rejected(self, setting):
+        # a nan rate used to train a model of nan weights that no command could load
+        (name,) = setting
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**setting)
+
     def test_needs_two_classes(self):
         pairs = [(synth_clip(0, np.random.default_rng(0)), "only")]
         with pytest.raises(ValueError):

@@ -143,6 +143,19 @@ class TestAttackManifest:
             assert target != row.label
             assert target in tiny_model.class_labels
 
+    def test_unknown_target_writes_nothing(self, tmp_path, tiny_model, tiny_corpus):
+        # the out dir and its wavs/ used to be made before the target was checked
+        with pytest.raises(ValueError, match="unknown label 'nope'"):
+            attack_manifest(tiny_model, tiny_corpus, "ga", tmp_path / "adv", targets="nope")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_manifest_writes_empty_records(self, tmp_path, tiny_model, tiny_corpus):
+        # records.jsonl used to hold one blank line, which is no JSON record
+        empty = Manifest(rows=[], base_dir=tiny_corpus.base_dir)
+        results, adv_manifest = attack_manifest(tiny_model, empty, "pgd", tmp_path)
+        assert results == [] and adv_manifest.rows == []
+        assert (tmp_path / "records.jsonl").read_bytes() == b""
+
 
 class TestExperimentConfig:
     def test_grid_validation(self):
@@ -565,6 +578,24 @@ class TestCli:
                          "--per-class", "1"]) == 0
         assert len(load_manifest(out / "manifest.csv").rows) == 2
 
+    def test_flag_equal_to_its_default_beats_the_config(self, tmp_path, monkeypatch):
+        # a flag that is not given is absent, not its default, so one that
+        # equals the default still beats the config file
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classes": 2}))
+        out = tmp_path / "c"
+        assert cli.main(["--config", str(config), "synth", "--classes", "10",
+                         "--per-class", "1", "--out-dir", str(out)]) == 0
+        assert len(load_manifest(out / "manifest.csv").rows) == 10
+
+    def test_help_exits_zero(self, capsys):
+        for sub in [[], *([name] for name in build_parser_subcommands())]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*sub, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(" ".join(["usage: noisegate", *sub]))
+
 
 class _Captured(Exception):
     """Raised by the `load_manifest` stand-in, after a command has built its configs."""
@@ -593,21 +624,34 @@ FLAG_SETTINGS = [
      RecognizerSpec.external("echo b {}")),
     ("detect", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
     ("sweep", "grid", [20, 40], ["--grid", "5,15"], (5, 15)),
-    ("sweep", "transforms", ["quant:256"], ["--transforms", "requant8"], ("requant8",)),
+    ("compare", "transforms", ["quant:256"], ["--transforms", "requant8"], ("requant8",)),
     ("sweep", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
      RecognizerSpec.external("echo b {}")),
     ("sweep", "out_dir", "from_config", ["--out-dir", "from_flag"], "from_flag"),
-    ("sweep", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
+    ("roc", "cr_mode", "flip", ["--cr-mode", "edit"], "edit"),
+    ("compare", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
+     RecognizerSpec.external("echo b {}")),
+    ("compare", "out_dir", "from_config", ["--out-dir", "from_flag"], "from_flag"),
+    ("roc", "grid", [20, 40], ["--grid", "5,15"], (5, 15)),
+    ("roc", "recognizer", "external:echo a {}", ["--recognizer", "external:echo b {}"],
+     RecognizerSpec.external("echo b {}")),
+    ("roc", "out_dir", "from_config", ["--out-dir", "from_flag"], "from_flag"),
 ]
 TARGET_CONFIGS = {"train": TrainConfig, "ga": GaConfig, "pgd": PgdConfig,
-                  "detect": DetectionConfig, "sweep": ExperimentConfig}
+                  "detect": DetectionConfig, "sweep": ExperimentConfig,
+                  "compare": ExperimentConfig, "roc": ExperimentConfig}
 TARGET_COMMANDS = {"train": ["train", "--manifest", "m.csv", "--out", "m.txt"],
                    "ga": ["attack", "ga", "--model", "m.txt", "--manifest", "m.csv",
                           "--out-dir", "adv"],
                    "pgd": ["attack", "pgd", "--model", "m.txt", "--manifest", "m.csv",
                            "--out-dir", "adv"],
                    "detect": ["detect", "--manifest", "m.csv"],
-                   "sweep": ["sweep", "--clean-manifest", "m.csv", "--adv-manifest", "m.csv"]}
+                   **{name: [name, "--clean-manifest", "m.csv", "--adv-manifest", "m.csv"]
+                      for name in ("sweep", "compare", "roc")}}
+# the ExperimentConfig fields each report subcommand's driver reads
+REPORT_SETTINGS = {"sweep": {"grid", "recognizer", "out_dir"},
+                   "compare": {"transforms", "recognizer", "out_dir"},
+                   "roc": {"grid", "recognizer", "out_dir", "cr_mode"}}
 
 
 class TestCliSettings:
@@ -660,8 +704,19 @@ class TestCliSettings:
     def test_setting_flags_are_the_config_fields(self, command, classes, others):
         dests = {action.dest for action in build_parser_subcommands()[command]._actions}
         assert {"help", "seed"} <= dests
-        settings = {f.name for cls in classes for f in fields(cls)} - {"seed", "master_seed"}
+        settings = REPORT_SETTINGS.get(command) or (
+            {f.name for cls in classes for f in fields(cls)} - {"seed", "master_seed"})
         assert dests - {"help", "seed"} - others == settings
+
+    def test_report_subcommand_rejects_a_setting_its_driver_never_reads(self, capsys):
+        # sweep used to accept --cr-mode and --transforms and ignore them
+        for argv in (["sweep", "--cr-mode", "flip"], ["sweep", "--transforms", "requant8"],
+                     ["compare", "--grid", "10"], ["compare", "--cr-mode", "flip"],
+                     ["roc", "--transforms", "requant8"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--clean-manifest", "c.csv", "--adv-manifest", "a.csv"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target, field, config_value, flag, flag_value", FLAG_SETTINGS)
     def test_config_is_used_and_flag_wins(self, resolved, target, field, config_value, flag,
@@ -684,11 +739,15 @@ class TestCliSettings:
         ([], {"grid": [20, 40], "transforms": ["quant:256"]}, (20, 40), ("quant:256",)),
         (["--grid", "5"], {"grid": [20, 40]}, (5,), DEFAULT_COMPARISON_TRANSFORMS),
     ])
-    def test_list_settings(self, argv, config, grid, transforms):
-        args = cli.build_parser().parse_args(
-            ["sweep", "--clean-manifest", "c.csv", "--adv-manifest", "a.csv", *argv])
-        cfg = cli._from_flags(ExperimentConfig, args, config, master_seed=0)
-        assert (cfg.grid, cfg.transforms) == (grid, transforms)
+    def test_list_settings(self, resolved, argv, config, grid, transforms):
+        # grid is a sweep flag and transforms a compare one; one config file serves both
+        flags = dict(zip(argv[::2], argv[1::2]))
+
+        def given(flag):
+            return [flag, flags[flag]] if flag in flags else []
+
+        assert resolved("sweep", config, *given("--grid")).grid == grid
+        assert resolved("compare", config, *given("--transforms")).transforms == transforms
 
     def test_bad_env_seed_exits_naming_the_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOISEGATE_SEED", "abc")
@@ -738,11 +797,16 @@ class TestCliSettings:
         # roc with no recognizer
         (["roc", "--clean-manifest", "{m}", "--adv-manifest", "{m}", "--out-dir", "{t}/out"], {},
          "recognizer (builtin:"),
+        # a non-finite training rate used to write a model no command could load
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt", "--learning-rate", "nan"], {},
+         "learning_rate"),
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt", "--momentum", "inf"], {},
+         "momentum"),
     ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
             "DetectionConfig", "TransformSpec", "RecognizerSpec", "epochs-float", "epochs-bool",
             "k_max-float", "votes-float", "grid-float-item", "transforms-int-item", "grid-int",
             "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item",
-            "config-not-object", "roc-no-recognizer"])
+            "config-not-object", "roc-no-recognizer", "learning_rate-nan", "momentum-inf"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
@@ -803,7 +867,7 @@ class TestCliSettings:
     def test_report_commands_name_their_file(self, tmp_path, monkeypatch, capsys, tiny_model,
                                              text_sets, command, files):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
-        common = [command, *report_inputs(tmp_path, tiny_model, text_sets)]
+        common = [command, *report_inputs(tmp_path, tiny_model, text_sets, command)]
         for mode, name in zip((["--model", str(tmp_path / "model.txt")],
                                ["--recognizer", "external:od -An -tx1 -N 16 {}"]), files):
             assert cli.main([*common, *mode]) == 0
@@ -893,9 +957,9 @@ class TestCliSettings:
         assert printed[0] == printed[1]
 
 
-def report_inputs(tmp_path, model, sets):
-    """sweep and compare flags over the two sets, written out as manifests, with
-    the model saved beside them."""
+def report_inputs(tmp_path, model, sets, command="sweep"):
+    """The flags of `command`, sweep or compare, over the two sets, written out
+    as manifests, with the model saved beside them."""
     for name, manifest in zip(("clean.csv", "adv.csv"), sets):
         rows = [ManifestRow(path=str(manifest.resolve(row)), label=row.label,
                             target=row.target, source=row.source) for row in manifest.rows]
@@ -903,8 +967,8 @@ def report_inputs(tmp_path, model, sets):
                        adversarial=name == "adv.csv")
     save_model(model, tmp_path / "model.txt")
     return ["--clean-manifest", str(tmp_path / "clean.csv"),
-            "--adv-manifest", str(tmp_path / "adv.csv"), "--grid", "10",
-            "--transforms", "uniform:10", "--out-dir", str(tmp_path / "out")]
+            "--adv-manifest", str(tmp_path / "adv.csv"), "--out-dir", str(tmp_path / "out"),
+            *(["--grid", "10"] if command == "sweep" else ["--transforms", "uniform:10"])]
 
 
 def build_parser_subcommands():
