@@ -88,8 +88,8 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if not math.isfinite(self.momentum):
-            raise ValueError(f"momentum must be finite, got {self.momentum}")
+        if not 0 <= self.momentum < 1:  # heavy-ball momentum diverges from 1 up
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:

@@ -34,7 +34,6 @@ from noisegate.experiments import (
     run_intensity_sweep,
     run_transform_comparison,
 )
-from noisegate.features import spectrogram_image, write_pgm
 from noisegate.manifests import load_manifest
 from noisegate.recognition import RecognizerError, parse_recognizer
 from noisegate.seeds import derive_seed
@@ -216,14 +215,6 @@ def cmd_roc(args):
     return 0
 
 
-def cmd_spectrogram(args):
-    image = spectrogram_image(read_wav(args.infile), getattr(args, "fft_size", 512),
-                              getattr(args, "hop", 160))
-    write_pgm(image, args.out)
-    print(f"wrote {args.out} ({image.shape[1]}x{image.shape[0]})")
-    return 0
-
-
 def _add_settings(parser, *classes, only=None):
     """A flag per field of `classes` but the seed (`k_max` -> --k-max), or per
     field named in `only`, and --seed."""
@@ -299,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model")
         _add_settings(p, ExperimentConfig, only=only)
         p.set_defaults(**defaults, needs=("clean_manifest", "adv_manifest"))
-
-    p = command("spectrogram", help="write a PGM spectrogram of a WAV")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.add_argument("--fft-size", dest="fft_size", type=int)
-    p.add_argument("--hop", type=int)
-    p.set_defaults(func=cmd_spectrogram, needs=("infile", "out"))
 
     return parser
 

@@ -1,4 +1,4 @@
-"""MFCC features for the classifier and spectrogram images for inspection.
+"""MFCC features for the classifier.
 
 Pipeline: pre-emphasis (PREEMPHASIS) -> FRAME_MS frames every HOP_MS ->
 Hamming window -> FFT_SIZE-point power spectrum -> MEL_FILTERS triangular mel
@@ -195,32 +195,3 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     grad_x[:-1] += grad_pre[:-1]
     return grad_x
 
-
-def spectrogram_image(clip: AudioClip, fft_size: int, hop: int) -> np.ndarray:
-    """Log-magnitude STFT as an 8-bit image: rows are frequency bins, cols frames.
-
-    Normalized to [0, 255] per image; a degenerate (constant) image maps to 0.
-    """
-    if fft_size <= 0 or hop <= 0:
-        raise ValueError("fft_size and hop must be positive")
-    x = clip.samples.astype(np.float64)
-    if x.size < fft_size:
-        raise ValueError(f"clip of {x.size} samples is shorter than fft_size {fft_size}")
-    frames = np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop] * np.hamming(fft_size)
-    magnitude = np.abs(rfft(frames, fft_size))
-    log_mag = np.log(magnitude + 1e-10).T  # rows = bins, cols = frames
-    lo, hi = log_mag.min(), log_mag.max()
-    if hi == lo:
-        return np.zeros(log_mag.shape, dtype=np.uint8)
-    scaled = (log_mag - lo) / (hi - lo) * 255.0
-    return np.round(scaled).astype(np.uint8)
-
-
-def write_pgm(image: np.ndarray, path) -> None:
-    """Write an 8-bit grayscale image as binary PGM (P5)."""
-    if image.ndim != 2 or image.dtype != np.uint8:
-        raise ValueError("image must be a 2-D uint8 array")
-    height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())

@@ -94,6 +94,8 @@ def _load_cache_file(path: str) -> dict:
                 continue
             try:
                 row = json.loads(line)
+                if not all(isinstance(row[key], str) for key in ("sha256", "transcript")):
+                    raise TypeError("sha256 and transcript must be strings")
                 table[row["sha256"]] = row["transcript"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise RecognizerError(f"{path}:{line_no}: bad cache row ({exc})") from exc

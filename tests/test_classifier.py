@@ -183,9 +183,12 @@ class TestTrain:
     @pytest.mark.parametrize("setting", [dict(learning_rate=float("nan")),
                                          dict(learning_rate=float("inf")),
                                          dict(momentum=float("nan")),
-                                         dict(momentum=float("-inf"))])
+                                         dict(momentum=float("-inf")),
+                                         dict(momentum=1.0), dict(momentum=5.0),
+                                         dict(momentum=-0.1)])
     def test_non_finite_rate_rejected(self, setting):
-        # a nan rate used to train a model of nan weights that no command could load
+        # a nan rate used to train a model of nan weights that no command could load,
+        # and a momentum outside [0, 1) one of chance accuracy
         (name,) = setting
         with pytest.raises(ValueError, match=f"^{name} must be"):
             TrainConfig(**setting)

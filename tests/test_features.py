@@ -22,8 +22,6 @@ from noisegate.features import (
     mfcc_batch,
     mfcc_from_array,
     mfcc_with_gradient_cache,
-    spectrogram_image,
-    write_pgm,
     _forward,
     _plan,
     _work,
@@ -231,35 +229,3 @@ def _mfcc_backprop_frame_loop(grad_coeffs, cache):
     grad_x[:-1] = grad_pre[:-1] - PREEMPHASIS * grad_pre[1:]
     return grad_x
 
-
-class TestSpectrogram:
-    def test_silence_is_all_zero(self):
-        clip = AudioClip(samples=np.zeros(4096, dtype=np.int16), sample_rate_hz=RATE)
-        image = spectrogram_image(clip, 512, 160)
-        assert image.dtype == np.uint8
-        assert image.max() == 0
-
-    def test_tone_dominant_row(self):
-        clip = tone(2000)
-        image = spectrogram_image(clip, 512, 160)
-        expected_row = round(2000 * 512 / RATE)
-        assert abs(int(np.argmax(image.mean(axis=1))) - expected_row) <= 1
-
-    def test_width_is_frame_count(self):
-        clip = tone(300, 0.5)
-        image = spectrogram_image(clip, 512, 160)
-        assert image.shape == (257, (len(clip) - 512) // 160 + 1)
-
-    def test_short_clip_rejected(self):
-        clip = AudioClip(samples=np.ones(100, dtype=np.int16), sample_rate_hz=RATE)
-        with pytest.raises(ValueError):
-            spectrogram_image(clip, 512, 160)
-
-    def test_pgm_output(self, tmp_path):
-        image = spectrogram_image(tone(1000, 0.2), 256, 128)
-        path = tmp_path / "spec.pgm"
-        write_pgm(image, path)
-        raw = path.read_bytes()
-        header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
-        assert raw.startswith(header)
-        assert len(raw) == len(header) + image.size

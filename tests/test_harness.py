@@ -482,7 +482,6 @@ CLI_PIPELINE = [
      "--noise", "gaussian:100", "--threshold", "0.5", "--out", "detect.csv", "--seed", "3"],
     ["detect", "--manifest", "corpus/manifest.csv", "--recognizer", "builtin:model.txt",
      "--noise", "gaussian:2000", "--votes", "3", "--out", "detect_votes.csv", "--seed", "3"],
-    ["spectrogram", "--in", "corpus/wavs/yes_0000.wav", "--out", "spec.pgm"],
     ["attack", "pgd", "--model", "model.txt", "--manifest", "corpus/manifest.csv",
      "--out-dir", "adv_pgd", "--tau", "0", "--steps", "40", "--step-size", "16", "--seed", "8"],
     ["sweep", "--model", "model.txt", "--clean-manifest", "corpus/manifest.csv",
@@ -509,7 +508,6 @@ class TestCli:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == "path,cr,verdict,transcript_before,transcript_after"
             assert len(lines) == 7
-        assert (tmp_path / "spec.pgm").read_bytes().startswith(b"P5\n")
         assert load_manifest(tmp_path / "adv_pgd" / "manifest.csv").rows, \
             "pgd attack produced no adversarial examples"
         for name in ("sweep_command.csv", "compare_command.csv", "detection_auc.csv"):
@@ -595,6 +593,15 @@ class TestCli:
                 cli.main([*sub, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out.startswith(" ".join(["usage: noisegate", *sub]))
+
+    def test_spectrogram_is_no_subcommand(self, tmp_path, monkeypatch, capsys):
+        # an inspection tool outside the attack -> devastate -> detect loop, so not a command
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrogram", "--in", "x.wav", "--out", "y.pgm"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spectrogram'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class _Captured(Exception):
@@ -802,11 +809,15 @@ class TestCliSettings:
          "learning_rate"),
         (["train", "--manifest", "{m}", "--out", "{t}/m.txt", "--momentum", "inf"], {},
          "momentum"),
+        # heavy-ball momentum of 1 or more diverges to a chance-level model
+        (["train", "--manifest", "{m}", "--out", "{t}/m.txt", "--momentum", "5"], {},
+         "momentum must be in [0, 1), got 5.0"),
     ], ids=["TrainConfig", "GaConfig", "PgdConfig", "PgdConfig-tau", "ExperimentConfig",
             "DetectionConfig", "TransformSpec", "RecognizerSpec", "epochs-float", "epochs-bool",
             "k_max-float", "votes-float", "grid-float-item", "transforms-int-item", "grid-int",
             "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item",
-            "config-not-object", "roc-no-recognizer", "learning_rate-nan", "momentum-inf"])
+            "config-not-object", "roc-no-recognizer", "learning_rate-nan", "momentum-inf",
+            "momentum-5"])
     def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
                                              message):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
@@ -821,25 +832,14 @@ class TestCliSettings:
         assert text.startswith(f"noisegate {argv[0]}: ") and message in text
         assert "\n" not in text
 
-    def test_spectrogram_reads_the_config(self, tmp_path, capsys):
-        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
-        wav = str(tmp_path / "corpus" / "wavs" / "yes_0000.wav")
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"fft_size": 256, "hop": 80}))
-        assert cli.main(["--config", str(config_path), "spectrogram", "--in", wav,
-                         "--out", str(tmp_path / "config.pgm")]) == 0
-        assert cli.main(["spectrogram", "--in", wav, "--out", str(tmp_path / "flags.pgm"),
-                         "--fft-size", "256", "--hop", "80"]) == 0
-        assert capsys.readouterr().out.count("(197x129)") == 2
-        assert (tmp_path / "config.pgm").read_bytes() == (tmp_path / "flags.pgm").read_bytes()
-
     def test_malformed_config_file_exits_with_one_line(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"epochs": 3,}')
         with pytest.raises(SystemExit, match="^noisegate synth: Expecting property name"):
             cli.main(["--config", str(config_path), "synth", "--out-dir", str(tmp_path)])
 
-    @pytest.mark.parametrize("key", ["k-max", "kmax", "config"])
+    # fft_size and hop were the removed spectrogram subcommand's keys
+    @pytest.mark.parametrize("key", ["k-max", "kmax", "config", "fft_size", "hop"])
     def test_unknown_config_key_exits_naming_it(self, tmp_path, monkeypatch, key):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         config_path = tmp_path / "config.json"
@@ -854,7 +854,7 @@ class TestCliSettings:
     def test_config_keys_of_other_subcommands_are_allowed(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"k_max": 200, "grid": [10, 50], "fft_size": 256,
+        config_path.write_text(json.dumps({"k_max": 200, "grid": [10, 50], "votes": 3,
                                            "classes": 2, "per_class": 1}))
         assert cli.main(["--config", str(config_path), "synth",
                          "--out-dir", str(tmp_path / "out")]) == 0

@@ -17,6 +17,8 @@ MODULES = [noisegate, *(importlib.import_module(f"noisegate.{info.name}")
                         for info in pkgutil.iter_modules(noisegate.__path__))]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ROC_LINE = ("noisegate roc     --recognizer builtin:model.txt --clean-manifest "
+            "corpus/manifest.csv --adv-manifest adv/manifest.csv --out-dir out\n")
 
 
 def _paragraph(text, lead):
@@ -41,10 +43,12 @@ def _resolves(name, commands) -> bool:
 
 
 def readme_drift(text):
-    """Each syntax example a parser rejects, each `--flag` of the CLI block
-    that its subcommand does not have, and each backticked name in the
-    Library-layout table that names nothing in noisegate (a message form such
-    as `noisegate <command>: ...` is not a name)."""
+    """Each syntax example a parser rejects; each CLI-block line that names
+    no subcommand, each subcommand with no line there, and each `--flag` of a
+    line that its subcommand does not have; each Outputs bullet that names no
+    subcommand; and each backticked name in the Library-layout table that names
+    nothing in noisegate (a message form such as `noisegate <command>: ...` is
+    not a name)."""
     problems = []
     examples = [(parse_transform, example) for example in
                 re.findall(r"`([^`]+)`", _paragraph(text, "Transform syntax:"))]
@@ -58,13 +62,24 @@ def readme_drift(text):
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if a.dest == "command"]
     block = re.search(r"\n## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
+    shown = set()
     for line in block.replace("\\\n", " ").splitlines():
         words = line.split()
-        command = next(word for word in words if word in subparsers.choices)
+        command = next((word for word in words if word in subparsers.choices), None)
+        if command is None:
+            problems.append(f"CLI block: no subcommand in `{' '.join(words[:2])}`")
+            continue
+        shown.add(command)
         known = {**parser._option_string_actions,
                  **subparsers.choices[command]._option_string_actions}
         problems += [f"noisegate {command}: no flag {word}" for word in words
                      if word.startswith("--") and word not in known]
+    problems += [f"CLI block: no line for noisegate {command}"
+                 for command in subparsers.choices if command not in shown]
+    outputs = text[text.index("\n## Outputs\n"):].split("\n## ")[1]
+    problems += [f"Outputs: `{name}` names no subcommand"
+                 for name in re.findall(r"^- `([^`]+)`", outputs, re.M)
+                 if name not in subparsers.choices]
     layout = text[text.index("\n## Library layout\n"):].split("\n## ")[1]
     names = re.findall(r"`((?:noisegate )?[A-Za-z_][\w.]*:?)`",
                        "\n".join(re.findall(r"^\|.*\|$", layout, re.M)))
@@ -88,6 +103,13 @@ def test_readme_examples_and_flags_parse():
      "noisegate attribute, subcommand or recognizer kind"),
     ("`cache:`", "`cahce:`", "Library layout: `cahce:` names no noisegate attribute, "
      "subcommand or recognizer kind"),
+    # a line or bullet of a removed subcommand, and a subcommand the CLI block lost
+    (ROC_LINE, ROC_LINE + "noisegate spectrogram --in a.wav --out a.pgm\n",
+     "CLI block: no subcommand in `noisegate spectrogram`"),
+    ("noisegate defend --transform gaussian:200 --in adv/wavs/adv_0000.wav --out defended.wav\n",
+     "", "CLI block: no line for noisegate defend"),
+    ("- `detect`:", "- `spectrogram`: binary PGM.\n- `detect`:",
+     "Outputs: `spectrogram` names no subcommand"),
 ])
 def test_a_misspelling_is_caught(good, bad, problem):
     text = README.read_text(encoding="utf-8")

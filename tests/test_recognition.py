@@ -14,6 +14,7 @@ from noisegate.recognition import (
     CacheMissError,
     ExternalCommandError,
     ExternalTimeoutError,
+    RecognizerError,
     RecognizerSpec,
     Transcript,
     clear_recognizer_state,
@@ -288,11 +289,16 @@ class TestCacheRecognizer:
         assert transcribe(spec, clip) == Transcript("second words")
 
     def test_malformed_cache_row(self, tmp_path):
+        # a transcript that is no string used to end in a traceback from normalize_text
         clear_recognizer_state()
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"sha256": "x"}\n')
-        with pytest.raises(Exception, match="bad cache row"):
-            transcribe(RecognizerSpec("cache", str(path)), clip_of([1]))
+        clip = clip_of([1])
+        for i, row in enumerate(['{"sha256": "x"}', *(json.dumps(
+                {"sha256": clip_content_hash(clip), "transcript": value}) for value in (5, None))]):
+            path = tmp_path / f"bad{i}.jsonl"
+            path.write_text(row + "\n")
+            with pytest.raises(RecognizerError) as exc:
+                transcribe(RecognizerSpec("cache", str(path)), clip)
+            assert str(exc.value).startswith(f"{path}:1: bad cache row (")
 
     def test_hash_is_content_based(self):
         assert clip_content_hash(clip_of([1, 2])) == clip_content_hash(clip_of([1, 2]))
