@@ -3,7 +3,8 @@
 Two routes against the built-in classifier: a gradient-free genetic attack
 (selection over target-class probability, uniform crossover, mutations of up
 to +-150 from 8-bit init noise) and a projected-gradient attack that walks the
-sign of the exact sample gradient under a peak-dB budget on the perturbation.
+sign of the sample gradient under a peak-dB budget on the perturbation. Both
+search on float32 features and report success and score in float64.
 """
 
 import math
@@ -245,15 +246,16 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
                    fitness_trace=fitness_trace)
 
 
-def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames=None):
+def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames: np.ndarray):
     """Class probabilities for one sample row, and a `backward(target_idx)` that
     gives the gradient of the cross-entropy toward the target w.r.t. the samples.
 
-    On a row of int16 values the probabilities equal the row's
-    `predict_samples_batch` scores bit for bit. `frames` is the forward's work buffer.
+    `frames` is the forward's zeroed work buffer, and its dtype is the features';
+    the MLP runs in float64 on them. On a row of int16 values the probabilities
+    equal the row's `predict_samples_batch` scores in that dtype bit for bit.
     """
     features, cache = mfcc_with_gradient_cache(samples, rate, frames)
-    probs, activations = _forward_batch(model, features.reshape(1, -1))
+    probs, activations = _forward_batch(model, features.reshape(1, -1).astype(np.float64))
 
     def backward(target_idx: int) -> np.ndarray:
         delta = probs.copy()
@@ -267,38 +269,46 @@ def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames=
 def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = PgdConfig()) -> AttackResult:
     """Sign-gradient targeted attack under a relative peak-dB budget.
 
-    Uses the analytic gradient through a float feature pipeline (the sample
+    Uses the analytic gradient through the feature pipeline (the sample
     gradient of the MFCC+MLP composition). The iterate is the int16 signal the
     attack would emit, in integer arithmetic; `_pgd_step` rescales a step onto
     the budget, tau dB under the carrier peak, so it holds at every iterate.
-    The gradient is taken at that signal, and the forward of step k+1 is also
-    step k's success check and, where the run stops, its score. At least one
-    step is taken, and the run stops once an emitted iterate equals the one
-    before it (the original counts as the first). The distortion of each
-    emitted iterate is recorded in the result's distortion_trace. A silent
-    original raises SilentCarrierError, since it leaves the budget undefined.
+    The gradient is taken at that signal, on float32 features (the sign step
+    reads only the gradient's sign), and the forward of step k+1 is also step
+    k's success check. A landing it claims stops the run only once the float64
+    `predict_samples_batch` of the iterate confirms it, and that row scores the
+    result; a denied landing keeps stepping. At least one step is taken, and
+    the run stops once an emitted iterate equals the one before it (the
+    original counts as the first). A run that runs out or repeats is re-scored
+    in float64, so success and score are float64, as in `ga_attack`. The
+    distortion of each emitted iterate is recorded in the result's
+    distortion_trace. A silent original raises SilentCarrierError, since it
+    leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
     x = original.samples.astype(np.int32)
     peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
-    # the forwards' work buffer, zeroed once per attack
-    frames = np.zeros((1, frame_count(pad_or_trim(x, rate).size, rate), FFT_SIZE))
+    # the forwards' work buffer, zeroed once per attack: the search runs in float32
+    frames = np.zeros((1, frame_count(pad_or_trim(x, rate).size, rate), FFT_SIZE), np.float32)
 
-    adv, previous, trace, iterations = x, None, [], 0
+    adv, previous, trace, iterations, probs = x, None, [], 0, None
 
     for step in range(cfg.steps):
-        probs, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, frames)
+        scores, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, frames)
+        if step and int(np.argmax(scores)) == target_idx:
+            row = predict_samples_batch(model, adv[None, :], rate)[0]
+            if int(np.argmax(row)) == target_idx:
+                probs = row  # the float64 row that confirms the landing scores the result
+                break
         # a step depends only on the iterate, so a repeated one would repeat forever
-        if step and (int(np.argmax(probs)) == target_idx or np.array_equal(adv, previous)):
+        if step and np.array_equal(adv, previous):
             break
         previous = adv
         adv, peak_delta = _pgd_step(x, adv, backward(target_idx), cfg.step_size, bound)
         trace.append(relative_peak_db(peak_delta, peak))
         iterations = step + 1
-    else:
-        probs = None  # the last iterate has had no forward
 
     return _result(model, original, adv.astype(np.int16), target, iterations,
                    distortion_trace=trace, probs=probs)

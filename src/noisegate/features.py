@@ -12,8 +12,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import irfft, rfft  # pocketfft, much faster than numpy's on float32 batches
 
-from noisegate.audio import AudioClip
-
 PREEMPHASIS = 0.97
 FRAME_MS, HOP_MS, FFT_SIZE, MEL_FILTERS, NUM_COEFFS, LOG_FLOOR = 25, 10, 512, 40, 13, 1e-10
 
@@ -129,11 +127,6 @@ def mfcc_from_array(samples, sample_rate_hz: int) -> np.ndarray:
     return mfcc_batch(np.asarray(samples, dtype=np.float64)[None, :], sample_rate_hz)[0]
 
 
-def mfcc(clip: AudioClip) -> np.ndarray:
-    """MFCC matrix for a clip; every value finite, shape fixed by length alone."""
-    return mfcc_from_array(clip.samples, clip.sample_rate_hz)
-
-
 def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.ndarray:
     """MFCCs for a (count, n_samples) batch, MFCC_CHUNK_ROWS rows at a time.
 
@@ -153,22 +146,24 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.n
 
 def mfcc_with_gradient_cache(samples, sample_rate_hz: int, frames=None):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
-    buffers of the call's own; `frames` is an optional zeroed frames buffer to reuse."""
+    buffers of the call's own; `frames` is an optional zeroed frames buffer to reuse, and
+    its dtype (float64 without one) is the dtype of the coefficients and of the cache."""
     x = np.asarray(samples, dtype=np.float64)[None, :]
     work = _work(1, x.shape[1], sample_rate_hz, np.float64, frames)
-    coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS))
+    coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS), dtype=work[0].dtype)
     spectrum, raw_energies, energies = _forward(x, sample_rate_hz, work, coeffs)
     return coeffs[0], (x.shape[1], sample_rate_hz, spectrum[0], raw_energies[0], energies[0])
 
 
 def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
-    """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs).
-    Leaves the cache unchanged."""
+    """Gradient of a scalar loss w.r.t. the raw samples, given d(loss)/d(coeffs), in
+    the dtype of the cache's forward. Leaves the cache unchanged."""
     n_samples, sample_rate_hz, spectrum, raw_energies, energies = cache
-    window, fbank, dct = _plan(sample_rate_hz)
+    dtype = energies.dtype
+    window, fbank, dct = _plan(sample_rate_hz, dtype.type)
     flen, hop, m = frame_len(sample_rate_hz), hop_len(sample_rate_hz), FFT_SIZE
 
-    grad_log = grad_coeffs @ dct
+    grad_log = grad_coeffs.astype(dtype, copy=False) @ dct
     grad_energy = np.where(raw_energies > LOG_FLOOR, grad_log / energies, 0.0)
     grad_power = grad_energy @ fbank
     # adjoint of the one-sided power spectrum: double the DC/Nyquist bins so
@@ -182,14 +177,14 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     # Adding block j of every frame at once, last block first, sums each sample
     # over its frames in ascending order, bit for bit as a frame-by-frame loop
     count, k = len(grad_frames), -(-flen // hop)
-    grad_pre = np.zeros((max(count + k - 1, -(-n_samples // hop)), hop))
+    grad_pre = np.zeros((max(count + k - 1, -(-n_samples // hop)), hop), dtype=dtype)
     for j in range(k - 1, -1, -1):
         width = min(hop, flen - j * hop)
         grad_pre[j:count + j, :width] += grad_frames[:, j * hop:j * hop + width]
     grad_pre = grad_pre.reshape(-1)[:n_samples]
 
     # adjoint of the pre-emphasis: grad_x[t] = grad_pre[t] - PREEMPHASIS * grad_pre[t + 1]
-    grad_x = np.empty(n_samples)
+    grad_x = np.empty(n_samples, dtype=dtype)
     grad_x[-1] = grad_pre[-1]
     np.multiply(grad_pre[1:], -PREEMPHASIS, out=grad_x[:-1])
     grad_x[:-1] += grad_pre[:-1]

@@ -140,11 +140,6 @@ def _load(path: str, loader):
     return value
 
 
-def clear_recognizer_state() -> None:
-    """Drop memoized models and transcript tables (for tests and long sessions)."""
-    _loaded.clear()
-
-
 def _run_external(spec: RecognizerSpec, clip: AudioClip) -> str:
     argv = shlex.split(spec.arg)
     with tempfile.NamedTemporaryFile(suffix=".wav", delete=True) as tmp:

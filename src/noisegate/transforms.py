@@ -85,8 +85,10 @@ def add_noise(clip: AudioClip, spec: TransformSpec) -> AudioClip:
     if spec.kind == "uniform":
         noisy = rng.integers(-intensity, intensity + 1, size=n, dtype=np.int32)
     else:
+        # rng.normal(0, I, n) is 0 + I * z over the same draws z: equal after rounding;
         # whole-number float64 sums are exact, so this equals the int32 sum
-        noisy = rng.normal(0.0, float(intensity), size=n)
+        noisy = rng.standard_normal(n)
+        noisy *= intensity
         np.round(noisy, out=noisy)
     noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)

@@ -22,6 +22,7 @@ from noisegate.detection import DetectionConfig, detect_clips
 from noisegate.experiments import (
     ExperimentConfig,
     attack_manifest,
+    pick_targets,
     run_detection_eval,
     run_intensity_sweep,
     run_transform_comparison,
@@ -353,33 +354,37 @@ def test_criterion_pgd_feasibility(trained, clean_eval):
            f"({audited} audited iterates across taus -30/-20/0 dB, {violations} violations)")
 
 
-def _run_small_pipeline(root: Path):
+def _run_small_pipeline(root: Path, seed=MASTER_SEED):
+    """Synth, train, GA attack, command-mode sweep and builtin ROC under `root`, all
+    seeded by `seed`; returns the attack's adversarial manifest."""
     corpus_dir = root / "corpus"
-    manifest = synth_dataset(3, 4, seed=MASTER_SEED, out_dir=corpus_dir)
+    manifest = synth_dataset(3, 4, seed=seed, out_dir=corpus_dir)
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
     model = train(dataset, TrainConfig(epochs=20, seed=5))
     clf.save(model, root / "model.txt")
     subset = Manifest(rows=manifest.rows[:3], base_dir=manifest.base_dir)
-    _, adv = attack_manifest(model, subset, "ga", root / "adv",
-                             master_seed=MASTER_SEED,
-                             ga_cfg=replace(STRONG_GA, k_max=25, population_size=12))
-    if not adv.rows:  # keep the pipeline total even if no attack lands
-        adv = subset
-    sweep_cfg = ExperimentConfig(master_seed=MASTER_SEED, grid=(10, 50),
+    _, attacked = attack_manifest(model, subset, "ga", root / "adv", master_seed=seed,
+                                  ga_cfg=replace(STRONG_GA, k_max=25, population_size=12))
+    adv = attacked
+    if not adv.rows:  # keep the pipeline total even if no attack lands: the clean clips,
+        # each with the target its attack was given, as the command-mode sweep needs
+        targets = pick_targets(model, subset, seed)
+        adv = Manifest(rows=[replace(row, target=t) for row, t in zip(subset.rows, targets)],
+                       base_dir=subset.base_dir)
+    sweep_cfg = ExperimentConfig(master_seed=seed, grid=(10, 50),
                                  out_dir=str(root / "out"))
     run_intensity_sweep(sweep_cfg, manifest, adv, model=model)
     detect_cfg = ExperimentConfig(
-        master_seed=MASTER_SEED, grid=(10, 50),
+        master_seed=seed, grid=(10, 50),
         recognizer=RecognizerSpec.builtin(str(root / "model.txt")),
         out_dir=str(root / "out"),
     )
     run_detection_eval(detect_cfg, manifest, adv)
+    return attacked
 
 
-def test_criterion_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    _run_small_pipeline(a)
-    _run_small_pipeline(b)
+def _compare_trees(a: Path, b: Path):
+    """(files of `a` compared, relative paths that differ or are missing in `b`)."""
     compared = 0
     mismatched = []
     for path_a in sorted(p for p in a.rglob("*") if p.is_file()):
@@ -391,10 +396,28 @@ def test_criterion_determinism(tmp_path):
         compared += 1
         if path_a.read_bytes() != path_b.read_bytes():
             mismatched.append(str(rel))
+    return compared, mismatched
+
+
+def test_criterion_determinism(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _run_small_pipeline(a)
+    _run_small_pipeline(b)
+    compared, mismatched = _compare_trees(a, b)
     ok = compared > 0 and not mismatched
     report("determinism", ok,
            f"({compared} files byte-compared across two full runs"
            + (f"; mismatches: {mismatched}" if mismatched else "") + ")")
+
+
+def test_determinism_when_no_attack_lands(tmp_path):
+    # at master seed 1 no attack of the small pipeline lands; its fallback set used to
+    # reach the command-mode sweep without targets and raise
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert not _run_small_pipeline(a, seed=1).rows
+    assert not _run_small_pipeline(b, seed=1).rows
+    compared, mismatched = _compare_trees(a, b)
+    assert compared > 0 and not mismatched
 
 
 def test_criterion_transform_properties():

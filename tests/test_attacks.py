@@ -25,9 +25,14 @@ from noisegate.audio import (
     relative_peak_db,
 )
 from noisegate.classifier import loss_and_gradient, pad_or_trim, predict, predict_samples_batch
-from noisegate.features import mfcc_from_array
+from noisegate.features import FFT_SIZE, frame_count, mfcc_batch
 
 RATE = 16000
+
+
+def frames_for(n, dtype=np.float32):
+    """A zeroed work buffer for the forward of an n-sample row; PGD's is float32."""
+    return np.zeros((1, frame_count(n, RATE), FFT_SIZE), dtype)
 
 
 def wrong_label(model, label):
@@ -237,12 +242,29 @@ class TestPgdAttack:
         monkeypatch.setattr(attacks, "mfcc_backprop",
                             lambda grad, cache: seen.append(grad) or backprop(grad, cache))
         target_idx = tiny_model.label_index(target)
-        probs, backward = _forward_with_backward(tiny_model, samples, RATE)
+        probs, backward = _forward_with_backward(tiny_model, samples, RATE, frames_for(RATE))
         backward(target_idx)
-        want_loss, _, want_grad = loss_and_gradient(tiny_model, mfcc_from_array(samples, RATE),
-                                                    target)
+        # the MLP runs in float64 on the row's float32 MFCC
+        feats = mfcc_batch(clip.samples[None, :], RATE, dtype=np.float32)[0]
+        want_loss, _, want_grad = loss_and_gradient(tiny_model, feats, target)
         assert -math.log(max(probs[target_idx], 1e-300)) == want_loss
         assert np.array_equal(seen[0], want_grad)
+
+    def test_float32_gradient_has_the_float64_sign(self, tiny_model, tiny_clips):
+        # the sign step reads only the sign, wherever the gradient is not negligible
+        for _, clip in tiny_clips:
+            target_idx = tiny_model.label_index(
+                wrong_label(tiny_model, predict(tiny_model, clip)[0]))
+            samples = pad_or_trim(clip.samples.astype(np.float64), RATE)
+            grads = []
+            for dtype in (np.float32, np.float64):
+                _, backward = _forward_with_backward(tiny_model, samples, RATE,
+                                                     frames_for(RATE, dtype))
+                grads.append(backward(target_idx))
+            assert grads[0].dtype == np.float32 and grads[1].dtype == np.float64
+            large = np.abs(grads[1]) > 1e-3 * np.abs(grads[1]).max()
+            assert large.sum() > 0.5 * large.size
+            assert np.array_equal(np.sign(grads[0][large]), np.sign(grads[1][large]))
 
     def test_distortion_is_db_distortion(self, tiny_model, tiny_clips):
         _, clip = tiny_clips[4]
@@ -301,7 +323,7 @@ class TestPgdStep:
 
     def _run(self, model, clip, cfg, monkeypatch):
         """The result, the samples each forward saw, the emitted iterates and the
-        number of predict_samples_batch calls."""
+        number of float64 predict_samples_batch calls."""
         seen, iterates, predicts = [], [], []
         forward, pgd_step, predict_batch = (attacks.mfcc_with_gradient_cache,
                                             attacks._pgd_step,
@@ -316,9 +338,12 @@ class TestPgdStep:
 
         monkeypatch.setattr(attacks, "_pgd_step", record_step)
         monkeypatch.setattr(attacks, "predict_samples_batch",
-                            lambda *a, **k: predicts.append(1) or predict_batch(*a, **k))
+                            lambda *a, **k: predicts.append(k.get("dtype", np.float64))
+                            or predict_batch(*a, **k))
         target = wrong_label(model, predict(model, clip)[0])
-        return pgd_attack(model, clip, target, cfg), seen, iterates, len(predicts)
+        res = pgd_attack(model, clip, target, cfg)
+        assert set(predicts) <= {np.float64}
+        return res, seen, iterates, len(predicts)
 
     @pytest.mark.parametrize("index, cfg", CASES)
     def test_one_forward_per_step(self, tiny_model, tiny_clips, monkeypatch, index, cfg):
@@ -326,12 +351,48 @@ class TestPgdStep:
         res, seen, _, predicts = self._run(tiny_model, clip, cfg, monkeypatch)
         assert 1 <= res.iterations_used <= cfg.steps
         stopped_early = res.iterations_used < cfg.steps
-        # a run that stops on a forward is scored by it; one that runs out re-scores
-        assert predicts == (0 if stopped_early else 1)
+        # the float32 forwards after the first that hear the target claim a landing
+        target_idx = tiny_model.label_index(res.target)
+        claims = sum(predict_samples_batch(tiny_model, row[None, :], RATE, dtype=np.float32)[0]
+                     .argmax() == target_idx for row in seen[1:])
+        # one float64 predict per run (the confirmed landing, or the re-score of a
+        # run that runs out or repeats), plus one per denied landing
+        confirmed = stopped_early and res.success
+        assert predicts == 1 + claims - confirmed
         # no iterate of these runs repeats, so a run stops early only when the
         # forward after the last step hears the target
         assert not stopped_early or res.success
         assert len(seen) == res.iterations_used + stopped_early
+
+    @pytest.mark.parametrize("index, cfg", CASES)
+    def test_a_landing_is_heard_by_predict(self, tiny_model, tiny_clips, index, cfg):
+        _, clip = tiny_clips[index]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        res = pgd_attack(tiny_model, clip, target, cfg)
+        assert res.success == (predict(tiny_model, res.adversarial)[0] == target)
+
+    def test_a_denied_landing_keeps_stepping(self, tiny_model, tiny_clips, monkeypatch):
+        index, cfg = self.CASES[0]
+        _, clip = tiny_clips[index]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        landed = pgd_attack(tiny_model, clip, target, cfg)
+        assert landed.success and landed.iterations_used < cfg.steps
+        denials, predict_batch = [], attacks.predict_samples_batch
+
+        def deny_once(*args, **kwargs):
+            probs = predict_batch(*args, **kwargs)
+            if not denials:  # the first confirmation reads the target's probability as 0
+                denials.append(probs.copy())
+                probs[0, tiny_model.label_index(target)] = 0.0
+            return probs
+
+        monkeypatch.setattr(attacks, "predict_samples_batch", deny_once)
+        res = pgd_attack(tiny_model, clip, target, cfg)
+        assert denials and int(np.argmax(denials[0][0])) == tiny_model.label_index(target)
+        # the run steps on from the iterate the denied landing was claimed at
+        assert res.iterations_used > landed.iterations_used
+        assert res.distortion_trace[:landed.iterations_used] == landed.distortion_trace
+        assert res.success == (predict(tiny_model, res.adversarial)[0] == target)
 
     def test_landed_and_exhausted_runs_are_covered(self, tiny_model, tiny_clips, monkeypatch):
         outcomes = set()
@@ -386,18 +447,21 @@ class TestPgdStep:
 
     def test_forward_scores_int16_rows_as_predict(self, tiny_model, tiny_clips):
         rng = np.random.default_rng(8)
+        frames = frames_for(RATE)  # one buffer for every row, as in a run
         for n in (RATE, RATE - 1234, RATE + 777):
             for _, clip in tiny_clips[:4]:
                 row = np.resize(clip.samples, n)
                 row = np.clip(row + rng.integers(-40, 41, n), -32768, 32767).astype(np.int16)
                 probs, _ = _forward_with_backward(
-                    tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE)
-                assert np.array_equal(probs, predict_samples_batch(tiny_model, row[None], RATE)[0])
+                    tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE, frames)
+                want = predict_samples_batch(tiny_model, row[None], RATE, dtype=np.float32)[0]
+                assert np.array_equal(probs, want)
 
 
 def _pgd_float_loop(model, original, target, cfg):
-    """The PGD loop in float64 iterate arithmetic, its result re-scored by
-    `predict_samples_batch`: the oracle for `pgd_attack`'s integer steps.
+    """The PGD loop in float64 iterate arithmetic on float32 features, a landing
+    confirmed and the result scored by the float64 `predict_samples_batch`: the
+    oracle for `pgd_attack`'s integer steps.
 
     Returns (adversarial samples, distortion trace, iterations, success, target
     score, number of rescaled steps, how the run ended).
@@ -410,8 +474,9 @@ def _pgd_float_loop(model, original, target, cfg):
     rescaled, ending = 0, "ran out"
     for step in range(cfg.steps):
         probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), RATE),
-                                                 RATE)
-        if step and int(np.argmax(probs)) == target_idx:
+                                                 RATE, frames_for(RATE))
+        confirm = predict_samples_batch(model, adv[None, :], RATE)[0]
+        if step and int(np.argmax(probs)) == int(np.argmax(confirm)) == target_idx:
             ending = "landed"
             break
         if step and np.array_equal(adv, previous):

@@ -17,7 +17,6 @@ from noisegate.features import (
     hop_len,
     hz_to_mel,
     mel_to_hz,
-    mfcc,
     mfcc_backprop,
     mfcc_batch,
     mfcc_from_array,
@@ -40,12 +39,12 @@ def tone(freq, seconds=1.0, amplitude=10000):
 
 class TestMfcc:
     def test_one_second_shape(self):
-        m = mfcc(tone(440))
+        m = mfcc_from_array(tone(440).samples, RATE)
         assert m.shape == (98, 13)  # (16000 - 400) // 160 + 1 frames
 
     def test_all_zero_clip_finite_and_uniform(self):
         clip = AudioClip(samples=np.zeros(RATE, dtype=np.int16), sample_rate_hz=RATE)
-        m = mfcc(clip)
+        m = mfcc_from_array(clip.samples, RATE)
         assert np.isfinite(m).all()
         assert np.allclose(m, m[0])  # every frame identical
 
@@ -70,15 +69,15 @@ class TestMfcc:
         assert mel_to_hz(hz_to_mel(1234.5)) == pytest.approx(1234.5)
 
     def test_shape_depends_only_on_length(self):
-        a = mfcc(tone(250, 0.5))
-        b = mfcc(tone(3750, 0.5, amplitude=31000))
+        a = mfcc_from_array(tone(250, 0.5).samples, RATE)
+        b = mfcc_from_array(tone(3750, 0.5, amplitude=31000).samples, RATE)
         assert a.shape == b.shape
 
     def test_doubling_amplitude_moves_only_c0(self):
         clip = tone(800, 0.3, amplitude=9000)
         doubled = AudioClip(samples=(clip.samples * 2).astype(np.int16),
                             sample_rate_hz=RATE)
-        a, b = mfcc(clip), mfcc(doubled)
+        a, b = mfcc_from_array(clip.samples, RATE), mfcc_from_array(doubled.samples, RATE)
         assert not np.allclose(a[:, 0], b[:, 0])
         rel = np.abs(b[:, 1:] - a[:, 1:]) / np.maximum(np.abs(a[:, 1:]), 1e-12)
         assert rel.max() < 1e-6
@@ -86,7 +85,7 @@ class TestMfcc:
     def test_too_short_clip_rejected(self):
         clip = AudioClip(samples=np.ones(399, dtype=np.int16), sample_rate_hz=RATE)
         with pytest.raises(ValueError):
-            mfcc(clip)
+            mfcc_from_array(clip.samples, RATE)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -94,14 +93,12 @@ class TestMfcc:
         rng = np.random.default_rng(seed)
         clip = AudioClip(samples=rng.integers(-32768, 32768, 500, dtype=np.int16),
                          sample_rate_hz=RATE)
-        assert np.isfinite(mfcc(clip)).all()
+        assert np.isfinite(mfcc_from_array(clip.samples, RATE)).all()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
         batch = rng.integers(-20000, 20000, (3, 4000), dtype=np.int16)
-        singles = np.stack([
-            mfcc(AudioClip(samples=row, sample_rate_hz=RATE)) for row in batch
-        ])
+        singles = np.stack([mfcc_from_array(row, RATE) for row in batch])
         assert np.allclose(mfcc_batch(batch, RATE), singles, rtol=1e-10, atol=1e-9)
         approx32 = mfcc_batch(batch, RATE, dtype=np.float32)
         assert np.allclose(approx32, singles, rtol=1e-3, atol=1e-2)
@@ -154,7 +151,7 @@ class TestMfcc:
         assert frame_len(48000) == 1200 > FFT_SIZE
         clip = AudioClip(samples=np.zeros(48000, dtype=np.int16), sample_rate_hz=48000)
         with pytest.raises(ValueError, match="fft_size 512 smaller than frame length 1200"):
-            mfcc(clip)
+            mfcc_from_array(clip.samples, clip.sample_rate_hz)
 
 
 def _forward_sliding_window(x, sample_rate_hz, dtype):
@@ -188,6 +185,15 @@ class TestFeatureGradient:
             fd = ((mfcc_from_array(xp, RATE) * upstream).sum()
                   - (mfcc_from_array(xm, RATE) * upstream).sum()) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_a_float32_buffer_sets_the_dtype(self):
+        rng = np.random.default_rng(6)
+        row = rng.integers(-20000, 20000, 4000).astype(np.int16)
+        frames = np.zeros((1, frame_count(row.size, RATE), FFT_SIZE), np.float32)
+        feats, cache = mfcc_with_gradient_cache(row, RATE, frames)
+        assert np.array_equal(feats, mfcc_batch(row[None, :], RATE, dtype=np.float32)[0])
+        grad = mfcc_backprop(rng.normal(size=feats.shape), cache)
+        assert feats.dtype == grad.dtype == np.float32 and grad.shape == row.shape
 
     @given(n_samples=st.integers(400, 16200), seed=st.integers(0, 2**32 - 1))
     @example(n_samples=400, seed=0)

@@ -17,7 +17,6 @@ from noisegate.recognition import (
     RecognizerError,
     RecognizerSpec,
     Transcript,
-    clear_recognizer_state,
     clip_content_hash,
     levenshtein,
     normalize_text,
@@ -29,6 +28,12 @@ from noisegate.recognition import (
 
 RATE = 16000
 KIND_ARGS = [("builtin", "m.txt"), ("external", "run {}"), ("cache", "t.jsonl")]
+
+
+@pytest.fixture
+def fresh_memo():
+    """No model or transcript table memoized by an earlier test."""
+    recognition._loaded.clear()
 
 
 def clip_of(values):
@@ -208,8 +213,7 @@ class TestListHearing:
                        "cache": RecognizerSpec("cache", str(tmp_path / "cache.jsonl"))}
 
     @pytest.mark.parametrize("kind", ["builtin", "cache"])
-    def test_a_list_stats_its_file_once(self, monkeypatch, specs, kind):
-        clear_recognizer_state()
+    def test_a_list_stats_its_file_once(self, fresh_memo, monkeypatch, specs, kind):
         clips, by_kind = specs
         spec = by_kind[kind]
         one_by_one = [transcribe(spec, clip) for clip in clips]
@@ -224,10 +228,10 @@ class TestListHearing:
         assert stats.count(spec.arg) == 1
 
     @pytest.mark.parametrize("kind", ["builtin", "cache"])
-    def test_rewrite_that_keeps_the_stamp_is_heard(self, monkeypatch, tiny_model, specs, kind):
+    def test_rewrite_that_keeps_the_stamp_is_heard(self, fresh_memo, monkeypatch, tiny_model,
+                                                   specs, kind):
         import noisegate.classifier as clf
 
-        clear_recognizer_state()
         clips, by_kind = specs
         spec = by_kind[kind]
         before = transcribe_clips(spec, clips)
@@ -264,8 +268,7 @@ class TestListHearing:
 
 
 class TestCacheRecognizer:
-    def test_hit_and_miss(self, tmp_path):
-        clear_recognizer_state()
+    def test_hit_and_miss(self, fresh_memo, tmp_path):
         clip = clip_of([4, 5, 6])
         path = tmp_path / "cache.jsonl"
         write_cache_file([(clip_content_hash(clip), "Cached  Words")], path)
@@ -275,8 +278,7 @@ class TestCacheRecognizer:
             transcribe(spec, clip_of([9, 9]))
         assert clip_content_hash(clip_of([9, 9])) in str(err.value)
 
-    def test_file_rewritten_in_place_is_read_again(self, tmp_path):
-        clear_recognizer_state()
+    def test_file_rewritten_in_place_is_read_again(self, fresh_memo, tmp_path):
         clip = clip_of([4, 5, 6])
         path = tmp_path / "cache.jsonl"
         write_cache_file([(clip_content_hash(clip), "first")], path)
@@ -288,9 +290,8 @@ class TestCacheRecognizer:
         assert path.stat().st_ino == inode
         assert transcribe(spec, clip) == Transcript("second words")
 
-    def test_malformed_cache_row(self, tmp_path):
+    def test_malformed_cache_row(self, fresh_memo, tmp_path):
         # a transcript that is no string used to end in a traceback from normalize_text
-        clear_recognizer_state()
         clip = clip_of([1])
         for i, row in enumerate(['{"sha256": "x"}', *(json.dumps(
                 {"sha256": clip_content_hash(clip), "transcript": value}) for value in (5, None))]):

@@ -105,6 +105,18 @@ class TestAddNoise:
         out = add_noise(clip, spec).samples
         assert out.dtype == np.int16 and out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("intensity", [1, 10, 30, 50, 70, 100, 200, 500, I16_MAX])
+    def test_gaussian_draw_is_the_normal_draw(self, intensity):
+        # rng.normal(0, I, n) is 0 + I * z over the standard normal draws z that
+        # add_noise scales; the two can differ only in the sign of a zero
+        n = 16000
+        clip = clip_of(np.zeros(n, dtype=np.int16))
+        for seed in range(20):
+            want = np.round(np.random.default_rng(seed).normal(0.0, float(intensity), n))
+            want = np.clip(want, I16_MIN, I16_MAX).astype(np.int16)
+            out = add_noise(clip, TransformSpec("gaussian", (intensity,), seed=seed)).samples
+            assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
     @pytest.mark.parametrize("intensity", [1, 200, I16_MAX])
     def test_matches_the_copying_oracle(self, kind, intensity):
