@@ -30,7 +30,7 @@ from noisegate.classifier import (
     predict,
     predict_samples_batch,
 )
-from noisegate.features import FFT_SIZE, frame_count, mfcc_backprop, mfcc_with_gradient_cache
+from noisegate.features import mfcc_backprop, mfcc_with_gradient_cache
 
 
 @dataclass(frozen=True)
@@ -246,15 +246,15 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
                    fitness_trace=fitness_trace)
 
 
-def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, frames: np.ndarray):
+def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, dtype):
     """Class probabilities for one sample row, and a `backward(target_idx)` that
     gives the gradient of the cross-entropy toward the target w.r.t. the samples.
 
-    `frames` is the forward's zeroed work buffer, and its dtype is the features';
-    the MLP runs in float64 on them. On a row of int16 values the probabilities
-    equal the row's `predict_samples_batch` scores in that dtype bit for bit.
+    `dtype` is the features'; the MLP runs in float64 on them. On a row of int16
+    values the probabilities equal the row's `predict_samples_batch` scores in that
+    dtype bit for bit.
     """
-    features, cache = mfcc_with_gradient_cache(samples, rate, frames)
+    features, cache = mfcc_with_gradient_cache(samples, rate, dtype)
     probs, activations = _forward_batch(model, features.reshape(1, -1).astype(np.float64))
 
     def backward(target_idx: int) -> np.ndarray:
@@ -290,13 +290,11 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     x = original.samples.astype(np.int32)
     peak = _carrier_peak(original)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
-    # the forwards' work buffer, zeroed once per attack: the search runs in float32
-    frames = np.zeros((1, frame_count(pad_or_trim(x, rate).size, rate), FFT_SIZE), np.float32)
 
     adv, previous, trace, iterations, probs = x, None, [], 0, None
 
     for step in range(cfg.steps):
-        scores, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, frames)
+        scores, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, np.float32)
         if step and int(np.argmax(scores)) == target_idx:
             row = predict_samples_batch(model, adv[None, :], rate)[0]
             if int(np.argmax(row)) == target_idx:

@@ -150,36 +150,13 @@ def _forward_batch(model: Model, x: np.ndarray):
 
 
 def forward_batch(model: Model, flat_features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a (count, input_dim) batch of flattened features."""
+    """Class probabilities for flattened feature rows shaped (..., input_dim), with the
+    same leading shape. Each (1, input_dim) matrix of a (n, 1, input_dim) batch takes its
+    own matrix-vector products, so its row is bit-identical to a batch of that row alone."""
     x = np.asarray(flat_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
-        raise ValueError(f"expected (n, {model.layer_dims[0]}) features, got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != model.layer_dims[0]:
+        raise ValueError(f"features shaped {x.shape}, model expects {model.layer_dims[0]} per row")
     return _forward_batch(model, x)[0]
-
-
-def _input_rows(model: Model, features, lead=(1,)) -> np.ndarray:
-    """Feature matrices flattened to rows of shape (*lead, input_dim)."""
-    x = np.asarray(features, dtype=np.float64).reshape(*lead, -1)
-    if x.shape[-1] != model.layer_dims[0]:
-        raise ValueError(
-            f"feature matrix flattens to {x.shape[-1]} values, model expects {model.layer_dims[0]}"
-        )
-    return x
-
-
-def loss_and_gradient(model: Model, features: np.ndarray, label: str):
-    """Cross-entropy loss plus exact gradients.
-
-    Returns (loss, [(dW, db) per layer], gradient w.r.t. the input features,
-    shaped like `features`).
-    """
-    target = model.label_index(label)
-    probs, activations = _forward_batch(model, _input_rows(model, features))
-    loss = -math.log(max(probs[0, target], 1e-300))
-    delta = probs.copy()
-    delta[0, target] -= 1.0
-    param_grads, input_grad = _backward(model, activations, delta, input_grad=True)
-    return loss, param_grads, input_grad.reshape(np.shape(features))
 
 
 def _backward(model: Model, activations: list, delta: np.ndarray,
@@ -202,19 +179,16 @@ def _backward(model: Model, activations: list, delta: np.ndarray,
 def predict_clips(model: Model, clips) -> list:
     """(label, probability) for each clip; ties break to the lowest class index.
 
-    The clips of each sample rate go through one `mfcc_batch` as int16 rows,
-    and the MLP runs on their features shaped (n, 1, input_dim), so numpy
-    takes each row's matrix-vector products on its own. A clip's result is
-    then bit-identical to `forward_batch` on its features as a batch of one,
-    whatever else is in the list (for a given BLAS).
+    The clips of each sample rate go through one `predict_samples_batch` as rows
+    shaped (n, 1, n_samples), so each row's MLP takes its own matrix-vector products.
+    A clip's result is then bit-identical to `predict_samples_batch` on it as a batch
+    of one, whatever else is in the list (for a given BLAS).
     """
     out = [None] * len(clips)
     for rate in dict.fromkeys(clip.sample_rate_hz for clip in clips):
         group = [i for i, clip in enumerate(clips) if clip.sample_rate_hz == rate]
         rows = np.stack([pad_or_trim(clips[i].samples, rate) for i in group])
-        feats = mfcc_batch(rows, rate)
-        x = _input_rows(model, feats, (len(group), 1))
-        for i, probs in zip(group, _forward_batch(model, x)[0][:, 0]):
+        for i, probs in zip(group, predict_samples_batch(model, rows[:, None], rate)[:, 0]):
             idx = int(np.argmax(probs))
             out[i] = (model.class_labels[idx], float(probs[idx]))
     return out
@@ -227,15 +201,17 @@ def predict(model: Model, clip: AudioClip):
 
 def predict_samples_batch(model: Model, batch: np.ndarray, sample_rate_hz: int,
                           dtype=np.float64) -> np.ndarray:
-    """Class probabilities for a (count, n_samples) batch of raw sample rows.
+    """Class probabilities for raw sample rows shaped (..., n_samples), with the same
+    leading shape: pad/trim to one second, `mfcc_batch`, then `forward_batch`.
 
-    The features are batch-invariant, but the MLP forward is not: a row's
-    probabilities can differ at ~1e-15 with the batch's size and row order,
-    so a candidate scored again need not reproduce its earlier score.
+    The features are batch-invariant. The MLP forward of a (count, n_samples) batch
+    is not: a row's probabilities can differ at ~1e-15 with the batch's size and row
+    order, so a candidate scored again need not reproduce its earlier score. Rows
+    shaped (count, 1, n_samples) are scored one by one (see `forward_batch`).
     """
     padded = pad_or_trim(np.asarray(batch), sample_rate_hz)
-    feats = mfcc_batch(padded, sample_rate_hz, dtype=dtype)
-    return forward_batch(model, feats.reshape(feats.shape[0], -1))
+    feats = mfcc_batch(padded.reshape(-1, padded.shape[-1]), sample_rate_hz, dtype=dtype)
+    return forward_batch(model, feats.reshape(*padded.shape[:-1], -1))
 
 
 def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:

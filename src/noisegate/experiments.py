@@ -62,6 +62,7 @@ class ExperimentConfig:
             raise ValueError("intensity grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {self.grid}")
+        _noise_rows(self.grid)  # each intensity passes the noise spec's own check
         if self.cr_mode not in CR_MODES:
             raise ValueError(f"cr_mode must be one of {CR_MODES}, got {self.cr_mode!r}")
 

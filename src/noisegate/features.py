@@ -79,16 +79,16 @@ def _plan(sample_rate_hz: int, dtype=np.float64):
     return window.astype(dtype), fbank.astype(dtype), dct.astype(dtype)
 
 
-def _work(rows, n_samples, sample_rate_hz, dtype, frames=None):
-    """`_forward`'s buffers for up to `rows` rows: frames (or the caller's) zeroed so their
-    tails stay the FFT's zero padding, pre-emphasis in rows of hop, squares, power, and the
-    mel energies, floored energies and logs in one block (three made peak RSS layout-bound)."""
+def _work(rows, n_samples, sample_rate_hz, dtype):
+    """`_forward`'s buffers for up to `rows` rows: frames zeroed so their tails stay the
+    FFT's zero padding, pre-emphasis in rows of hop, squares, power, and the mel
+    energies, floored energies and logs in one block (three made peak RSS layout-bound)."""
     hop, count = hop_len(sample_rate_hz), frame_count(n_samples, sample_rate_hz)
-    frames = np.zeros((rows, count, FFT_SIZE), dtype=dtype) if frames is None else frames
+    frames = np.zeros((rows, count, FFT_SIZE), dtype=dtype)
     bins, blocks = FFT_SIZE // 2 + 1, -(-frame_len(sample_rate_hz) // hop)
     shapes = [(count + blocks - 1, hop), (count, 2 * bins), (count, bins)]
-    arrays = [np.empty((rows, *shape), dtype=frames.dtype) for shape in shapes]
-    return (frames, *arrays, *np.empty((3, rows, count, MEL_FILTERS), dtype=frames.dtype))
+    arrays = [np.empty((rows, *shape), dtype=dtype) for shape in shapes]
+    return (frames, *arrays, *np.empty((3, rows, count, MEL_FILTERS), dtype=dtype))
 
 
 def _forward(x, sample_rate_hz: int, work, out):
@@ -144,13 +144,12 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.n
     return out
 
 
-def mfcc_with_gradient_cache(samples, sample_rate_hz: int, frames=None):
+def mfcc_with_gradient_cache(samples, sample_rate_hz: int, dtype=np.float64):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
-    buffers of the call's own; `frames` is an optional zeroed frames buffer to reuse, and
-    its dtype (float64 without one) is the dtype of the coefficients and of the cache."""
+    buffers of the call's own; `dtype` is the dtype of the coefficients and of the cache."""
     x = np.asarray(samples, dtype=np.float64)[None, :]
-    work = _work(1, x.shape[1], sample_rate_hz, np.float64, frames)
-    coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS), dtype=work[0].dtype)
+    work = _work(1, x.shape[1], sample_rate_hz, dtype)
+    coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS), dtype=dtype)
     spectrum, raw_energies, energies = _forward(x, sample_rate_hz, work, coeffs)
     return coeffs[0], (x.shape[1], sample_rate_hz, spectrum[0], raw_energies[0], energies[0])
 

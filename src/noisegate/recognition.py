@@ -102,13 +102,6 @@ def _load_cache_file(path: str) -> dict:
     return table
 
 
-def write_cache_file(entries, path) -> None:
-    """Write {sha256, transcript} rows as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for digest, text in entries:
-            fh.write(json.dumps({"sha256": digest, "transcript": text}) + "\n")
-
-
 # (path, loader) -> (stamp, time of the last check, sha256 of the bytes, loaded value)
 _loaded: dict = {}
 _TICK_NS = 2_000_000_000  # the coarsest filesystem clock in common use (FAT's 2 s)

@@ -17,7 +17,7 @@ from noisegate import classifier as clf
 from noisegate._kernels import levenshtein as lev_fast
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import AudioClip, read_wav
-from noisegate.classifier import Model, TrainConfig, loss_and_gradient, predict, train
+from noisegate.classifier import Model, TrainConfig, predict, train
 from noisegate.detection import DetectionConfig, detect_clips
 from noisegate.experiments import (
     ExperimentConfig,
@@ -32,6 +32,8 @@ from noisegate.recognition import RecognizerSpec
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
 from noisegate.transforms import TransformSpec, add_noise, low_pass, quantize, requantize_8bit
+
+from helpers import loss_and_gradient
 
 pytestmark = pytest.mark.acceptance
 
@@ -355,8 +357,8 @@ def test_criterion_pgd_feasibility(trained, clean_eval):
 
 
 def _run_small_pipeline(root: Path, seed=MASTER_SEED):
-    """Synth, train, GA attack, command-mode sweep and builtin ROC under `root`, all
-    seeded by `seed`; returns the attack's adversarial manifest."""
+    """Synth, train, GA and stock PGD attacks, command-mode sweep and builtin ROC under
+    `root`, all seeded by `seed`; returns the GA and the PGD adversarial manifests."""
     corpus_dir = root / "corpus"
     manifest = synth_dataset(3, 4, seed=seed, out_dir=corpus_dir)
     dataset = [(read_wav(manifest.resolve(row)), row.label) for row in manifest.rows]
@@ -365,6 +367,7 @@ def _run_small_pipeline(root: Path, seed=MASTER_SEED):
     subset = Manifest(rows=manifest.rows[:3], base_dir=manifest.base_dir)
     _, attacked = attack_manifest(model, subset, "ga", root / "adv", master_seed=seed,
                                   ga_cfg=replace(STRONG_GA, k_max=25, population_size=12))
+    _, searched = attack_manifest(model, subset, "pgd", root / "adv_pgd", master_seed=seed)
     adv = attacked
     if not adv.rows:  # keep the pipeline total even if no attack lands: the clean clips,
         # each with the target its attack was given, as the command-mode sweep needs
@@ -380,7 +383,7 @@ def _run_small_pipeline(root: Path, seed=MASTER_SEED):
         out_dir=str(root / "out"),
     )
     run_detection_eval(detect_cfg, manifest, adv)
-    return attacked
+    return attacked, searched
 
 
 def _compare_trees(a: Path, b: Path):
@@ -401,21 +404,26 @@ def _compare_trees(a: Path, b: Path):
 
 def test_criterion_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    _run_small_pipeline(a)
+    _, searched = _run_small_pipeline(a)
     _run_small_pipeline(b)
     compared, mismatched = _compare_trees(a, b)
-    ok = compared > 0 and not mismatched
+    # the byte compare covers a searched example: a landed PGD WAV unlike its source
+    corpus = a / "corpus"
+    changed = sum(read_wav(searched.resolve(row)) != read_wav(corpus / row.source)
+                  for row in searched.rows)
+    ok = compared > 0 and not mismatched and changed > 0
     report("determinism", ok,
-           f"({compared} files byte-compared across two full runs"
-           + (f"; mismatches: {mismatched}" if mismatched else "") + ")")
+           f"({compared} files byte-compared across two full runs, {changed} landed PGD "
+           f"WAVs unlike their sources" + (f"; mismatches: {mismatched}" if mismatched else "")
+           + ")")
 
 
 def test_determinism_when_no_attack_lands(tmp_path):
     # at master seed 1 no attack of the small pipeline lands; its fallback set used to
     # reach the command-mode sweep without targets and raise
     a, b = tmp_path / "a", tmp_path / "b"
-    assert not _run_small_pipeline(a, seed=1).rows
-    assert not _run_small_pipeline(b, seed=1).rows
+    assert not _run_small_pipeline(a, seed=1)[0].rows
+    assert not _run_small_pipeline(b, seed=1)[0].rows
     compared, mismatched = _compare_trees(a, b)
     assert compared > 0 and not mismatched
 

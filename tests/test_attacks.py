@@ -24,15 +24,12 @@ from noisegate.audio import (
     peak_amplitude,
     relative_peak_db,
 )
-from noisegate.classifier import loss_and_gradient, pad_or_trim, predict, predict_samples_batch
-from noisegate.features import FFT_SIZE, frame_count, mfcc_batch
+from noisegate.classifier import pad_or_trim, predict, predict_samples_batch
+from noisegate.features import mfcc_batch
+
+from helpers import loss_and_gradient
 
 RATE = 16000
-
-
-def frames_for(n, dtype=np.float32):
-    """A zeroed work buffer for the forward of an n-sample row; PGD's is float32."""
-    return np.zeros((1, frame_count(n, RATE), FFT_SIZE), dtype)
 
 
 def wrong_label(model, label):
@@ -242,7 +239,7 @@ class TestPgdAttack:
         monkeypatch.setattr(attacks, "mfcc_backprop",
                             lambda grad, cache: seen.append(grad) or backprop(grad, cache))
         target_idx = tiny_model.label_index(target)
-        probs, backward = _forward_with_backward(tiny_model, samples, RATE, frames_for(RATE))
+        probs, backward = _forward_with_backward(tiny_model, samples, RATE, np.float32)
         backward(target_idx)
         # the MLP runs in float64 on the row's float32 MFCC
         feats = mfcc_batch(clip.samples[None, :], RATE, dtype=np.float32)[0]
@@ -258,8 +255,7 @@ class TestPgdAttack:
             samples = pad_or_trim(clip.samples.astype(np.float64), RATE)
             grads = []
             for dtype in (np.float32, np.float64):
-                _, backward = _forward_with_backward(tiny_model, samples, RATE,
-                                                     frames_for(RATE, dtype))
+                _, backward = _forward_with_backward(tiny_model, samples, RATE, dtype)
                 grads.append(backward(target_idx))
             assert grads[0].dtype == np.float32 and grads[1].dtype == np.float64
             large = np.abs(grads[1]) > 1e-3 * np.abs(grads[1]).max()
@@ -447,13 +443,12 @@ class TestPgdStep:
 
     def test_forward_scores_int16_rows_as_predict(self, tiny_model, tiny_clips):
         rng = np.random.default_rng(8)
-        frames = frames_for(RATE)  # one buffer for every row, as in a run
         for n in (RATE, RATE - 1234, RATE + 777):
             for _, clip in tiny_clips[:4]:
                 row = np.resize(clip.samples, n)
                 row = np.clip(row + rng.integers(-40, 41, n), -32768, 32767).astype(np.int16)
                 probs, _ = _forward_with_backward(
-                    tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE, frames)
+                    tiny_model, pad_or_trim(row.astype(np.float64), RATE), RATE, np.float32)
                 want = predict_samples_batch(tiny_model, row[None], RATE, dtype=np.float32)[0]
                 assert np.array_equal(probs, want)
 
@@ -474,7 +469,7 @@ def _pgd_float_loop(model, original, target, cfg):
     rescaled, ending = 0, "ran out"
     for step in range(cfg.steps):
         probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), RATE),
-                                                 RATE, frames_for(RATE))
+                                                 RATE, np.float32)
         confirm = predict_samples_batch(model, adv[None, :], RATE)[0]
         if step and int(np.argmax(probs)) == int(np.argmax(confirm)) == target_idx:
             ending = "landed"

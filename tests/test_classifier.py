@@ -16,16 +16,18 @@ from noisegate.classifier import (
     TrainConfig,
     forward_batch,
     load,
-    loss_and_gradient,
     new_model,
     pad_or_trim,
     predict,
     predict_clips,
+    predict_samples_batch,
     save,
     train,
 )
 from noisegate.features import mfcc_batch, mfcc_from_array
 from noisegate.synthesis import synth_clip
+
+from helpers import loss_and_gradient
 
 RATE = 16000
 
@@ -81,6 +83,13 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             forward_batch(tiny_model(), np.ones((1, 9)))
+
+    def test_rows_must_be_at_least_two_dimensional_and_of_input_width(self):
+        model = tiny_model()
+        for x in (np.ones(10), np.ones((3, 9)), np.ones((3, 1, 11)), np.ones((1, 10, 1))):
+            with pytest.raises(ValueError, match="model expects 10 per row"):
+                forward_batch(model, x)
+        assert forward_batch(model, np.ones((3, 1, 10))).shape == (3, 1, 4)
 
     def test_batch_matches_single(self):
         model = tiny_model(4)
@@ -291,6 +300,18 @@ class TestPredictClips:
 
     def test_empty_list(self):
         assert predict_clips(LIST_MODEL, []) == []
+
+    def test_rows_of_one_score_as_batches_of_one(self):
+        """Rows shaped (n, 1, n_samples) keep their leading shape, and each row's
+        probabilities equal that row scored alone, bit for bit."""
+        rng = np.random.default_rng(23)
+        rows = rng.integers(-4000, 4001, (7, RATE - 321)).astype(np.int16)
+        for dtype in (np.float64, np.float32):
+            probs = predict_samples_batch(LIST_MODEL, rows[:, None], RATE, dtype=dtype)
+            assert probs.shape == (7, 1, 6)
+            for row, got in zip(rows, probs):
+                alone = predict_samples_batch(LIST_MODEL, row[None], RATE, dtype=dtype)
+                assert np.array_equal(got, alone)
 
     def test_feature_width_mismatch_rejected(self):
         clip = AudioClip(samples=np.ones(RATE, dtype=np.int16), sample_rate_hz=RATE)

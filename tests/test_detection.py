@@ -19,9 +19,10 @@ from noisegate.recognition import (
     RecognizerSpec,
     Transcript,
     clip_content_hash,
-    write_cache_file,
 )
 from noisegate.transforms import TransformSpec, add_noise
+
+from helpers import write_cache_file
 
 RATE = 16000
 

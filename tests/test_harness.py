@@ -165,6 +165,11 @@ class TestExperimentConfig:
             ExperimentConfig(grid=(10, 10))
         with pytest.raises(ValueError):
             ExperimentConfig(grid=(30, 10))
+        # each intensity passes the noise spec's check, when the config is made
+        with pytest.raises(ValueError, match=r"intensity must be in \[0, 32767\], got -10"):
+            ExperimentConfig(grid=(-10, 10))
+        with pytest.raises(ValueError, match=r"intensity must be in \[0, 32767\], got 40000"):
+            ExperimentConfig(grid=(10, 40000))
 
     def test_cr_mode_validation(self):
         # a miscased mode used to run the experiments in edit mode
@@ -831,6 +836,20 @@ class TestCliSettings:
         text = str(exc.value.code)
         assert text.startswith(f"noisegate {argv[0]}: ") and message in text
         assert "\n" not in text
+
+    def test_roc_rejects_an_out_of_range_grid_before_it_writes(self, tmp_path, monkeypatch):
+        # the grid was checked only once the cells were built: after both manifests
+        # were read and <out-dir>/roc/ was made
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        manifest = str(tmp_path / "corpus" / "manifest.csv")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["roc", "--clean-manifest", manifest, "--adv-manifest", manifest,
+                      "--out-dir", str(tmp_path / "out"), "--recognizer", "external:echo yes {}",
+                      "--grid=-10,10"])
+        assert str(exc.value.code) == (
+            "noisegate roc: uniform intensity must be in [0, 32767], got -10")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_file_exits_with_one_line(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -3,22 +3,28 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisegate import attacks, experiments
 from noisegate.attacks import PgdConfig
-from noisegate.classifier import predict
+from noisegate.audio import AudioClip
+from noisegate.classifier import load, predict, predict_clips, save
 from noisegate.manifests import Manifest, ManifestRow
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
+
+
+def load_source(name):
+    # executed from its source, so nothing is imported from or written under perfbench/
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def load_tracing():
-    # executed from its source, so nothing is imported from or written under perfbench/
-    tracing = types.ModuleType("tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), tracing.__dict__)
-    return tracing
+    return load_source("tracing")
 
 
 def test_traced_names_exist():
@@ -135,3 +141,20 @@ def test_traced_pgd_step_is_one_forward_and_one_backward(tiny_model, tiny_clips,
     assert counts["features.mfcc_with_gradient_cache.calls"] == res.iterations_used + stopped_early
     assert counts["features.mfcc_backprop.calls"] == res.iterations_used
     assert counts["classifier.predict_samples_batch.calls"] == 1
+
+
+def test_predict_clips_agrees_with_the_independent_reference(tmp_path, tiny_model, tiny_clips):
+    """`predict_clips` on a saved model hears what perfbench's reference hears: the
+    reference reads the model file and rebuilds the MFCC and MLP apart from noisegate.
+    Labels agree and probabilities to 1e-9, on clips padded, exact and trimmed."""
+    path = tmp_path / "model.txt"
+    save(tiny_model, path)
+    reference = load_source("reference").ReferenceModel(path)
+    rate = tiny_clips[0][1].sample_rate_hz
+    clips = [AudioClip(samples=np.resize(clip.samples, n), sample_rate_hz=rate)
+             for _, clip in tiny_clips[:8] for n in (rate // 2 + 17, rate, rate + 3001)]
+    heard = predict_clips(load(path), clips)
+    for clip, (label, prob) in zip(clips, heard):
+        want = reference.probabilities(clip.samples, rate)
+        assert label == reference.labels[int(np.argmax(want))]
+        assert abs(prob - want.max()) <= 1e-9

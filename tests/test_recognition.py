@@ -23,8 +23,9 @@ from noisegate.recognition import (
     parse_recognizer,
     transcribe,
     transcribe_clips,
-    write_cache_file,
 )
+
+from helpers import write_cache_file
 
 RATE = 16000
 KIND_ARGS = [("builtin", "m.txt"), ("external", "run {}"), ("cache", "t.jsonl")]
