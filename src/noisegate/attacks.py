@@ -3,12 +3,13 @@
 Two routes against the built-in classifier: a gradient-free genetic attack
 (selection over target-class probability, uniform crossover, mutations of up
 to +-150 from 8-bit init noise) and a projected-gradient attack that walks the
-sign of the sample gradient under a peak-dB budget on the perturbation. Both
-search on float32 features and report success and score in float64.
+sample gradient's sign under a peak-dB budget on the perturbation. Both search
+on float32 features (PGD also on a float32 copy of the MLP, made per attack)
+and report success and score in float64.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,12 +251,12 @@ def _forward_with_backward(model: Model, samples: np.ndarray, rate: int, dtype):
     """Class probabilities for one sample row, and a `backward(target_idx)` that
     gives the gradient of the cross-entropy toward the target w.r.t. the samples.
 
-    `dtype` is the features'; the MLP runs in float64 on them. On a row of int16
-    values the probabilities equal the row's `predict_samples_batch` scores in that
-    dtype bit for bit.
+    `dtype` is the features'; the MLP runs in the wider of it and the model's dtype.
+    On a row of int16 values and a float64 model the probabilities equal the row's
+    `predict_samples_batch` scores in that dtype bit for bit.
     """
     features, cache = mfcc_with_gradient_cache(samples, rate, dtype)
-    probs, activations = _forward_batch(model, features.reshape(1, -1).astype(np.float64))
+    probs, activations = _forward_batch(model, features.reshape(1, -1))
 
     def backward(target_idx: int) -> np.ndarray:
         delta = probs.copy()
@@ -273,17 +274,17 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     gradient of the MFCC+MLP composition). The iterate is the int16 signal the
     attack would emit, in integer arithmetic; `_pgd_step` rescales a step onto
     the budget, tau dB under the carrier peak, so it holds at every iterate.
-    The gradient is taken at that signal, on float32 features (the sign step
-    reads only the gradient's sign), and the forward of step k+1 is also step
-    k's success check. A landing it claims stops the run only once the float64
-    `predict_samples_batch` of the iterate confirms it, and that row scores the
-    result; a denied landing keeps stepping. At least one step is taken, and
-    the run stops once an emitted iterate equals the one before it (the
-    original counts as the first). A run that runs out or repeats is re-scored
-    in float64, so success and score are float64, as in `ga_attack`. The
-    distortion of each emitted iterate is recorded in the result's
-    distortion_trace. A silent original raises SilentCarrierError, since it
-    leaves the budget undefined.
+    The gradient is taken at that signal, on float32 features and a float32
+    copy of the model made per attack (the sign step reads only the gradient's
+    sign), and the forward of step k+1 is also step k's success check. A
+    landing it claims stops the run only once the float64 `predict_samples_batch`
+    of the iterate confirms it, and that row scores the result; a denied landing
+    keeps stepping. At least one step is taken, and the run stops once an
+    emitted iterate equals the one before it (the original counts as the
+    first). A run that runs out or repeats is re-scored in float64, so success
+    and score are float64, as in `ga_attack`. The distortion of each emitted
+    iterate is recorded in the result's distortion_trace. A silent original
+    raises SilentCarrierError, since it leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
@@ -292,9 +293,12 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
     adv, previous, trace, iterations, probs = x, None, [], 0, None
+    # made per attack, not kept on the model: `train` updates weights in place
+    search = replace(model, weights=[w.astype(np.float32) for w in model.weights],
+                     biases=[b.astype(np.float32) for b in model.biases])
 
     for step in range(cfg.steps):
-        scores, backward = _forward_with_backward(model, pad_or_trim(adv, rate), rate, np.float32)
+        scores, backward = _forward_with_backward(search, pad_or_trim(adv, rate), rate, np.float32)
         if step and int(np.argmax(scores)) == target_idx:
             row = predict_samples_batch(model, adv[None, :], rate)[0]
             if int(np.argmax(row)) == target_idx:

@@ -137,7 +137,7 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
             report.add_row(*key, 100.0, 100.0, None, None)
             continue
         clean, adv = _hear(hear, groups, spec, lambda group, idx: derive_seed(
-            cfg.master_seed, f"{stage}-{group}", spec.label, idx))
+            cfg.master_seed, f"{stage}-{group}", spec.kind, idx))
         if model is not None:
             report.add_row(*key, asr_avg(targets, adv), acc(labels, clean))
         else:
@@ -157,7 +157,8 @@ def run_intensity_sweep(cfg: ExperimentConfig, clean_manifest: Manifest,
                         adv_manifest: Manifest, model: Model | None = None,
                         recognizer: RecognizerSpec | None = None) -> MetricsReport:
     """Attack success / accuracy (command mode) or transcript similarity
-    (text mode) for both noise kinds over the intensity grid."""
+    (text mode) for both noise kinds over the intensity grid. A clip's noise has
+    one seed per kind at every intensity: the cells are paired draws."""
     return _report(cfg, clean_manifest, adv_manifest, model, recognizer, "sweep",
                    ["noise_kind", "intensity"], _noise_rows(cfg.grid), SWEEP_FILES)
 
@@ -176,11 +177,11 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
                        adv_manifest: Manifest) -> dict:
     """Change-rate ROC per (noise kind, intensity) cell.
 
-    The clips are heard plain once per call, then as one noisy list per cell.
-    Writes detection_auc.csv (one row per cell; blank AUC marks a degenerate
-    cell where every score is identical) and a per-cell curve CSV of
-    (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
-    {(kind, intensity): RocResult | None}.
+    The clips are heard plain once per call, then as one noisy list per cell; a clip's
+    noise has one seed per kind at every intensity, as in the sweep. Writes
+    detection_auc.csv (one row per cell; blank AUC marks a degenerate cell where every
+    score is identical) and a per-cell curve CSV of (threshold, fpr, tpr) rows with a
+    trailing auc summary line. Returns {(kind, intensity): RocResult | None}.
     """
     if cfg.recognizer is None:
         raise ValueError("detection eval needs a recognizer (builtin:, external: or cache:)")
@@ -189,8 +190,8 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     roc_dir.mkdir(exist_ok=True)
     cells = _noise_rows(cfg.grid)
     tags = [(group, idx) for group, loaded in zip(GROUPS, groups) for idx in range(len(loaded))]
-    draws = [[replace(spec, seed=derive_seed(cfg.master_seed, "detect", *cell, *tag))
-              for tag in tags] for cell, spec in cells]
+    draws = [[replace(spec, seed=derive_seed(cfg.master_seed, "detect", spec.kind, *tag))
+              for tag in tags] for _, spec in cells]
     _, _, crs = change_rates(cfg.recognizer, [clip for loaded in groups for _, clip in loaded],
                              draws, cfg.cr_mode)
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])

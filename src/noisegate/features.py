@@ -147,7 +147,7 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.n
 def mfcc_with_gradient_cache(samples, sample_rate_hz: int, dtype=np.float64):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
     buffers of the call's own; `dtype` is the dtype of the coefficients and of the cache."""
-    x = np.asarray(samples, dtype=np.float64)[None, :]
+    x = samples[None, :]  # `_forward`'s ufuncs cast the samples to `dtype`
     work = _work(1, x.shape[1], sample_rate_hz, dtype)
     coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS), dtype=dtype)
     spectrum, raw_energies, energies = _forward(x, sample_rate_hz, work, coeffs)
@@ -165,11 +165,11 @@ def mfcc_backprop(grad_coeffs: np.ndarray, cache) -> np.ndarray:
     grad_log = grad_coeffs.astype(dtype, copy=False) @ dct
     grad_energy = np.where(raw_energies > LOG_FLOOR, grad_log / energies, 0.0)
     grad_power = grad_energy @ fbank
-    # adjoint of the one-sided power spectrum: double the DC/Nyquist bins so
-    # m * irfft reproduces 2*Re(conj(X_k) e^{-2pi i kn/m}) for every k
+    # adjoint of the one-sided power spectrum: double the DC/Nyquist bins so the
+    # unscaled irfft reproduces 2*Re(conj(X_k) e^{-2pi i kn/m}) for every k
     grad_power[:, 0] *= 2.0
     grad_power[:, -1] *= 2.0
-    grad_frames = m * irfft(grad_power * spectrum, m)[:, :flen]
+    grad_frames = irfft(grad_power * spectrum, m, norm="forward")[:, :flen]
     grad_frames *= window
 
     # overlap-add over blocks of `hop` samples: frame t covers blocks t .. t+k-1.

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from noisegate.audio import (
     peak_amplitude,
     relative_peak_db,
 )
-from noisegate.classifier import pad_or_trim, predict, predict_samples_batch
+from noisegate.classifier import Model, pad_or_trim, predict, predict_samples_batch
 from noisegate.features import mfcc_batch
 
 from helpers import loss_and_gradient
@@ -262,6 +263,49 @@ class TestPgdAttack:
             assert large.sum() > 0.5 * large.size
             assert np.array_equal(np.sign(grads[0][large]), np.sign(grads[1][large]))
 
+    def test_a_float32_model_runs_the_mlp_in_float32(self, tiny_model, tiny_clips,
+                                                     monkeypatch):
+        model = _float32_model(tiny_model)
+        _, clip = tiny_clips[3]
+        target_idx = model.label_index(wrong_label(model, predict(tiny_model, clip)[0]))
+        seen = []
+        backprop = attacks.mfcc_backprop
+        monkeypatch.setattr(attacks, "mfcc_backprop",
+                            lambda grad, cache: seen.append(grad) or backprop(grad, cache))
+        samples = pad_or_trim(clip.samples.astype(np.float64), RATE)
+        probs, backward = _forward_with_backward(model, samples, RATE, np.float32)
+        grad = backward(target_idx)
+        # the same forward and backward, written out in numpy on float32 rows
+        h = mfcc_batch(samples[None, :], RATE, dtype=np.float32).reshape(1, -1)
+        activations = [h]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = h @ w.T + b
+            h = z if i == len(model.weights) - 1 else np.maximum(z, np.float32(0.0))
+            activations.append(h)
+        e = np.exp(h - h.max())
+        want = e / e.sum()
+        delta = want.copy()
+        delta[0, target_idx] -= 1.0
+        for i in range(len(model.weights) - 1, 0, -1):
+            delta = (delta @ model.weights[i]) * (activations[i] > 0.0)
+        delta = delta @ model.weights[0]
+        assert probs.dtype == seen[0].dtype == grad.dtype == np.float32
+        assert np.array_equal(probs, want[0])
+        assert np.array_equal(seen[0], delta[0].reshape(seen[0].shape))
+
+    def test_each_attack_hears_the_model_as_it_is(self, tiny_model, tiny_clips):
+        model = copy.deepcopy(tiny_model)
+        _, clip = tiny_clips[1]
+        target = wrong_label(model, predict(model, clip)[0])
+        cfg = PgdConfig(tau=-70.0, steps=6, step_size=1)
+        assert pgd_attack(model, clip, target, cfg).iterations_used == cfg.steps
+        # an in-place edit, as `train` makes, that makes every row the target
+        model.biases[-1][model.label_index(target)] += 1e3
+        res = pgd_attack(model, clip, target, cfg)
+        # the float32 forward after the first step claims the landing; a copy kept
+        # from the first call would not, and the run would step on to the end
+        assert res.success and res.iterations_used == 1
+
     def test_distortion_is_db_distortion(self, tiny_model, tiny_clips):
         _, clip = tiny_clips[4]
         target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
@@ -453,10 +497,17 @@ class TestPgdStep:
                 assert np.array_equal(probs, want)
 
 
+def _float32_model(model):
+    return Model(layer_dims=model.layer_dims,
+                 weights=[w.astype(np.float32) for w in model.weights],
+                 biases=[b.astype(np.float32) for b in model.biases],
+                 class_labels=model.class_labels)
+
+
 def _pgd_float_loop(model, original, target, cfg):
-    """The PGD loop in float64 iterate arithmetic on float32 features, a landing
-    confirmed and the result scored by the float64 `predict_samples_batch`: the
-    oracle for `pgd_attack`'s integer steps.
+    """The PGD loop in float64 iterate arithmetic on float32 features and a float32
+    MLP, a landing confirmed and the result scored by the float64
+    `predict_samples_batch`: the oracle for `pgd_attack`'s integer steps.
 
     Returns (adversarial samples, distortion trace, iterations, success, target
     score, number of rescaled steps, how the run ended).
@@ -467,8 +518,9 @@ def _pgd_float_loop(model, original, target, cfg):
     bound = peak * 10.0 ** (cfg.tau / 20.0)
     adv, previous, trace, iterations = original.samples, None, [], 0
     rescaled, ending = 0, "ran out"
+    search = _float32_model(model)
     for step in range(cfg.steps):
-        probs, backward = _forward_with_backward(model, pad_or_trim(adv.astype(np.float64), RATE),
+        probs, backward = _forward_with_backward(search, pad_or_trim(adv.astype(np.float64), RATE),
                                                  RATE, np.float32)
         confirm = predict_samples_batch(model, adv[None, :], RATE)[0]
         if step and int(np.argmax(probs)) == int(np.argmax(confirm)) == target_idx:

@@ -207,7 +207,7 @@ def text_reference(recognizer, clean, adv, rows, stage, master_seed):
             for idx, row in enumerate(manifest.rows):
                 clip = read_wav(manifest.resolve(row))
                 seeded = replace(spec, seed=derive_seed(master_seed, f"{stage}-{group}",
-                                                        spec.label, idx))
+                                                        spec.kind, idx))
                 before = transcribe(recognizer, clip).text
                 after = transcribe(recognizer, apply_transform(seeded, clip)).text
                 sims.append(similarity(before, after))
@@ -287,7 +287,7 @@ def command_reference(model, clean, adv, rows, stage, master_seed):
                 clip = read_wav(manifest.resolve(row))
                 if spec is not None:
                     clip = apply_transform(replace(spec, seed=derive_seed(
-                        master_seed, f"{stage}-{group}", spec.label, idx)), clip)
+                        master_seed, f"{stage}-{group}", spec.kind, idx)), clip)
                 heard[group].append(predict(model, clip)[0])
         out.append((*key, percent([label == row.target for label, row
                                    in zip(heard["adv"], adv.rows)]),
@@ -341,7 +341,7 @@ class TestCommandMode:
                     for idx, row in enumerate(manifest.rows):
                         clip = read_wav(manifest.resolve(row))
                         noisy = add_noise(clip, TransformSpec(kind, (intensity,), seed=derive_seed(
-                            14, "detect", kind, intensity, group, idx)))
+                            14, "detect", kind, group, idx)))
                         scored.append((transcript_change(predict(tiny_model, clip)[0],
                                                          predict(tiny_model, noisy)[0], mode),
                                        flag))
@@ -425,7 +425,7 @@ class TestDetectionEval:
                                               ("adv", adv_manifest, True)):
                     for idx, row in enumerate(manifest.rows):
                         noise = TransformSpec(kind, (intensity,), seed=derive_seed(
-                            6, "detect", kind, intensity, group, idx))
+                            6, "detect", kind, group, idx))
                         cr, _, _ = change_rate(rec, read_wav(manifest.resolve(row)), noise,
                                                mode=mode)
                         scored.append((cr, flag))
@@ -471,6 +471,40 @@ class TestDetectionEval:
         assert list((tmp_path / "roc").iterdir()) == []
         assert (tmp_path / "detection_auc.csv").read_text().splitlines()[1:] == [
             "uniform,0,,", "gaussian,0,,"]
+
+
+class TestPairedDraws:
+    """A clip's noise at every intensity of the grid comes from one seed per kind,
+    so the cells of a sweep or a ROC differ by the intensity alone."""
+
+    @pytest.mark.parametrize("driver", ["sweep", "roc"])
+    def test_a_clip_draws_from_one_seed_per_kind(self, tmp_path, monkeypatch, text_sets,
+                                                 driver):
+        clean, adv = text_sets
+        seeds = {}  # (kind, clip) -> {intensity: seed}
+
+        def recording(apply):  # apply_transform(spec, clip) or add_noise(clip, spec)
+            def record(*args):
+                spec, clip = sorted(args, key=lambda arg: not isinstance(arg, TransformSpec))
+                key = (spec.kind, hashlib.sha256(clip.samples.tobytes()).hexdigest())
+                seeds.setdefault(key, {})[spec.params[0]] = spec.seed
+                return apply(*args)
+            return record
+
+        cfg = ExperimentConfig(master_seed=3, grid=(10, 70, 100, 500), recognizer=OD_RECOGNIZER,
+                               out_dir=str(tmp_path))
+        if driver == "sweep":
+            monkeypatch.setattr(experiments, "_apply", recording(experiments._apply))
+            run_intensity_sweep(cfg, clean, adv, recognizer=OD_RECOGNIZER)
+        else:
+            monkeypatch.setattr(detection, "add_noise", recording(detection.add_noise))
+            run_detection_eval(cfg, clean, adv)
+        assert len(seeds) == 2 * (len(clean.rows) + len(adv.rows))
+        for by_intensity in seeds.values():
+            assert sorted(by_intensity) == list(cfg.grid)
+            assert len(set(by_intensity.values())) == 1
+        # each clip and kind still draws its own noise
+        assert len({next(iter(s.values())) for s in seeds.values()}) == len(seeds)
 
 
 # a small CLI pipeline, every path relative to the working directory; the
