@@ -484,11 +484,11 @@ class TestPairedDraws:
         seeds = {}  # (kind, clip) -> {intensity: seed}
 
         def recording(apply):  # apply_transform(spec, clip) or add_noise(clip, spec)
-            def record(*args):
-                spec, clip = sorted(args, key=lambda arg: not isinstance(arg, TransformSpec))
+            def record(a, b):
+                spec, clip = (a, b) if isinstance(a, TransformSpec) else (b, a)
                 key = (spec.kind, hashlib.sha256(clip.samples.tobytes()).hexdigest())
                 seeds.setdefault(key, {})[spec.params[0]] = spec.seed
-                return apply(*args)
+                return apply(a, b)
             return record
 
         cfg = ExperimentConfig(master_seed=3, grid=(10, 70, 100, 500), recognizer=OD_RECOGNIZER,
