@@ -24,7 +24,7 @@ from noisegate import classifier
 from noisegate.attacks import GaConfig, PgdConfig
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig
-from noisegate.detection import DetectionConfig, detect_clips
+from noisegate.detection import DetectionConfig, detect_clips, hearing_blocks
 from noisegate.experiments import (
     COMPARE_FILES,
     SWEEP_FILES,
@@ -41,7 +41,6 @@ from noisegate.synthesis import synth_dataset
 from noisegate.transforms import apply_transform, parse_transform
 
 SEED_ENV_VAR = "NOISEGATE_SEED"
-DETECT_BLOCK = 64  # clips `detect` holds in memory at a time, with their noisy copies
 
 
 def _load_config(path, known):
@@ -176,8 +175,7 @@ def cmd_detect(args):
     cfg = _from_flags(DetectionConfig, args)
     manifest = load_manifest(args.manifest)
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
-    for start in range(0, len(manifest), DETECT_BLOCK):
-        block = manifest.rows[start:start + DETECT_BLOCK]
+    for start, block in hearing_blocks(manifest.rows):
         outcomes = detect_clips(cfg, [read_wav(manifest.resolve(row)) for row in block],
                                 [derive_seed(seed, "detect", start + i) for i in range(len(block))])
         rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,

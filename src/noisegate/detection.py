@@ -8,9 +8,19 @@ import numpy as np
 from noisegate.audio import AudioClip
 from noisegate.recognition import RecognizerSpec, levenshtein, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, add_noise
+from noisegate.transforms import NOISE_KINDS, TransformSpec, add_noise, shared_draws
 
 CR_MODES = ("edit", "flip")
+# The most clips heard as one list: `detect`'s manifest blocks, and each group of a
+# report with its noisy copies and, in a grid, a 128 KB gaussian draw per clip. On
+# `defend` (50-clip groups), 10-clip lists cut CPU but sped the host probe more (3.5-10.8%
+# fewer predictions per kprobe); one call-wide draw mapping added 6.3-7.6 MB peak RSS.
+HEAR_BLOCK = 64
+
+
+def hearing_blocks(items):
+    """(start, items[start:start + HEAR_BLOCK]) for each list that is heard at once."""
+    return [(start, items[start:start + HEAR_BLOCK]) for start in range(0, len(items), HEAR_BLOCK)]
 
 
 class UndefinedChangeRateError(ValueError):
@@ -68,12 +78,14 @@ def change_rates(recognizer: RecognizerSpec, clips, draws, mode: str = "edit"):
     """Transcript change of each clip after each noise draw (see `transcript_change`).
 
     `draws` holds one list per draw of one noise spec per clip. The plain clips
-    are heard as one list, then each draw's noisy copies as one list. Returns
+    are heard as one list, then each draw's noisy copies as one list; draws that
+    share a gaussian seed share its unit draw (see `shared_draws`). Returns
     (plain transcripts, noisy transcripts per draw, CRs per draw).
     """
     plain = [heard.text for heard in transcribe_clips(recognizer, clips)]
+    units = shared_draws([noise for draw in draws for noise in draw])
     noisy = [[heard.text for heard in transcribe_clips(
-        recognizer, [add_noise(clip, noise) for clip, noise in zip(clips, draw)])]
+        recognizer, [add_noise(clip, noise, units) for clip, noise in zip(clips, draw)])]
         for draw in draws]
     crs = [[transcript_change(before, after, mode) for before, after in zip(plain, afters)]
            for afters in noisy]

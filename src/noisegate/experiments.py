@@ -13,7 +13,7 @@ import numpy as np
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import Model, predict_clips
-from noisegate.detection import CR_MODES, RocResult, change_rates, roc
+from noisegate.detection import CR_MODES, RocResult, change_rates, hearing_blocks, roc
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
     MetricsReport,
@@ -25,7 +25,7 @@ from noisegate.metrics import (
 )
 from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
+from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform, shared_draws
 from noisegate.transforms import apply_transform as _apply
 
 DEFAULT_GRID = (10, 30, 50, 70, 100, 200, 500)
@@ -78,24 +78,23 @@ def _prepare(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Mani
     return groups, out_dir
 
 
-def _hear(hear, groups, spec: TransformSpec | None = None, seed=None):
-    """Each group's clips as heard after `spec`, or plain when it is None.
+def _hear(hear_block, groups, specs, seed):
+    """{spec: (clean, adversarial) lists of labels, transcripts or CRs} of the clips
+    heard after each of `specs` (None: plain).
 
-    `hear` takes a group's list of clips at once. Clip i of group g gets the
-    seed `seed(g, i)`, so a noise draw never depends on which other clips are
-    in the call.
+    The group is the outer loop: `hear_block(clips, rows)` hears each block of it (see
+    `hearing_blocks`) once per row of per-clip specs, and returns a list per row. Clip i
+    of group g gets the seed `seed(g, spec, i)`, so a noise draw never depends on which
+    other clips are in the list.
     """
-    return [hear([clip if spec is None else _apply(replace(spec, seed=seed(group, idx)), clip)
-                  for idx, (_, clip) in enumerate(loaded)])
-            for group, loaded in zip(GROUPS, groups)]
-
-
-def _labeler(model: Model):
-    return lambda clips: [label for label, _ in predict_clips(model, clips)]
-
-
-def _transcriber(recognizer: RecognizerSpec):
-    return lambda clips: [heard.text for heard in transcribe_clips(recognizer, clips)]
+    heard = {spec: ([], []) for spec in specs}
+    for g, (group, loaded) in enumerate(zip(GROUPS, groups)):
+        for start, block in hearing_blocks(loaded):
+            rows = [[None if spec is None else replace(spec, seed=seed(group, spec, start + i))
+                     for i in range(len(block))] for spec in heard]
+            for spec, out in zip(heard, hear_block([clip for _, clip in block], rows)):
+                heard[spec][g].extend(out)
+    return heard
 
 
 def _text_scores(loaded, plain, heard):
@@ -126,23 +125,31 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
                 raise ValueError(f"adversarial manifest row {row.path} has no target label")
         labels = [row.label for row, _ in groups[0]]
         targets = [row.target for row, _ in groups[1]]
-        hear, columns, name = _labeler(model), COMMAND_COLUMNS, files[0]
+        hear, columns, name = (lambda clips: [label for label, _ in predict_clips(model, clips)],
+                               COMMAND_COLUMNS, files[0])
     else:
-        hear, columns, name = _transcriber(recognizer), TEXT_COLUMNS, files[1]
-        plain = _hear(hear, groups)
+        hear, columns, name = (lambda clips: [t.text for t in transcribe_clips(recognizer, clips)],
+                               TEXT_COLUMNS, files[1])
 
+    def hear_block(clips, rows):  # rows that share a gaussian seed share its unit draws
+        units = shared_draws([s for row in rows for s in row if s is not None])
+        return [hear([clip if s is None else _apply(s, clip, units) for s, clip in zip(row, clips)])
+                for row in rows]
+
+    # text mode scores each transform against the plain transcripts, heard first
+    heard = _hear(hear_block, groups, [None] * (model is None) + [spec for _, spec in rows],
+                  lambda group, spec, idx: derive_seed(cfg.master_seed, f"{stage}-{group}",
+                                                       spec.kind, idx))
     report = MetricsReport(columns=[*key_columns, *columns])
     for key, spec in rows:
-        if model is None and spec is None:  # the plain clips: 100% similar, no ratio
-            report.add_row(*key, 100.0, 100.0, None, None)
-            continue
-        clean, adv = _hear(hear, groups, spec, lambda group, idx: derive_seed(
-            cfg.master_seed, f"{stage}-{group}", spec.kind, idx))
+        clean, adv = heard[spec]
         if model is not None:
             report.add_row(*key, asr_avg(targets, adv), acc(labels, clean))
+        elif spec is None:  # the plain clips: 100% similar, no ratio
+            report.add_row(*key, 100.0, 100.0, None, None)
         else:
-            sb, rb = _text_scores(groups[0], plain[0], clean)
-            sa, ra = _text_scores(groups[1], plain[1], adv)
+            sb, rb = _text_scores(groups[0], heard[None][0], clean)
+            sa, ra = _text_scores(groups[1], heard[None][1], adv)
             report.add_row(*key, sb, sa, rb, ra)
     emit_report(report, out_dir / name)
     return report
@@ -158,7 +165,8 @@ def run_intensity_sweep(cfg: ExperimentConfig, clean_manifest: Manifest,
                         recognizer: RecognizerSpec | None = None) -> MetricsReport:
     """Attack success / accuracy (command mode) or transcript similarity
     (text mode) for both noise kinds over the intensity grid. A clip's noise has
-    one seed per kind at every intensity: the cells are paired draws."""
+    one seed per kind at every intensity: the cells are paired draws, and its
+    gaussian unit draw is drawn once per call."""
     return _report(cfg, clean_manifest, adv_manifest, model, recognizer, "sweep",
                    ["noise_kind", "intensity"], _noise_rows(cfg.grid), SWEEP_FILES)
 
@@ -177,11 +185,12 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
                        adv_manifest: Manifest) -> dict:
     """Change-rate ROC per (noise kind, intensity) cell.
 
-    The clips are heard plain once per call, then as one noisy list per cell; a clip's
-    noise has one seed per kind at every intensity, as in the sweep. Writes
-    detection_auc.csv (one row per cell; blank AUC marks a degenerate cell where every
-    score is identical) and a per-cell curve CSV of (threshold, fpr, tpr) rows with a
-    trailing auc summary line. Returns {(kind, intensity): RocResult | None}.
+    Each block of a group is heard plain once, then as one noisy list per cell. A clip's
+    noise has one seed per kind at every intensity, as in the sweep, and one gaussian
+    unit draw per call. Writes detection_auc.csv (one row per cell; blank AUC marks a
+    degenerate cell where every score is identical) and a per-cell curve CSV of
+    (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
+    {(kind, intensity): RocResult | None}.
     """
     if cfg.recognizer is None:
         raise ValueError("detection eval needs a recognizer (builtin:, external: or cache:)")
@@ -189,15 +198,14 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
     cells = _noise_rows(cfg.grid)
-    tags = [(group, idx) for group, loaded in zip(GROUPS, groups) for idx in range(len(loaded))]
-    draws = [[replace(spec, seed=derive_seed(cfg.master_seed, "detect", spec.kind, *tag))
-              for tag in tags] for _, spec in cells]
-    _, _, crs = change_rates(cfg.recognizer, [clip for loaded in groups for _, clip in loaded],
-                             draws, cfg.cr_mode)
+    heard = _hear(lambda clips, rows: change_rates(cfg.recognizer, clips, rows, cfg.cr_mode)[2],
+                  groups, [spec for _, spec in cells], lambda group, spec, idx: derive_seed(
+                      cfg.master_seed, "detect", spec.kind, group, idx))
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
-    for ((kind, intensity), _), cell_crs in zip(cells, crs):
-        scored = [(cr, group == "adv") for cr, (group, _) in zip(cell_crs, tags)]
+    for (kind, intensity), spec in cells:
+        clean, adv = heard[spec]
+        scored = [(cr, False) for cr in clean] + [(cr, True) for cr in adv]
         curve = roc_dir / f"roc_{kind}_{intensity}.csv"
         if len({s for s, _ in scored}) == 1:
             results[(kind, intensity)] = None  # noise moved nothing; no curve
@@ -213,10 +221,8 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
 
 
 def _write_roc_curve(cell: RocResult, path) -> None:
-    lines = ["threshold,fpr,tpr"]
-    for threshold, fpr, tpr in cell.points:
-        lines.append(f"{threshold:.6f},{fpr:.6f},{tpr:.6f}")
-    lines.append(f"auc,{cell.auc:.6f}")
+    lines = ["threshold,fpr,tpr", *(f"{threshold:.6f},{fpr:.6f},{tpr:.6f}"
+                                    for threshold, fpr, tpr in cell.points), f"auc,{cell.auc:.6f}"]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -255,9 +261,7 @@ def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
 
-    results = []
-    adv_rows = []
-    record_lines = []
+    results, adv_rows, record_lines = [], [], []
     for idx, (row, target) in enumerate(zip(manifest.rows, targets)):
         clip = read_wav(manifest.resolve(row))
         if kind == "ga":

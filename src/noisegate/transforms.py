@@ -72,27 +72,41 @@ def _resolved(spec: TransformSpec) -> tuple:
     return spec.params + tuple(_KINDS[spec.kind][0].values())[len(spec.params):]
 
 
-def add_noise(clip: AudioClip, spec: TransformSpec) -> AudioClip:
+def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioClip:
     """Add i.i.d. integer noise to every sample, saturating to 16-bit: uniform on
-    [-I, I] or gaussian with sigma = I, for the noise spec's intensity I."""
+    [-I, I] or gaussian with sigma = I, for the noise spec's intensity I.
+
+    `unit_draws`, a mapping the caller owns (see `shared_draws`), keeps each gaussian
+    unit draw z by (seed, length), read-only, for the intensities of that seed to
+    share. It changes no output. The uniform kind draws on every call."""
     if spec.kind not in NOISE_KINDS:
         raise ValueError(f"add_noise takes a noise kind {NOISE_KINDS}, got {spec.kind!r}")
     (intensity,) = spec.params
     if intensity == 0:
         return clip
-    rng = np.random.default_rng(spec.seed)
     n = len(clip)
     if spec.kind == "uniform":
-        noisy = rng.integers(-intensity, intensity + 1, size=n, dtype=np.int32)
+        noisy = np.random.default_rng(spec.seed).integers(-intensity, intensity + 1, size=n,
+                                                          dtype=np.int32)
     else:
+        draws, key = {} if unit_draws is None else unit_draws, (spec.seed, n)
+        if key not in draws:
+            draws[key] = np.random.default_rng(spec.seed).standard_normal(n)
+            draws[key].flags.writeable = False
         # rng.normal(0, I, n) is 0 + I * z over the same draws z: equal after rounding;
         # whole-number float64 sums are exact, so this equals the int32 sum
-        noisy = rng.standard_normal(n)
-        noisy *= intensity
+        noisy = draws[key] * intensity
         np.round(noisy, out=noisy)
     noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
+
+
+def shared_draws(specs):
+    """A `unit_draws` mapping for noising with `specs` when a gaussian seed among
+    them comes back, else None: no draw is kept that is not used again."""
+    seeds = [spec.seed for spec in specs if spec.kind == "gaussian"]
+    return {} if len(set(seeds)) < len(seeds) else None
 
 
 def requantize_8bit(clip: AudioClip) -> AudioClip:
@@ -186,10 +200,11 @@ def quantize(clip: AudioClip, step: int) -> AudioClip:
 # kind -> ({parameter: default, None marking a required one}, apply). A spec checks
 # each parameter against the rule "<kind> <parameter>". Each apply takes the clip and
 # the spec, and looks its operation up by name at call time, so a wrapper set on the
-# module attribute (as perfbench/tracing.py does) sees every call.
+# module attribute (as perfbench/tracing.py does) sees every call; apply_transform
+# does so for the noise kinds.
 _KINDS = {
-    "uniform": ({"intensity": None}, lambda clip, spec: add_noise(clip, spec)),
-    "gaussian": ({"intensity": None}, lambda clip, spec: add_noise(clip, spec)),
+    "uniform": ({"intensity": None}, None),
+    "gaussian": ({"intensity": None}, None),
     "requant8": ({}, lambda clip, spec: requantize_8bit(clip)),
     "lowpass": ({"cutoff": None, "taps": DEFAULT_LOWPASS_TAPS},
                 lambda clip, spec: low_pass(clip, *_resolved(spec))),
@@ -212,6 +227,9 @@ def parse_transform(text: str, seed: int = 0) -> TransformSpec:
     return TransformSpec(kind=kind, params=params, seed=seed)
 
 
-def apply_transform(spec: TransformSpec, clip: AudioClip) -> AudioClip:
-    """Dispatch to the kind's operation; deterministic given (spec, clip)."""
+def apply_transform(spec: TransformSpec, clip: AudioClip, unit_draws=None) -> AudioClip:
+    """Dispatch to the kind's operation, `add_noise` with the caller's `unit_draws`
+    for a noise kind; deterministic given (spec, clip)."""
+    if spec.kind in NOISE_KINDS:
+        return add_noise(clip, spec, unit_draws)
     return _KINDS[spec.kind][1](clip, spec)

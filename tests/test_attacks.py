@@ -249,19 +249,24 @@ class TestPgdAttack:
         assert np.array_equal(seen[0], want_grad)
 
     def test_float32_gradient_has_the_float64_sign(self, tiny_model, tiny_clips):
-        # the sign step reads only the sign, wherever the gradient is not negligible
+        # the sign step reads only the sign, wherever the gradient is not negligible;
+        # the float32 copy of the MLP is the one pgd_attack steps on
+        search = _float32_model(tiny_model)
         for _, clip in tiny_clips:
             target_idx = tiny_model.label_index(
                 wrong_label(tiny_model, predict(tiny_model, clip)[0]))
             samples = pad_or_trim(clip.samples.astype(np.float64), RATE)
             grads = []
-            for dtype in (np.float32, np.float64):
-                _, backward = _forward_with_backward(tiny_model, samples, RATE, dtype)
+            for model, dtype in ((tiny_model, np.float32), (search, np.float32),
+                                 (tiny_model, np.float64)):
+                _, backward = _forward_with_backward(model, samples, RATE, dtype)
                 grads.append(backward(target_idx))
-            assert grads[0].dtype == np.float32 and grads[1].dtype == np.float64
-            large = np.abs(grads[1]) > 1e-3 * np.abs(grads[1]).max()
+            *low, exact = grads
+            assert [g.dtype for g in grads] == [np.float32, np.float32, np.float64]
+            large = np.abs(exact) > 1e-3 * np.abs(exact).max()
             assert large.sum() > 0.5 * large.size
-            assert np.array_equal(np.sign(grads[0][large]), np.sign(grads[1][large]))
+            for grad in low:
+                assert np.array_equal(np.sign(grad[large]), np.sign(exact[large]))
 
     def test_a_float32_model_runs_the_mlp_in_float32(self, tiny_model, tiny_clips,
                                                      monkeypatch):

@@ -211,6 +211,24 @@ class TestDetect:
         assert (out.cr, out.transcript_before, out.transcript_after) == (0.25, "same", "lame")
 
 
+    def test_votes_keep_no_unit_draw(self, monkeypatch):
+        # each vote draws from its own seed, so no draw is held for a later one
+        import noisegate.detection as detection
+
+        seen = []
+
+        def recording(clip, noise, units=None):
+            seen.append(units)
+            return add_noise(clip, noise, units)
+
+        monkeypatch.setattr(detection, "add_noise", recording)
+        monkeypatch.setattr(detection, "transcribe_clips",
+                            lambda spec, clips: [Transcript(text="same") for _ in clips])
+        cfg = DetectionConfig(recognizer=RecognizerSpec.external("sh -c true {}"), votes=3)
+        detect_clips(cfg, [clip_of([11] * 60), clip_of([7] * 60)], [5, 6])
+        assert seen == [None] * 6
+
+
 class TestZeroIntensity:
     def test_cr_is_zero_for_deterministic_recognizer(self, tmp_path, tiny_model, tiny_clips):
         import noisegate.classifier as clf

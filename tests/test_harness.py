@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisegate import detection, experiments
+from noisegate import detection, experiments, transforms
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig, predict
 from noisegate.detection import DetectionConfig, change_rate, roc, transcript_change
@@ -483,14 +484,19 @@ class TestPairedDraws:
         clean, adv = text_sets
         seeds = {}  # (kind, clip) -> {intensity: seed}
 
-        def recording(apply):  # apply_transform(spec, clip) or add_noise(clip, spec)
-            def record(a, b):
+        def recording(apply):  # apply_transform(spec, clip, ...) or add_noise(clip, spec, ...)
+            def record(a, b, *rest):
                 spec, clip = (a, b) if isinstance(a, TransformSpec) else (b, a)
                 key = (spec.kind, hashlib.sha256(clip.samples.tobytes()).hexdigest())
                 seeds.setdefault(key, {})[spec.params[0]] = spec.seed
-                return apply(a, b)
+                return apply(a, b, *rest)
             return record
 
+        # add_noise makes one generator per draw it takes
+        rngs = Counter()
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: rngs.update([seed]) or default_rng(seed))
         cfg = ExperimentConfig(master_seed=3, grid=(10, 70, 100, 500), recognizer=OD_RECOGNIZER,
                                out_dir=str(tmp_path))
         if driver == "sweep":
@@ -505,6 +511,37 @@ class TestPairedDraws:
             assert len(set(by_intensity.values())) == 1
         # each clip and kind still draws its own noise
         assert len({next(iter(s.values())) for s in seeds.values()}) == len(seeds)
+        # and draws its gaussian noise once for the whole grid
+        gaussian = [next(iter(s.values())) for (kind, _), s in seeds.items() if kind == "gaussian"]
+        assert [rngs[seed] for seed in gaussian] == [1] * len(clean.rows + adv.rows)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_a_block_bounds_the_draws_held(self, tmp_path, monkeypatch, text_sets, block):
+        clean, adv = text_sets
+        cfg = ExperimentConfig(master_seed=5, grid=(10, 70, 500), recognizer=OD_RECOGNIZER,
+                               transforms=("gaussian:30", "gaussian:300", "uniform:30"))
+
+        def reports(out_dir):
+            run = replace(cfg, out_dir=str(out_dir))
+            run_intensity_sweep(run, clean, adv, recognizer=OD_RECOGNIZER)
+            run_transform_comparison(run, clean, adv, recognizer=OD_RECOGNIZER)
+            run_detection_eval(run, clean, adv)
+            return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.csv")}
+
+        want = reports(tmp_path / "whole")
+        held = []
+
+        def recording(add_noise):
+            def record(clip, spec, units=None):
+                held.append(None if units is None else len(units))
+                return add_noise(clip, spec, units)
+            return record
+
+        monkeypatch.setattr(transforms, "add_noise", recording(transforms.add_noise))
+        monkeypatch.setattr(detection, "add_noise", recording(detection.add_noise))
+        monkeypatch.setattr(detection, "HEAR_BLOCK", block)
+        assert reports(tmp_path / "blocks") == want
+        assert max(n for n in held if n is not None) == block
 
 
 # a small CLI pipeline, every path relative to the working directory; the
@@ -1118,7 +1155,7 @@ class TestCliDetect:
             return (tmp_path / name).read_bytes()
 
         whole = report("whole.csv")
-        monkeypatch.setattr(cli, "DETECT_BLOCK", 3)
+        monkeypatch.setattr(detection, "HEAR_BLOCK", 3)
         assert report("blocks.csv") == whole
         assert heard == [4, 3, 1]
 

@@ -132,6 +132,24 @@ class TestAddNoise:
             assert (out == I16_MIN).any() and (out == I16_MAX).any()
         assert clip.samples.tobytes() == samples.tobytes()
 
+    def test_shared_unit_draws_keep_every_byte(self):
+        # one read-only unit draw per (seed, length) serves every gaussian intensity;
+        # the uniform kind keeps none
+        clip, short = tone(440, 0.1), tone(440, 0.05)
+        units = transforms.shared_draws([TransformSpec("gaussian", (10,), seed=3)] * 2)
+        for intensity in (1, 70, 500, I16_MAX):
+            for c in (clip, short):
+                for kind in ("uniform", "gaussian"):
+                    spec = TransformSpec(kind, (intensity,), seed=3)
+                    assert add_noise(c, spec, units) == _add_noise_oracle(c, spec)
+                    assert apply_transform(spec, c, units) == _add_noise_oracle(c, spec)
+        assert sorted(units) == [(3, len(short)), (3, len(clip))]
+        assert not any(z.flags.writeable for z in units.values())
+        # a draw that no other spec reuses is not kept
+        assert transforms.shared_draws([TransformSpec("gaussian", (10,), seed=s)
+                                        for s in (1, 2)]) is None
+        assert transforms.shared_draws([TransformSpec("uniform", (10,), seed=1)] * 2) is None
+
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
             TransformSpec("pink", (10,))
