@@ -33,7 +33,7 @@ def _git(tree, *args):
                           check=True).stdout.strip()
 
 
-def _bench(tree, workload, seed, seconds, trace):
+def bench(tree, workload, seed, seconds, trace):
     """(machine line, the last stdout line's JSON) of one benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -43,7 +43,7 @@ def _bench(tree, workload, seed, seconds, trace):
     return lines[0], json.loads(lines[-1])
 
 
-def _summary(values):
+def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"values": values, "median": statistics.median(values), "quartiles": [q1, q3]}
 
@@ -82,15 +82,15 @@ def main(argv=None):
     runs, machine = [], None
     for k, seed in enumerate(args.seeds):
         for workload in (workloads if k % 2 == 0 else workloads[::-1]):
-            machine, result = _bench(tree, workload, seed, seconds, 0)
+            machine, result = bench(tree, workload, seed, seconds, 0)
             runs.append({"workload": workload, "seed": seed, "correct": result["correct"],
                          "attempted": result["attempted"], "failed": result["failed"],
                          "metrics": {name: m["value"] for name, m in result["metrics"].items()}})
-    end_to_end = {w: {name: _summary([r["metrics"][name] for r in runs if r["workload"] == w])
+    end_to_end = {w: {name: summary([r["metrics"][name] for r in runs if r["workload"] == w])
                       for name in runs[0]["metrics"]} for w in workloads}
     traced = {}
     for workload in workloads:
-        _, result = _bench(tree, workload, args.seeds[0], seconds, 1)
+        _, result = bench(tree, workload, args.seeds[0], seconds, 1)
         traced[workload] = {"seed": args.seeds[0], "correct": result["correct"],
                             "attempted": result["attempted"], "failed": result["failed"],
                             "metrics": result["metrics"]}

@@ -16,12 +16,12 @@ PREEMPHASIS = 0.97
 FRAME_MS, HOP_MS, FFT_SIZE, MEL_FILTERS, NUM_COEFFS, LOG_FLOOR = 25, 10, 512, 40, 13, 1e-10
 
 # Rows per mfcc_batch pass. One pass over a whole 49-row population spends
-# its extra time on large buffers (frames, spectrum, squares), not on FFT
-# work. Measured on a 2-vCPU Xeon (2 MiB L2 per core) with one core and one
-# BLAS thread, 49 one-second rows, medians of 20 interleaved rounds of 4 calls:
-# float32 one pass 19.9 ms, chunks of 4 rows 15.0 ms; float64 one pass
-# 48.1 ms, chunks of 4 rows 25.7 ms. Chunks of 1-8 rows came within 7% of 4
-# in both dtypes.
+# its extra time on large buffers (frames, spectrum), not on FFT work.
+# Measured on a 2-vCPU Xeon (2 MiB L2 per core) with one core and one BLAS
+# thread, 49 one-second int16 rows, medians of 30 interleaved rounds of 4 calls:
+# float32 one pass 9.0 ms, chunks of 4 rows 8.0 ms; float64 one pass 21.6 ms,
+# chunks of 4 rows 13.8 ms. Chunks of 1, 2 and 8 rows came within 6% of 4,
+# and none beat 4 in both dtypes in each of three such runs.
 MFCC_CHUNK_ROWS = 4
 
 
@@ -79,16 +79,17 @@ def _plan(sample_rate_hz: int, dtype=np.float64):
     return window.astype(dtype), fbank.astype(dtype), dct.astype(dtype)
 
 
-def _work(rows, n_samples, sample_rate_hz, dtype):
+def _work(rows, n_samples, sample_rate_hz, dtype, squares=False):
     """`_forward`'s buffers for up to `rows` rows: frames zeroed so their tails stay the
-    FFT's zero padding, pre-emphasis in rows of hop, squares, power, and the mel
-    energies, floored energies and logs in one block (three made peak RSS layout-bound)."""
-    hop, count = hop_len(sample_rate_hz), frame_count(n_samples, sample_rate_hz)
+    FFT's zero padding, the pre-emphasised samples the frames use as one row per clip,
+    power, the mel energies, floored energies and logs in one block (three made peak RSS
+    layout-bound), and squares only for a gradient cache, whose spectrum must survive."""
+    count, bins = frame_count(n_samples, sample_rate_hz), FFT_SIZE // 2 + 1
+    used = (count - 1) * hop_len(sample_rate_hz) + frame_len(sample_rate_hz)
     frames = np.zeros((rows, count, FFT_SIZE), dtype=dtype)
-    bins, blocks = FFT_SIZE // 2 + 1, -(-frame_len(sample_rate_hz) // hop)
-    shapes = [(count + blocks - 1, hop), (count, 2 * bins), (count, bins)]
-    arrays = [np.empty((rows, *shape), dtype=dtype) for shape in shapes]
-    return (frames, *arrays, *np.empty((3, rows, count, MEL_FILTERS), dtype=dtype))
+    y, power = np.empty((rows, used), dtype=dtype), np.empty((rows, count, bins), dtype=dtype)
+    extra = [np.empty((rows, count, 2 * bins), dtype=dtype)] if squares else []
+    return (frames, y, power, *np.empty((3, rows, count, MEL_FILTERS), dtype=dtype), *extra)
 
 
 def _forward(x, sample_rate_hz: int, work, out):
@@ -96,30 +97,30 @@ def _forward(x, sample_rate_hz: int, work, out):
 
     Writes the coefficients into `out`, k rows of (frame_count, NUM_COEFFS), and
     returns (spectrum, raw_energies, energies), the intermediates `mfcc_backprop`
-    needs; the last two are views into `work`, from `_work` for at least k rows.
+    needs; the last two are views into `work`, from `_work` for at least k rows. Without
+    squares in `work` the spectrum is squared in place, and None is returned for it.
     """
-    frames, y, squares, power, raw_energies, energies, logs = (a[:len(x)] for a in work)
+    frames, y, power, raw_energies, energies, logs, *squares = (a[:len(x)] for a in work)
     dtype = frames.dtype.type
     window, fbank, dct = _plan(sample_rate_hz, dtype)
-    count, hop = frames.shape[1], y.shape[2]
-    used, flat = (count - 1) * hop + window.size, y.reshape(len(x), -1)
+    count, hop, step = frames.shape[1], hop_len(sample_rate_hz), y.strides[1]
     # pre-emphasis, y[t] = x[t] - PREEMPHASIS * x[t - 1] and y[0] = x[0], of the samples
-    # the frames use, in rows of `hop`: frame t holds rows t .. t+blocks-1. The ufuncs
-    # cast x to `dtype` first, as an astype would
-    flat[:, 0] = x[:, 0]
-    np.multiply(x[:, :used - 1], dtype(-PREEMPHASIS), out=flat[:, 1:used], dtype=dtype)
-    np.add(flat[:, 1:used], x[:, 1:used], out=flat[:, 1:used], dtype=dtype)
-    # window block j of every frame at once, the mirror of mfcc_backprop's overlap-add
-    for j in range(y.shape[1] - count + 1):
-        lo, hi = j * hop, min((j + 1) * hop, window.size)
-        np.multiply(y[:, j:count + j, :hi - lo], window[lo:hi], out=frames[:, :, lo:hi])
+    # the frames use. The ufuncs cast x to `dtype` first, as an astype would
+    y[:, 0] = x[:, 0]
+    np.multiply(x[:, :y.shape[1] - 1], dtype(-PREEMPHASIS), out=y[:, 1:], dtype=dtype)
+    np.add(y[:, 1:], x[:, 1:y.shape[1]], out=y[:, 1:], dtype=dtype)
+    # every windowed frame in one pass: frame t is the window.size samples from t * hop
+    strided = np.lib.stride_tricks.as_strided(
+        y, (len(x), count, window.size), (y.strides[0], hop * step, step), writeable=False)
+    np.multiply(strided, window, out=frames[:, :, :window.size])
     spectrum = rfft(frames)
-    np.square(spectrum.view(dtype), out=squares)  # |X|^2 = re^2 + im^2 from (re, im) pairs
-    np.add(squares[..., ::2], squares[..., 1::2], out=power)
+    # |X|^2 = re^2 + im^2 from (re, im) pairs, in place unless a backward reads the spectrum
+    pairs = np.square(spectrum.view(dtype), out=squares[0] if squares else spectrum.view(dtype))
+    np.add(pairs[..., ::2], pairs[..., 1::2], out=power)
     np.matmul(power, fbank.T, out=raw_energies)
     np.maximum(raw_energies, dtype(LOG_FLOOR), out=energies)
     np.matmul(np.log(energies, out=logs), dct.T, out=out)
-    return spectrum, raw_energies, energies
+    return spectrum if squares else None, raw_energies, energies
 
 
 def mfcc_from_array(samples, sample_rate_hz: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def mfcc_batch(batch: np.ndarray, sample_rate_hz: int, dtype=np.float64) -> np.n
 
     A row's coefficients do not depend on the batch it came in: in float64
     they equal `mfcc_from_array` bit for bit, and one set of `_forward` buffers
-    serves every chunk. dtype=float32 takes about 0.6 of the time; attack inner
+    serves every chunk. dtype=float32 takes about 0.58 of the time; attack inner
     loops use it, and the coefficients agree with the float64 path to single precision.
     """
     batch = np.asarray(batch)
@@ -148,7 +149,7 @@ def mfcc_with_gradient_cache(samples, sample_rate_hz: int, dtype=np.float64):
     """Forward MFCC plus the intermediates needed to backpropagate to the samples, in
     buffers of the call's own; `dtype` is the dtype of the coefficients and of the cache."""
     x = samples[None, :]  # `_forward`'s ufuncs cast the samples to `dtype`
-    work = _work(1, x.shape[1], sample_rate_hz, dtype)
+    work = _work(1, x.shape[1], sample_rate_hz, dtype, squares=True)
     coeffs = np.empty((1, work[0].shape[1], NUM_COEFFS), dtype=dtype)
     spectrum, raw_energies, energies = _forward(x, sample_rate_hz, work, coeffs)
     return coeffs[0], (x.shape[1], sample_rate_hz, spectrum[0], raw_energies[0], energies[0])

@@ -1,5 +1,7 @@
-"""The committed BENCH_*.json files, written by bench/record.py, keep their shape."""
+"""The committed BENCH_*.json files, written by bench/record.py, keep their shape; and
+bench/pairs.py judges a claimed gain by the pair rule."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -38,3 +40,39 @@ def test_bench_file_keys_and_metrics(path):
     assert len(record["runs"]) == len(record["seeds"]) * len(record["workloads"])
     assert all(run["correct"] and run["failed"] == 0 for run in runs)
     assert set(record["per_layer_raw_ms"]) == set(record["workloads"])
+
+
+PARENT = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # median 100, quartiles 98.75-101.25
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("pairs")
+
+
+@pytest.mark.parametrize("change, wins, claim", [
+    ([p + 5 for p in PARENT], 10, True),
+    ([99] + [p + 5 for p in PARENT[1:]], 9, True),  # one pair lost: 9/10 still claims
+    ([99, 101] + [p + 5 for p in PARENT[2:]], 8, False),
+    ([100] + [p + 5 for p in PARENT[1:]], 9, True),  # a tie counts for neither side
+    ([100, 102] + [p + 5 for p in PARENT[2:]], 8, False),
+    ([p + 1 for p in PARENT], 10, False),  # every pair won, medians 1 apart < 2.5
+])
+def test_pairs_verdict(pairs, change, wins, claim):
+    assert pairs.verdict(PARENT, change, "higher") == (wins, 10, claim)
+
+
+def test_pairs_verdict_when_lower_is_better(pairs):
+    assert pairs.verdict(PARENT, [p - 5 for p in PARENT], "lower") == (10, 10, True)
+    assert pairs.verdict(PARENT, [p + 5 for p in PARENT], "lower") == (0, 10, False)
+
+
+def test_pairs_against_bound(pairs):
+    assert pairs.against_bound(PARENT, [p - 5 for p in PARENT], "higher", 0.1) == "within"
+    assert pairs.against_bound(PARENT, [p - 15 for p in PARENT], "higher", 0.1) == "worse"
+    assert pairs.against_bound(PARENT, [p + 15 for p in PARENT], "lower", 0.1) == "worse"
+    wide = [60, 140, 80, 120, 100, 90, 110, 70, 130, 100]  # quartile distance 45 > 10
+    assert pairs.against_bound(wide, wide, "higher", 0.1) == "unresolved"
+    assert pairs.against_bound(wide, [p - 20 for p in wide], "higher", 0.1) == "worse"
+    assert pairs.against_bound(wide, [141 + p for p in range(10)], "higher", 0.1) == "within"

@@ -119,18 +119,25 @@ class TestMfcc:
                 assert np.array_equal(mfcc_with_gradient_cache(row, RATE)[0], expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_samples", [400, 559, 4000, 16000, 16123])
+    @pytest.mark.parametrize("n_samples", [400, 401, 559, 560, 4000, 16000, 16123])
     def test_forward_equals_sliding_window_frames(self, dtype, n_samples):
         rng = np.random.default_rng(n_samples)
-        work = _work(3, n_samples, RATE, dtype)
-        # two batches through one set of buffers: the first leaves no trace in the second
-        for _ in range(2):
-            batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
-            coeffs = np.empty((3, frame_count(n_samples, RATE), NUM_COEFFS), dtype=dtype)
-            got = (coeffs, *_forward(batch, RATE, work, coeffs))
-            want = _forward_sliding_window(batch, RATE, dtype)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        # both kinds of buffers: with squares (a gradient cache's) the spectrum comes back
+        # as rfft wrote it; without, it is squared in place and None comes back for it
+        for squares in (True, False):
+            work = _work(3, n_samples, RATE, dtype, squares=squares)
+            # two batches through one set of buffers: the first leaves no trace in the second
+            for _ in range(2):
+                batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
+                coeffs = np.empty((3, frame_count(n_samples, RATE), NUM_COEFFS), dtype=dtype)
+                spectrum, raw_energies, energies = _forward(batch, RATE, work, coeffs)
+                want = _forward_sliding_window(batch, RATE, dtype)
+                got = (coeffs, spectrum, raw_energies, energies)
+                if not squares:
+                    assert spectrum is None
+                    got, want = got[::2] + got[3:], want[::2] + want[3:]
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_samples", [400, 16000, 16123])
@@ -193,6 +200,16 @@ class TestFeatureGradient:
         assert np.array_equal(feats, mfcc_batch(row[None, :], RATE, dtype=np.float32)[0])
         grad = mfcc_backprop(rng.normal(size=feats.shape), cache)
         assert feats.dtype == grad.dtype == np.float32 and grad.shape == row.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_later_batch_leaves_a_gradient_cache_unchanged(self, dtype):
+        # mfcc_batch squares its spectrum in place; a cache's spectrum must never be one
+        row = np.random.default_rng(7).integers(-32768, 32768, 4000).astype(np.int16)
+        feats, cache = mfcc_with_gradient_cache(row, RATE, dtype)
+        before = [feats.copy()] + [a.copy() for a in cache[2:]]
+        mfcc_batch(np.stack([row] * 5), RATE, dtype=dtype)
+        for a, b in zip(before, [feats, *cache[2:]], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @given(n_samples=st.integers(400, 16200), seed=st.integers(0, 2**32 - 1))
     @example(n_samples=400, seed=0)
