@@ -131,11 +131,11 @@ class TestMfcc:
                 batch = rng.integers(-32768, 32768, (3, n_samples)).astype(np.int16)
                 coeffs = np.empty((3, frame_count(n_samples, RATE), NUM_COEFFS), dtype=dtype)
                 spectrum, raw_energies, energies = _forward(batch, RATE, work, coeffs)
-                want = _forward_sliding_window(batch, RATE, dtype)
-                got = (coeffs, spectrum, raw_energies, energies)
-                if not squares:
-                    assert spectrum is None
-                    got, want = got[::2] + got[3:], want[::2] + want[3:]
+                assert squares or spectrum is None
+                got = [coeffs, raw_energies, energies] + ([spectrum] if squares else [])
+                oracle, oracle_spectrum, *oracle_energies = _forward_sliding_window(
+                    batch, RATE, dtype)
+                want = [oracle, *oracle_energies] + ([oracle_spectrum] if squares else [])
                 for a, b in zip(got, want, strict=True):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
