@@ -68,8 +68,8 @@ def main(argv=None):
            if not r["correct"] or r["failed"]]
     print(f"runs not correct or with failed operations: {bad or 'none'}")
 
-    report = {"workload": args.workload, "seeds": args.seeds, "trees": {s: str(t) for s, t in
-              trees.items()}, "bad_runs": bad, "metrics": {}}
+    report = {"workload": args.workload, "seeds": args.seeds, "bad_runs": bad, "metrics": {},
+              "trees": {side: str(tree) for side, tree in trees.items()}}
     for name, m in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         wins, pairs, claim = verdict(values["parent"], values["change"], m["better"])

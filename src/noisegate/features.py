@@ -81,7 +81,7 @@ def _plan(sample_rate_hz: int, dtype=np.float64):
 
 def _work(rows, n_samples, sample_rate_hz, dtype, squares=False):
     """`_forward`'s buffers for up to `rows` rows: frames zeroed so their tails stay the
-    FFT's zero padding, the pre-emphasised samples the frames use as one row per clip,
+    FFT's zero padding, one pre-emphasised row per clip (framed by one strided view),
     power, the mel energies, floored energies and logs in one block (three made peak RSS
     layout-bound), and squares only for a gradient cache, whose spectrum must survive."""
     count, bins = frame_count(n_samples, sample_rate_hz), FFT_SIZE // 2 + 1
