@@ -1,6 +1,6 @@
 """Run the benchmark in pairs, parent tree against change tree, and judge a claimed gain.
 
-    python3 bench/pairs.py PARENT [--change DIR] --workload W --seeds 2601 2602 ...
+    python3 bench/pairs.py PARENT [--change DIR] --workload W --seeds 2601 2602 ... [--out FILE]
 
 Each seed is one pair: `perfbench/run.py` once in PARENT and once in the change
 tree (default: this checkout), for the `run_seconds` of the change tree's
@@ -9,16 +9,18 @@ Prints every pair's metrics, each side's median and quartiles, and per metric:
 the pairs the change wins (ties count for neither), whether a gain may be
 claimed (at least 9/10 of the pairs won, and the medians apart, in the change's
 favour, by more than the parent's quartile distance), and how the change's
-median stands against the metric's bound. The last line is all of it as JSON.
+median stands against the metric's bound. The last line is all of it as JSON, with
+each tree's git revision; `--out FILE` writes that line to FILE as well.
 """
 
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-from record import HERE, bench, summary
+from record import HERE, _git, bench, summary
 
 
 def verdict(parent, change, better):
@@ -43,12 +45,23 @@ def against_bound(parent, change, better, bound):
     return "unresolved" if q3 - q1 > bound * abs(base) and not beats_all else "within"
 
 
+def revision(tree):
+    """{"revision", "dirty"} of a git checkout (whether tracked files differ from the
+    commit), each None when the tree is no checkout."""
+    try:
+        return {"revision": _git(tree, "rev-parse", "HEAD"),
+                "dirty": bool(_git(tree, "status", "--porcelain", "--untracked-files=no"))}
+    except subprocess.CalledProcessError:
+        return {"revision": None, "dirty": None}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("--change", default=str(HERE))
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", help="write the final JSON line to this file as well")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -69,7 +82,7 @@ def main(argv=None):
     print(f"runs not correct or with failed operations: {bad or 'none'}")
 
     report = {"workload": args.workload, "seeds": args.seeds, "bad_runs": bad, "metrics": {},
-              "trees": {side: str(tree) for side, tree in trees.items()}}
+              "trees": {side: revision(tree) for side, tree in trees.items()}}
     for name, m in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         wins, pairs, claim = verdict(values["parent"], values["change"], m["better"])
@@ -82,7 +95,10 @@ def main(argv=None):
             for side, s in sides.items())
             + f"; change wins {wins}/{pairs}; gain {'claimed' if claim else 'not shown'};"
             f" bound {m['bound']:g}: {bound}")
-    print(json.dumps(report))
+    line = json.dumps(report)
+    print(line)
+    if args.out:
+        Path(args.out).write_text(line + "\n", encoding="utf-8")
     return 1 if bad else 0
 
 

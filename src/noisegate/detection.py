@@ -1,14 +1,16 @@
 """Devastate-then-compare detection: change rate, thresholding, ROC/AUC."""
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 
 import numpy as np
 
+from noisegate._kernels import levenshtein
 from noisegate.audio import AudioClip
-from noisegate.recognition import RecognizerSpec, levenshtein, transcribe_clips
+from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, add_noise, shared_draws
+from noisegate.transforms import NOISE_KINDS, TransformSpec, apply_transform, shared_draws
 
 CR_MODES = ("edit", "flip")
 # The most clips heard as one list: `detect`'s manifest blocks, and each group of a
@@ -21,6 +23,16 @@ HEAR_BLOCK = 64
 def hearing_blocks(items):
     """(start, items[start:start + HEAR_BLOCK]) for each list that is heard at once."""
     return [(start, items[start:start + HEAR_BLOCK]) for start in range(0, len(items), HEAR_BLOCK)]
+
+
+def hear_rows(hear, clips, rows):
+    """`hear` (clips -> a label or transcript per clip) of `clips` after each row of
+    per-clip specs (None: the plain clip), one list per row: the one place a list of
+    clips is noised and heard. Rows that share a gaussian seed share its unit draw (see
+    `shared_draws`); a row not as long as `clips` is a ValueError."""
+    units = shared_draws([spec for row in rows for spec in row if spec is not None])
+    return [hear([clip if spec is None else apply_transform(spec, clip, units)
+                  for spec, clip in zip(row, clips, strict=True)]) for row in rows]
 
 
 class UndefinedChangeRateError(ValueError):
@@ -74,29 +86,11 @@ def transcript_change(before: str, after: str, mode: str = "edit") -> float:
     return min(levenshtein(after, before), len(before)) / len(before)
 
 
-def change_rates(recognizer: RecognizerSpec, clips, draws, mode: str = "edit"):
-    """Transcript change of each clip after each noise draw (see `transcript_change`).
-
-    `draws` holds one list per draw of one noise spec per clip. The plain clips
-    are heard as one list, then each draw's noisy copies as one list; draws that
-    share a gaussian seed share its unit draw (see `shared_draws`). Returns
-    (plain transcripts, noisy transcripts per draw, CRs per draw).
-    """
-    plain = [heard.text for heard in transcribe_clips(recognizer, clips)]
-    units = shared_draws([noise for draw in draws for noise in draw])
-    noisy = [[heard.text for heard in transcribe_clips(
-        recognizer, [add_noise(clip, noise, units) for clip, noise in zip(clips, draw)])]
-        for draw in draws]
-    crs = [[transcript_change(before, after, mode) for before, after in zip(plain, afters)]
-           for afters in noisy]
-    return plain, noisy, crs
-
-
 def change_rate(recognizer: RecognizerSpec, clip: AudioClip, noise: TransformSpec,
                 mode: str = "edit"):
-    """`change_rates` of one clip and one draw: (cr, transcript_before, transcript_after)."""
-    plain, noisy, crs = change_rates(recognizer, [clip], [[noise]], mode)
-    return crs[0][0], plain[0], noisy[0][0]
+    """(cr, transcript_before, transcript_after) of one clip and one noise draw."""
+    (before,), (after,) = hear_rows(partial(transcribe_clips, recognizer), [clip], [[None], [noise]])
+    return transcript_change(before, after, mode), before, after
 
 
 def detect_clips(cfg: DetectionConfig, clips, noise_seeds) -> list:
@@ -107,7 +101,10 @@ def detect_clips(cfg: DetectionConfig, clips, noise_seeds) -> list:
     """
     draws = [[replace(cfg.noise, seed=seed if cfg.votes == 1 else derive_seed(seed, "vote", v))
               for seed in noise_seeds] for v in range(cfg.votes)]
-    plain, noisy, crs = change_rates(cfg.recognizer, clips, draws, cfg.cr_mode)
+    plain, *noisy = hear_rows(partial(transcribe_clips, cfg.recognizer), clips,
+                              [[None] * len(clips), *draws])
+    crs = [[transcript_change(before, after, cfg.cr_mode) for before, after in zip(plain, afters)]
+           for afters in noisy]
     scores = [float(np.median(votes)) for votes in zip(*crs)]
     return [DetectionOutcome(score, "adversarial" if score > cfg.threshold else "normal",
                              before, after)

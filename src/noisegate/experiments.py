@@ -6,6 +6,7 @@ master seed, so reruns are byte-identical.
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import Model, predict_clips
-from noisegate.detection import CR_MODES, RocResult, change_rates, hearing_blocks, roc
+from noisegate.detection import CR_MODES, RocResult, hear_rows, hearing_blocks, roc
+from noisegate.detection import transcript_change
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
     MetricsReport,
@@ -25,8 +27,7 @@ from noisegate.metrics import (
 )
 from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform, shared_draws
-from noisegate.transforms import apply_transform as _apply
+from noisegate.transforms import NOISE_KINDS, TransformSpec, parse_transform
 
 DEFAULT_GRID = (10, 30, 50, 70, 100, 200, 500)
 DEFAULT_COMPARISON_TRANSFORMS = (
@@ -78,21 +79,20 @@ def _prepare(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Mani
     return groups, out_dir
 
 
-def _hear(hear_block, groups, specs, seed):
-    """{spec: (clean, adversarial) lists of labels, transcripts or CRs} of the clips
-    heard after each of `specs` (None: plain).
+def _hear(hear, groups, specs, seed):
+    """{spec: (clean, adversarial) lists of labels or transcripts} of the clips heard
+    after each of `specs` (None: plain).
 
-    The group is the outer loop: `hear_block(clips, rows)` hears each block of it (see
-    `hearing_blocks`) once per row of per-clip specs, and returns a list per row. Clip i
-    of group g gets the seed `seed(g, spec, i)`, so a noise draw never depends on which
-    other clips are in the list.
+    The group is the outer loop: `hear_rows` hears each block of it (see
+    `hearing_blocks`) once per spec. Clip i of group g gets the seed `seed(g, spec, i)`,
+    so a noise draw never depends on which other clips are in the list.
     """
     heard = {spec: ([], []) for spec in specs}
     for g, (group, loaded) in enumerate(zip(GROUPS, groups)):
         for start, block in hearing_blocks(loaded):
             rows = [[None if spec is None else replace(spec, seed=seed(group, spec, start + i))
                      for i in range(len(block))] for spec in heard]
-            for spec, out in zip(heard, hear_block([clip for _, clip in block], rows)):
+            for spec, out in zip(heard, hear_rows(hear, [clip for _, clip in block], rows)):
                 heard[spec][g].extend(out)
     return heard
 
@@ -128,16 +128,10 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
         hear, columns, name = (lambda clips: [label for label, _ in predict_clips(model, clips)],
                                COMMAND_COLUMNS, files[0])
     else:
-        hear, columns, name = (lambda clips: [t.text for t in transcribe_clips(recognizer, clips)],
-                               TEXT_COLUMNS, files[1])
-
-    def hear_block(clips, rows):  # rows that share a gaussian seed share its unit draws
-        units = shared_draws([s for row in rows for s in row if s is not None])
-        return [hear([clip if s is None else _apply(s, clip, units) for s, clip in zip(row, clips)])
-                for row in rows]
+        hear, columns, name = partial(transcribe_clips, recognizer), TEXT_COLUMNS, files[1]
 
     # text mode scores each transform against the plain transcripts, heard first
-    heard = _hear(hear_block, groups, [None] * (model is None) + [spec for _, spec in rows],
+    heard = _hear(hear, groups, [None] * (model is None) + [spec for _, spec in rows],
                   lambda group, spec, idx: derive_seed(cfg.master_seed, f"{stage}-{group}",
                                                        spec.kind, idx))
     report = MetricsReport(columns=[*key_columns, *columns])
@@ -198,14 +192,14 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     roc_dir = out_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
     cells = _noise_rows(cfg.grid)
-    heard = _hear(lambda clips, rows: change_rates(cfg.recognizer, clips, rows, cfg.cr_mode)[2],
-                  groups, [spec for _, spec in cells], lambda group, spec, idx: derive_seed(
+    heard = _hear(partial(transcribe_clips, cfg.recognizer), groups,
+                  [None] + [spec for _, spec in cells], lambda group, spec, idx: derive_seed(
                       cfg.master_seed, "detect", spec.kind, group, idx))
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
     for (kind, intensity), spec in cells:
-        clean, adv = heard[spec]
-        scored = [(cr, False) for cr in clean] + [(cr, True) for cr in adv]
+        scored = [(transcript_change(*pair, cfg.cr_mode), g == 1) for g in (0, 1)
+                  for pair in zip(heard[None][g], heard[spec][g])]
         curve = roc_dir / f"roc_{kind}_{intensity}.csv"
         if len({s for s, _ in scored}) == 1:
             results[(kind, intensity)] = None  # noise moved nothing; no curve

@@ -4,7 +4,7 @@ defense, clean accuracy after a defense, and CSV report emission."""
 import csv
 from dataclasses import dataclass, field
 
-from noisegate.recognition import levenshtein
+from noisegate._kernels import levenshtein
 
 
 def similarity(before: str, after: str) -> float:

@@ -1,5 +1,5 @@
 """Uniform recognizer interface over the built-in classifier, external ASR
-tools, and transcript caches, plus the edit-distance primitive."""
+tools, and transcript caches."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 from noisegate import classifier as clf
-from noisegate._kernels import levenshtein  # re-exported for detection and metrics
 from noisegate.audio import AudioClip, write_wav
 
 
@@ -178,16 +177,15 @@ _KINDS = {
 }
 
 
-def transcribe_clips(spec: RecognizerSpec, clips) -> list:
+def transcribe_clips(spec: RecognizerSpec, clips) -> list[str]:
     """Run the recognizer described by `spec` on each clip of a list.
 
     Output text is normalized (trim, lowercase, collapsed whitespace) so
     downstream distances never react to casing or spacing.
     """
-    return [Transcript(normalize_text(text))
-            for text in _KINDS[spec.kind][1](spec, clips)]
+    return [normalize_text(text) for text in _KINDS[spec.kind][1](spec, clips)]
 
 
 def transcribe(spec: RecognizerSpec, clip: AudioClip) -> Transcript:
     """`transcribe_clips` on a list of one clip."""
-    return transcribe_clips(spec, [clip])[0]
+    return Transcript(transcribe_clips(spec, [clip])[0])

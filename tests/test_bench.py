@@ -76,3 +76,52 @@ def test_pairs_against_bound(pairs):
     assert pairs.against_bound(wide, wide, "higher", 0.1) == "unresolved"
     assert pairs.against_bound(wide, [p - 20 for p in wide], "higher", 0.1) == "worse"
     assert pairs.against_bound(wide, [141 + p for p in range(10)], "higher", 0.1) == "within"
+
+
+def test_pairs_out_writes_the_report_line(pairs, monkeypatch, tmp_path, capsys):
+    # fake runs: the change's metric is 1 above the parent's in every pair
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK), encoding="utf-8")
+
+    def fake_bench(tree, workload, seed, seconds, trace):
+        value = seed + (Path(tree).name == "change")
+        return "machine", {"correct": True, "failed": 0, "metrics": {
+            m["name"]: {"value": value} for m in BENCHMARK["end_to_end"]}}
+
+    monkeypatch.setattr(pairs, "bench", fake_bench)
+    out = tmp_path / "PAIRS_test_defend.json"
+    assert pairs.main([str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                       "--workload", "defend", "--seeds", "1", "2", "3", "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert out.read_text(encoding="utf-8") == line + "\n"
+    report = json.loads(line)
+    assert set(report) == PAIRS_KEYS
+    assert report["trees"] == {side: {"revision": None, "dirty": None}
+                               for side in ("parent", "change")}
+    assert report["metrics"]["setup_s"]["wins"] == 0  # lower is better
+    assert report["metrics"]["primary_per_kprobe"]["wins"] == 3
+
+
+PAIRS_KEYS = {"workload", "seeds", "bad_runs", "metrics", "trees"}
+PAIRS_FILES = sorted(ROOT.glob("PAIRS_*.json"))
+
+
+def test_a_pairs_report_is_committed():
+    assert PAIRS_FILES
+
+
+@pytest.mark.parametrize("path", PAIRS_FILES, ids=[p.name for p in PAIRS_FILES])
+def test_pairs_file_keys_and_metrics(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert set(report) == PAIRS_KEYS
+    assert path.name.startswith("PAIRS_") and path.name.endswith(f"_{report['workload']}.json")
+    assert report["workload"] in {w["name"] for w in BENCHMARK["workloads"]}
+    assert report["bad_runs"] == []
+    assert set(report["metrics"]) == {m["name"] for m in BENCHMARK["end_to_end"]}
+    for metric in report["metrics"].values():
+        assert set(metric) == {"parent", "change", "wins", "pairs", "claim", "bound"}
+        assert metric["pairs"] == len(report["seeds"]) >= 10
+        for side in ("parent", "change"):
+            assert len(metric[side]["values"]) == len(report["seeds"])
+    assert all(set(tree) == {"revision", "dirty"} for tree in report["trees"].values())

@@ -15,11 +15,7 @@ from noisegate.detection import (
     roc,
     transcript_change,
 )
-from noisegate.recognition import (
-    RecognizerSpec,
-    Transcript,
-    clip_content_hash,
-)
+from noisegate.recognition import RecognizerSpec, clip_content_hash
 from noisegate.transforms import TransformSpec, add_noise
 
 from helpers import write_cache_file
@@ -200,8 +196,7 @@ class TestDetect:
 
         def fake_transcribe_clips(spec, clips):
             heard.extend(clips)
-            return [Transcript(text="same" if seen is clip else "lame")
-                    for seen in clips]
+            return ["same" if seen is clip else "lame" for seen in clips]
 
         monkeypatch.setattr(detection, "transcribe_clips", fake_transcribe_clips)
         rec = RecognizerSpec.external("sh -c true {}")
@@ -214,6 +209,7 @@ class TestDetect:
     def test_votes_keep_no_unit_draw(self, monkeypatch):
         # each vote draws from its own seed, so no draw is held for a later one
         import noisegate.detection as detection
+        import noisegate.transforms as transforms
 
         seen = []
 
@@ -221,12 +217,24 @@ class TestDetect:
             seen.append(units)
             return add_noise(clip, noise, units)
 
-        monkeypatch.setattr(detection, "add_noise", recording)
-        monkeypatch.setattr(detection, "transcribe_clips",
-                            lambda spec, clips: [Transcript(text="same") for _ in clips])
+        monkeypatch.setattr(transforms, "add_noise", recording)
+        monkeypatch.setattr(detection, "transcribe_clips", lambda spec, clips: ["same"] * len(clips))
         cfg = DetectionConfig(recognizer=RecognizerSpec.external("sh -c true {}"), votes=3)
         detect_clips(cfg, [clip_of([11] * 60), clip_of([7] * 60)], [5, 6])
         assert seen == [None] * 6
+
+    def test_fewer_seeds_than_clips_raises(self, monkeypatch):
+        # a short row used to be cut to its length, so clips went unjudged and unreported
+        import noisegate.detection as detection
+
+        monkeypatch.setattr(detection, "transcribe_clips", lambda spec, clips: ["same"] * len(clips))
+        cfg = DetectionConfig(recognizer=RecognizerSpec.external("sh -c true {}"))
+        clips = [clip_of([11] * 60), clip_of([7] * 60), clip_of([3] * 60)]
+        with pytest.raises(ValueError):
+            detect_clips(cfg, clips, [5])
+        assert len(detect_clips(cfg, clips, [5, 6, 7])) == 3
+        with pytest.raises(ValueError):
+            detection.hear_rows(lambda heard: heard, clips, [[None] * 3, [None] * 2])
 
 
 class TestZeroIntensity:

@@ -253,9 +253,7 @@ class TestTextMode:
             heard.extend(hashlib.sha256(clip.samples.tobytes()).hexdigest() for clip in clips)
             return transcribe_clips(spec, clips)
 
-        # the ROC hears through the change-rate body in detection
-        monkeypatch.setattr(detection if driver == "roc" else experiments, "transcribe_clips",
-                            counting)
+        monkeypatch.setattr(experiments, "transcribe_clips", counting)
         cfg = ExperimentConfig(master_seed=7, grid=(10, 50, 200),
                                transforms=("uniform:100", "gaussian:100"),
                                recognizer=OD_RECOGNIZER, out_dir=str(tmp_path))
@@ -484,13 +482,10 @@ class TestPairedDraws:
         clean, adv = text_sets
         seeds = {}  # (kind, clip) -> {intensity: seed}
 
-        def recording(apply):  # apply_transform(spec, clip, ...) or add_noise(clip, spec, ...)
-            def record(a, b, *rest):
-                spec, clip = (a, b) if isinstance(a, TransformSpec) else (b, a)
-                key = (spec.kind, hashlib.sha256(clip.samples.tobytes()).hexdigest())
-                seeds.setdefault(key, {})[spec.params[0]] = spec.seed
-                return apply(a, b, *rest)
-            return record
+        def recording(clip, spec, units=None):
+            key = (spec.kind, hashlib.sha256(clip.samples.tobytes()).hexdigest())
+            seeds.setdefault(key, {})[spec.params[0]] = spec.seed
+            return add_noise(clip, spec, units)
 
         # add_noise makes one generator per draw it takes
         rngs = Counter()
@@ -499,11 +494,10 @@ class TestPairedDraws:
                             lambda seed=None: rngs.update([seed]) or default_rng(seed))
         cfg = ExperimentConfig(master_seed=3, grid=(10, 70, 100, 500), recognizer=OD_RECOGNIZER,
                                out_dir=str(tmp_path))
+        monkeypatch.setattr(transforms, "add_noise", recording)
         if driver == "sweep":
-            monkeypatch.setattr(experiments, "_apply", recording(experiments._apply))
             run_intensity_sweep(cfg, clean, adv, recognizer=OD_RECOGNIZER)
         else:
-            monkeypatch.setattr(detection, "add_noise", recording(detection.add_noise))
             run_detection_eval(cfg, clean, adv)
         assert len(seeds) == 2 * (len(clean.rows) + len(adv.rows))
         for by_intensity in seeds.values():
@@ -538,7 +532,6 @@ class TestPairedDraws:
             return record
 
         monkeypatch.setattr(transforms, "add_noise", recording(transforms.add_noise))
-        monkeypatch.setattr(detection, "add_noise", recording(detection.add_noise))
         monkeypatch.setattr(detection, "HEAR_BLOCK", block)
         assert reports(tmp_path / "blocks") == want
         assert max(n for n in held if n is not None) == block
