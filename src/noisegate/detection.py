@@ -1,4 +1,4 @@
-"""Devastate-then-compare detection: change rate, thresholding, ROC/AUC."""
+"""Hearing clip lists plain and noised; change-rate detection, thresholding, ROC/AUC."""
 
 from dataclasses import dataclass, replace
 from functools import partial

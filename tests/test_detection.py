@@ -224,7 +224,7 @@ class TestDetect:
         assert seen == [None] * 6
 
     def test_fewer_seeds_than_clips_raises(self, monkeypatch):
-        # a short row used to be cut to its length, so clips went unjudged and unreported
+        # one seed per clip: a shorter list is an error, not a shorter report
         import noisegate.detection as detection
 
         monkeypatch.setattr(detection, "transcribe_clips", lambda spec, clips: ["same"] * len(clips))
