@@ -198,7 +198,7 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     summary = MetricsReport(columns=["noise_kind", "intensity", "auc", "youden_threshold"])
     results = {}
     for (kind, intensity), spec in cells:
-        scored = [(transcript_change(*pair, cfg.cr_mode), g == 1) for g in (0, 1)
+        scored = [(transcript_change(*pair, cfg.cr_mode), GROUPS[g] == "adv") for g in (0, 1)
                   for pair in zip(heard[None][g], heard[spec][g])]
         curve = roc_dir / f"roc_{kind}_{intensity}.csv"
         if len({s for s, _ in scored}) == 1:
