@@ -29,10 +29,12 @@ def hear_rows(hear, clips, rows):
     """`hear` (clips -> a label or transcript per clip) of `clips` after each row of
     per-clip specs (None: the plain clip), one list per row: the one place a list of
     clips is noised and heard. Rows that share a gaussian seed share its unit draw (see
-    `shared_draws`); a row not as long as `clips` is a ValueError."""
+    `shared_draws`); a row not as long as `clips` is a ValueError before anything is heard."""
+    if any(len(row) != len(clips) for row in rows):
+        raise ValueError(f"each row needs one spec per clip ({len(clips)})")
     units = shared_draws([spec for row in rows for spec in row if spec is not None])
     return [hear([clip if spec is None else apply_transform(spec, clip, units)
-                  for spec, clip in zip(row, clips, strict=True)]) for row in rows]
+                  for spec, clip in zip(row, clips)]) for row in rows]
 
 
 class UndefinedChangeRateError(ValueError):

@@ -125,8 +125,7 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
                 raise ValueError(f"adversarial manifest row {row.path} has no target label")
         labels = [row.label for row, _ in groups[0]]
         targets = [row.target for row, _ in groups[1]]
-        hear, columns, name = (lambda clips: [label for label, _ in predict_clips(model, clips)],
-                               COMMAND_COLUMNS, files[0])
+        hear, columns, name = partial(predict_clips, model), COMMAND_COLUMNS, files[0]
     else:
         hear, columns, name = partial(transcribe_clips, recognizer), TEXT_COLUMNS, files[1]
 

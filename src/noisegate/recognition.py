@@ -169,8 +169,8 @@ def _cached_transcripts(spec: RecognizerSpec, clips) -> list:
 # _run_external up at call time, so a wrapper set on the module attribute (as
 # perfbench/tracing.py does) sees every spawn.
 _KINDS = {
-    "builtin": ("a model path", lambda spec, clips: [
-        label for label, _ in clf.predict_clips(_load(spec.arg, clf.load), clips)]),
+    "builtin": ("a model path",
+                lambda spec, clips: clf.predict_clips(_load(spec.arg, clf.load), clips)),
     "external": ("a command template",
                  lambda spec, clips: [_run_external(spec, clip) for clip in clips]),
     "cache": ("a transcript file path", _cached_transcripts),

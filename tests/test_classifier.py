@@ -286,9 +286,9 @@ class TestPredictClips:
     @settings(max_examples=25, deadline=None)
     @given(clips=clip_lists(), order_seed=st.integers(0, 2**32 - 1))
     def test_each_row_equals_predict_alone(self, clips, order_seed):
-        """A clip's label and probability do not depend on the list it is heard in:
-        bit for bit, in any group size and order (for a given BLAS)."""
-        alone = [predict(LIST_MODEL, clip) for clip in clips]
+        """A clip's label does not depend on the list it is heard in, in any group size
+        and order, and is the label `predict` gives it alone (for a given BLAS)."""
+        alone = [predict(LIST_MODEL, clip)[0] for clip in clips]
         order = np.random.default_rng(order_seed).permutation(len(clips))
         heard = predict_clips(LIST_MODEL, [clips[i] for i in order])
         assert heard == [alone[i] for i in order]
@@ -317,6 +317,57 @@ class TestPredictClips:
         clip = AudioClip(samples=np.ones(RATE, dtype=np.int16), sample_rate_hz=RATE)
         with pytest.raises(ValueError, match="model expects 10"):
             predict_clips(tiny_model(), [clip])
+
+
+def tied_model():
+    """Three classes whose first two output rows are identical (zero weights, one bias),
+    so wherever they lead they tie exactly; class "c" leads on loud clips."""
+    model = new_model(["a", "b", "c"], seed=3)
+    model.weights[-1][:2] = 0.0
+    model.biases[-1][:] = [27.0, 27.0, 0.0]
+    return model
+
+
+def noise_clip(rng, amplitude):
+    return AudioClip(samples=rng.integers(-amplitude, amplitude + 1, RATE).astype(np.int16),
+                     sample_rate_hz=RATE)
+
+
+class TestHearMargin:
+    @pytest.fixture
+    def mfcc_calls(self, monkeypatch):
+        """(dtype, rows) of each `mfcc_batch` call the classifier makes."""
+        calls = []
+
+        def spy(rows, sample_rate_hz, dtype=np.float64):
+            calls.append((np.dtype(dtype), np.array(rows)))
+            return mfcc_batch(rows, sample_rate_hz, dtype=dtype)
+
+        monkeypatch.setattr(classifier, "mfcc_batch", spy)
+        return calls
+
+    def test_exact_ties_are_the_rows_scored_in_float64(self, mfcc_calls):
+        model = tied_model()
+        rng = np.random.default_rng(5)
+        quiet = [noise_clip(rng, amplitude) for amplitude in (10, 50, 200)]
+        loud = [noise_clip(rng, amplitude) for amplitude in (10000, 30000)]
+        tied = predict_samples_batch(model, np.stack([c.samples for c in quiet])[:, None], RATE)
+        assert np.array_equal(tied[:, 0, 0], tied[:, 0, 1])
+        assert (tied[:, 0, 0] > tied[:, 0, 2]).all()
+        mfcc_calls.clear()
+
+        clips = [loud[0], quiet[0], quiet[1], loud[1], quiet[2]]
+        assert predict_clips(model, clips) == ["c", "a", "a", "c", "a"]
+        assert [(dtype, len(rows)) for dtype, rows in mfcc_calls] == [
+            (np.float32, 5), (np.float64, 3)]
+        assert np.array_equal(mfcc_calls[1][1], np.stack([c.samples for c in quiet]))
+        assert [predict(model, clip)[0] for clip in clips] == ["c", "a", "a", "c", "a"]
+
+    def test_no_close_call_makes_no_float64_call(self, mfcc_calls):
+        rng = np.random.default_rng(5)
+        loud = [noise_clip(rng, amplitude) for amplitude in (3000, 10000, 30000)]
+        assert predict_clips(tied_model(), loud) == ["c", "c", "c"]
+        assert [(dtype, len(rows)) for dtype, rows in mfcc_calls] == [(np.float32, 3)]
 
 
 class TestSerialization:

@@ -237,6 +237,24 @@ class TestDetect:
             detection.hear_rows(lambda heard: heard, clips, [[None] * 3, [None] * 2])
 
 
+    def test_short_row_raises_before_anything_is_heard(self, monkeypatch):
+        """A row not as long as the clips fails before the first list is noised or heard:
+        through `external:` each hearing would spawn the recognizer once per clip."""
+        import noisegate.detection as detection
+
+        heard = []
+        monkeypatch.setattr(detection, "transcribe_clips",
+                            lambda spec, clips: heard.append(clips) or ["same"] * len(clips))
+        cfg = DetectionConfig(recognizer=RecognizerSpec.external("sh -c true {}"))
+        clips = [clip_of([11] * 60), clip_of([7] * 60), clip_of([3] * 60)]
+        with pytest.raises(ValueError, match="one spec per clip"):
+            detect_clips(cfg, clips, [5])
+        assert heard == []
+        with pytest.raises(ValueError, match="one spec per clip"):
+            detection.hear_rows(heard.append, clips, [[None] * 3, [None] * 2])
+        assert heard == []
+
+
 class TestZeroIntensity:
     def test_cr_is_zero_for_deterministic_recognizer(self, tmp_path, tiny_model, tiny_clips):
         import noisegate.classifier as clf

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.fft import irfft, rfft
 
 from noisegate import features
+from noisegate.classifier import HEAR_MARGIN, pad_or_trim, predict_samples_batch
 from noisegate.audio import AudioClip
 from noisegate.features import (
     FFT_SIZE,
@@ -25,6 +26,7 @@ from noisegate.features import (
     _plan,
     _work,
 )
+from noisegate.transforms import apply_transform, parse_transform
 
 RATE = 16000
 
@@ -175,6 +177,21 @@ def _forward_sliding_window(x, sample_rate_hz, dtype):
     raw_energies = (spectrum.real**2 + spectrum.imag**2) @ fbank.T
     energies = np.maximum(raw_energies, dtype(LOG_FLOOR))
     return np.log(energies) @ dct.T, spectrum, raw_energies, energies
+
+
+def test_float32_features_move_no_probability_near_the_hearing_margin(tiny_model, tiny_clips):
+    """Lists are heard on float32 features, and only rows whose float32 top two are
+    closer than HEAR_MARGIN are scored again in float64; a label can flip unseen only
+    if float32 moves a probability by HEAR_MARGIN / 2. Over the corpus clips, plain and
+    after three transforms, it stays under a tenth of the margin."""
+    clips = [clip for _, clip in tiny_clips]
+    for text in ("gaussian:500", "lowpass:500:101", "requant8"):
+        spec = parse_transform(text, seed=3)
+        clips += [apply_transform(spec, clip) for _, clip in tiny_clips]
+    rows = np.stack([pad_or_trim(clip.samples, RATE) for clip in clips])
+    p32 = predict_samples_batch(tiny_model, rows, RATE, dtype=np.float32)
+    p64 = predict_samples_batch(tiny_model, rows, RATE)
+    assert np.abs(p32 - p64).max() < HEAR_MARGIN / 10
 
 
 class TestFeatureGradient:

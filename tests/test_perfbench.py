@@ -146,15 +146,18 @@ def test_traced_pgd_step_is_one_forward_and_one_backward(tiny_model, tiny_clips,
 def test_predict_clips_agrees_with_the_independent_reference(tmp_path, tiny_model, tiny_clips):
     """`predict_clips` on a saved model hears what perfbench's reference hears: the
     reference reads the model file and rebuilds the MFCC and MLP apart from noisegate.
-    Labels agree and probabilities to 1e-9, on clips padded, exact and trimmed."""
+    Labels agree through `predict_clips` and `predict`, and `predict`'s probabilities
+    to 1e-9, on clips padded, exact and trimmed."""
     path = tmp_path / "model.txt"
     save(tiny_model, path)
     reference = load_source("reference").ReferenceModel(path)
     rate = tiny_clips[0][1].sample_rate_hz
     clips = [AudioClip(samples=np.resize(clip.samples, n), sample_rate_hz=rate)
              for _, clip in tiny_clips[:8] for n in (rate // 2 + 17, rate, rate + 3001)]
-    heard = predict_clips(load(path), clips)
-    for clip, (label, prob) in zip(clips, heard):
+    model = load(path)
+    heard = predict_clips(model, clips)
+    for clip, heard_label in zip(clips, heard):
         want = reference.probabilities(clip.samples, rate)
-        assert label == reference.labels[int(np.argmax(want))]
+        label, prob = predict(model, clip)
+        assert heard_label == label == reference.labels[int(np.argmax(want))]
         assert abs(prob - want.max()) <= 1e-9
