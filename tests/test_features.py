@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.fft import irfft, rfft
 
 from noisegate import features
-from noisegate.classifier import HEAR_MARGIN, pad_or_trim, predict_samples_batch
 from noisegate.audio import AudioClip
+from noisegate.classifier import HEAR_MARGIN, pad_or_trim, predict_samples_batch
 from noisegate.features import (
     FFT_SIZE,
     LOG_FLOOR,
