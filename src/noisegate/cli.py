@@ -24,7 +24,7 @@ from noisegate import classifier
 from noisegate.attacks import GaConfig, PgdConfig
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import TrainConfig
-from noisegate.detection import DetectionConfig, detect_clips, hearing_blocks
+from noisegate.detection import DetectionConfig, detect_clips
 from noisegate.experiments import (
     COMPARE_FILES,
     SWEEP_FILES,
@@ -174,12 +174,12 @@ def cmd_detect(args):
     seed = _master_seed(args)
     cfg = _from_flags(DetectionConfig, args)
     manifest = load_manifest(args.manifest)
+    # every WAV is read before any clip is heard, so a bad one fails first
+    clips = [read_wav(manifest.resolve(row)) for row in manifest.rows]
+    outcomes = detect_clips(cfg, clips, [derive_seed(seed, "detect", i) for i in range(len(clips))])
     rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
-    for start, block in hearing_blocks(manifest.rows):
-        outcomes = detect_clips(cfg, [read_wav(manifest.resolve(row)) for row in block],
-                                [derive_seed(seed, "detect", start + i) for i in range(len(block))])
-        rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
-                  outcome.transcript_after) for row, outcome in zip(block, outcomes)]
+    rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
+              outcome.transcript_after) for row, outcome in zip(manifest.rows, outcomes)]
     out = Path(getattr(args, "out", "detection_report.csv"))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -10,31 +10,34 @@ from noisegate._kernels import levenshtein
 from noisegate.audio import AudioClip
 from noisegate.recognition import RecognizerSpec, transcribe_clips
 from noisegate.seeds import derive_seed
-from noisegate.transforms import NOISE_KINDS, TransformSpec, apply_transform, shared_draws
+from noisegate.transforms import NOISE_KINDS, TransformSpec, apply_transform
 
 CR_MODES = ("edit", "flip")
-# The most clips heard as one list: `detect`'s manifest blocks, and each group of a
-# report with its noisy copies and, in a grid, a 128 KB gaussian draw per clip. On
-# `defend` (50-clip groups), 10-clip lists cut CPU but sped the host probe more (3.5-10.8%
-# fewer predictions per kprobe); one call-wide draw mapping added 6.3-7.6 MB peak RSS.
+# The most clips heard as one list: a group of a report with its noisy copies and, in a
+# grid, a 128 KB gaussian draw per clip. On `defend` (50-clip groups), 10-clip lists cut
+# CPU but sped the host probe more (3.5-10.8% fewer predictions per kprobe); one
+# call-wide draw mapping added 6.3-7.6 MB peak RSS.
 HEAR_BLOCK = 64
-
-
-def hearing_blocks(items):
-    """(start, items[start:start + HEAR_BLOCK]) for each list that is heard at once."""
-    return [(start, items[start:start + HEAR_BLOCK]) for start in range(0, len(items), HEAR_BLOCK)]
 
 
 def hear_rows(hear, clips, rows):
     """`hear` (clips -> a label or transcript per clip) of `clips` after each row of
     per-clip specs (None: the plain clip), one list per row: the one place a list of
-    clips is noised and heard. Rows that share a gaussian seed share its unit draw (see
-    `shared_draws`); a row not as long as `clips` is a ValueError before anything is heard."""
+    clips is noised and heard. It hears `HEAR_BLOCK` clips at a time, block by block
+    and row by row; within a block, specs that share a gaussian seed share its unit
+    draw. A row not as long as `clips` is a ValueError before anything is heard."""
     if any(len(row) != len(clips) for row in rows):
         raise ValueError(f"each row needs one spec per clip ({len(clips)})")
-    units = shared_draws([spec for row in rows for spec in row if spec is not None])
-    return [hear([clip if spec is None else apply_transform(spec, clip, units)
-                  for spec, clip in zip(row, clips)]) for row in rows]
+    heard = [[] for _ in rows]
+    for start in range(0, len(clips), HEAR_BLOCK):
+        block = [row[start:start + HEAR_BLOCK] for row in rows]
+        # a unit draw is kept only when its seed comes back, and for one block only
+        seeds = [s.seed for row in block for s in row if s is not None and s.kind == "gaussian"]
+        units = {} if len(set(seeds)) < len(seeds) else None
+        for out, row in zip(heard, block):
+            out += hear([clip if spec is None else apply_transform(spec, clip, units)
+                         for spec, clip in zip(row, clips[start:start + HEAR_BLOCK])])
+    return heard
 
 
 class UndefinedChangeRateError(ValueError):

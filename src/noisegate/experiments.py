@@ -14,15 +14,14 @@ import numpy as np
 from noisegate.attacks import GaConfig, PgdConfig, ga_attack, pgd_attack
 from noisegate.audio import read_wav, write_wav
 from noisegate.classifier import Model, predict_clips
-from noisegate.detection import CR_MODES, RocResult, hear_rows, hearing_blocks, roc
+from noisegate.detection import CR_MODES, RocResult, hear_rows, roc
 from noisegate.detection import transcript_change
 from noisegate.manifests import Manifest, ManifestRow, write_manifest
 from noisegate.metrics import (
     MetricsReport,
-    acc,
-    asr_avg,
     distance_ratio,
     emit_report,
+    percent_matching,
     similarity,
 )
 from noisegate.recognition import RecognizerSpec, transcribe_clips
@@ -81,20 +80,16 @@ def _prepare(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Mani
 
 def _hear(hear, groups, specs, seed):
     """{spec: (clean, adversarial) lists of labels or transcripts} of the clips heard
-    after each of `specs` (None: plain).
-
-    The group is the outer loop: `hear_rows` hears each block of it (see
-    `hearing_blocks`) once per spec. Clip i of group g gets the seed `seed(g, spec, i)`,
-    so a noise draw never depends on which other clips are in the list.
+    after each of `specs` (None: plain), one `hear_rows` call per group. Clip i of group
+    g gets the seed `seed(g, spec, i)`, so a noise draw never depends on which other
+    clips are heard in its list.
     """
-    heard = {spec: ([], []) for spec in specs}
-    for g, (group, loaded) in enumerate(zip(GROUPS, groups)):
-        for start, block in hearing_blocks(loaded):
-            rows = [[None if spec is None else replace(spec, seed=seed(group, spec, start + i))
-                     for i in range(len(block))] for spec in heard]
-            for spec, out in zip(heard, hear_rows(hear, [clip for _, clip in block], rows)):
-                heard[spec][g].extend(out)
-    return heard
+    specs = list(dict.fromkeys(specs))
+    heard = [hear_rows(hear, [clip for _, clip in loaded],
+                       [[None if spec is None else replace(spec, seed=seed(group, spec, i))
+                         for i in range(len(loaded))] for spec in specs])
+             for group, loaded in zip(GROUPS, groups)]
+    return dict(zip(specs, zip(*heard)))
 
 
 def _text_scores(loaded, plain, heard):
@@ -137,7 +132,7 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
     for key, spec in rows:
         clean, adv = heard[spec]
         if model is not None:
-            report.add_row(*key, asr_avg(targets, adv), acc(labels, clean))
+            report.add_row(*key, percent_matching(targets, adv), percent_matching(labels, clean))
         elif spec is None:  # the plain clips: 100% similar, no ratio
             report.add_row(*key, 100.0, 100.0, None, None)
         else:

@@ -32,27 +32,19 @@ def distance_ratio(reference: str, before: str, after: str):
     return levenshtein(after, reference) / denom
 
 
-def _percent_matching(labels, predictions) -> float:
-    """Percentage of predictions equal to the label at the same position."""
-    labels, preds = list(labels), list(predictions)
-    if not labels:
+def percent_matching(expected, heard) -> float:
+    """Percentage of heard labels equal to the expected label at the same position:
+    ASR_avg is measured against the attack targets of the adversarial clips, ACC
+    against the true labels of the clean ones, each heard after a defense."""
+    expected, heard = list(expected), list(heard)
+    if not expected:
         raise ValueError("no labels")
-    if len(labels) != len(preds):
-        raise ValueError(f"{len(labels)} labels vs {len(preds)} predictions")
-    for i, label in enumerate(labels):
+    if len(expected) != len(heard):
+        raise ValueError(f"{len(expected)} labels vs {len(heard)} predictions")
+    for i, label in enumerate(expected):
         if not label:
             raise ValueError(f"label {i} is missing or empty")
-    return sum(1 for label, pred in zip(labels, preds) if pred == label) / len(labels) * 100.0
-
-
-def asr_avg(targets, defended_predictions) -> float:
-    """Percentage of adversarial examples still predicted as their attack target."""
-    return _percent_matching(targets, defended_predictions)
-
-
-def acc(labels, defended_predictions) -> float:
-    """Percentage of clean examples predicted as their true label after a defense."""
-    return _percent_matching(labels, defended_predictions)
+    return sum(1 for label, got in zip(expected, heard) if got == label) / len(expected) * 100.0
 
 
 @dataclass

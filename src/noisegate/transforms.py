@@ -76,9 +76,9 @@ def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioCli
     """Add i.i.d. integer noise to every sample, saturating to 16-bit: uniform on
     [-I, I] or gaussian with sigma = I, for the noise spec's intensity I.
 
-    `unit_draws`, a mapping the caller owns (see `shared_draws`), keeps each gaussian
-    unit draw z by (seed, length), read-only, for the intensities of that seed to
-    share. It changes no output. The uniform kind draws on every call."""
+    `unit_draws`, a mapping the caller owns (see `detection.hear_rows`), keeps each
+    gaussian unit draw z by (seed, length), read-only, for the intensities of that seed
+    to share. It changes no output. The uniform kind draws on every call."""
     if spec.kind not in NOISE_KINDS:
         raise ValueError(f"add_noise takes a noise kind {NOISE_KINDS}, got {spec.kind!r}")
     (intensity,) = spec.params
@@ -100,13 +100,6 @@ def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioCli
     noisy += clip.samples
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
-
-
-def shared_draws(specs):
-    """A `unit_draws` mapping for noising with `specs` when a gaussian seed among
-    them comes back, else None: no draw is kept that is not used again."""
-    seeds = [spec.seed for spec in specs if spec.kind == "gaussian"]
-    return {} if len(set(seeds)) < len(seeds) else None
 
 
 def requantize_8bit(clip: AudioClip) -> AudioClip:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,67 @@ class TestDetect:
         assert heard == []
         assert len(detect_clips(cfg, clips, [5, 6, 7])) == 3
         assert len(heard) == 2  # the plain row and the noisy one
+
+
+class TestHearRows:
+    """`hear_rows` hears `HEAR_BLOCK` clips at a time, block by block and row by row,
+    and keeps a block's unit draws only when a gaussian seed comes back in it."""
+
+    CLIPS = [clip_of(np.arange(60) * (i + 1)) for i in range(5)]
+
+    @staticmethod
+    def hear_all(monkeypatch, rows, block=None):
+        """(heard rows, list sizes `hear` got, the `unit_draws` each noising got)."""
+        import noisegate.detection as detection
+        import noisegate.transforms as transforms
+
+        sizes, units = [], []
+
+        def recording(clip, spec, unit_draws=None):
+            units.append(unit_draws)
+            return add_noise(clip, spec, unit_draws)
+
+        def hear(clips):  # a digest shows every noised byte
+            sizes.append(len(clips))
+            return [hashlib.sha256(clip.samples.tobytes()).hexdigest() for clip in clips]
+
+        monkeypatch.setattr(transforms, "add_noise", recording)
+        if block is not None:
+            monkeypatch.setattr(detection, "HEAR_BLOCK", block)
+        return detection.hear_rows(hear, TestHearRows.CLIPS, rows), sizes, units
+
+    @staticmethod
+    def noise(kind, intensity, seeds):
+        return [TransformSpec(kind, (intensity,), seed=seed) for seed in seeds]
+
+    def test_blocks_are_heard_block_major_and_share_one_mapping_each(self, monkeypatch):
+        # the second noisy row repeats the first one's gaussian seeds
+        rows = [[None] * 5, self.noise("gaussian", 30, range(10, 15)),
+                self.noise("gaussian", 300, range(10, 15))]
+        want, sizes, units = self.hear_all(monkeypatch, rows)
+        assert sizes == [5, 5, 5]
+        assert len({id(u) for u in units}) == 1 and len(units[0]) == 5
+        heard, sizes, units = self.hear_all(monkeypatch, rows, block=2)
+        assert heard == want
+        assert sizes == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+        # 2 + 2 + 1 clips of two noisy rows: one mapping per block, holding its clips' draws
+        firsts = [units[0], units[4], units[8]]
+        assert [[u is first for u in units[a:b]] for first, a, b in
+                zip(firsts, (0, 4, 8), (4, 8, 10))] == [[True] * 4, [True] * 4, [True] * 2]
+        assert len({id(first) for first in firsts}) == 3
+        assert [len(first) for first in firsts] == [2, 2, 1]
+
+    @pytest.mark.parametrize("rows", [
+        [[None] * 5, noise("gaussian", 30, range(10, 15)), noise("gaussian", 300, range(20, 25))],
+        [[None] * 5, noise("uniform", 30, range(10, 15)), noise("uniform", 300, range(10, 15))],
+        # a seed that comes back only in another block
+        [noise("gaussian", 30, [1, 2, 3, 4, 1]), noise("uniform", 30, [1, 2, 3, 4, 1])],
+    ], ids=["distinct-seeds", "uniform", "seed-back-in-another-block"])
+    def test_no_draw_is_kept_that_is_not_used_again(self, monkeypatch, rows):
+        want, _, _ = self.hear_all(monkeypatch, rows)
+        heard, _, units = self.hear_all(monkeypatch, rows, block=2)
+        assert heard == want
+        assert units and units == [None] * len(units)
 
 
 class TestZeroIntensity:

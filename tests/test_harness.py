@@ -1133,13 +1133,13 @@ class TestCliDetect:
         # the manifest is heard a block of clips at a time; each clip keeps the
         # seed of its place in the manifest, so the block size changes no byte
         # (the checksum transcript shows every noise draw)
-        heard = []
+        heard, transcribe = [], detection.transcribe_clips
 
-        def counting(cfg, clips, noise_seeds):
+        def counting(spec, clips):
             heard.append(len(clips))
-            return detection.detect_clips(cfg, clips, noise_seeds)
+            return transcribe(spec, clips)
 
-        monkeypatch.setattr(cli, "detect_clips", counting)
+        monkeypatch.setattr(detection, "transcribe_clips", counting)
 
         def report(name):
             assert cli.main(["detect", "--manifest", manifest_arg, "--recognizer",
@@ -1150,7 +1150,28 @@ class TestCliDetect:
         whole = report("whole.csv")
         monkeypatch.setattr(detection, "HEAR_BLOCK", 3)
         assert report("blocks.csv") == whole
-        assert heard == [4, 3, 1]
+        # the plain list and one per vote: of all 4 clips, then per block of 3 and 1
+        assert heard == [4] * 4 + [3] * 4 + [1] * 4
+
+    def test_a_bad_wav_fails_before_any_clip_is_heard(self, tmp_path, monkeypatch,
+                                                       manifest_arg):
+        # every WAV of the manifest is read before the first list is heard, so a
+        # truncated last WAV exits with one line and the recognizer never runs
+        import noisegate.recognition as recognition
+
+        spawns, spawn = [], recognition._run_external
+        monkeypatch.setattr(recognition, "_run_external",
+                            lambda spec, clip: spawns.append(clip) or spawn(spec, clip))
+        monkeypatch.setattr(detection, "HEAR_BLOCK", 2)
+        manifest = load_manifest(manifest_arg)
+        last = manifest.resolve(manifest.rows[-1])
+        last.write_bytes(last.read_bytes()[:-100])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--manifest", manifest_arg, "--recognizer",
+                      "external:sh -c 'cksum < \"$0\"' {}", "--out", str(tmp_path / "d.csv")])
+        assert re.fullmatch(r"noisegate detect: .*truncated b'data' chunk", str(exc.value.code))
+        assert spawns == []
+        assert not (tmp_path / "d.csv").exists()
 
     def test_noise_of_another_kind_exits(self, tmp_path, manifest_arg):
         with pytest.raises(SystemExit) as exc:

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from noisegate.metrics import (
     MetricsReport,
-    acc,
-    asr_avg,
     distance_ratio,
     emit_report,
+    percent_matching,
     similarity,
 )
 
@@ -59,21 +58,22 @@ class TestDistanceRatio:
 
 
 class TestAsrAvg:
+    # ASR_avg: adversarial clips heard against their attack targets
     def test_all_hit(self):
-        assert asr_avg(["go"] * 4, ["go"] * 4) == 100.0
+        assert percent_matching(["go"] * 4, ["go"] * 4) == 100.0
 
     def test_one_of_four(self):
-        assert asr_avg(["go"] * 4, ["go", "no", "up", "off"]) == 25.0
+        assert percent_matching(["go"] * 4, ["go", "no", "up", "off"]) == 25.0
 
     def test_requires_targets(self):
         with pytest.raises(ValueError, match="label 1 is missing"):
-            asr_avg(["go", None], ["go", "yes"])
+            percent_matching(["go", None], ["go", "yes"])
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
-            asr_avg([], [])
+            percent_matching([], [])
         with pytest.raises(ValueError):
-            asr_avg(["go"], [])
+            percent_matching(["go"], [])
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40),
            st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40))
@@ -82,13 +82,14 @@ class TestAsrAvg:
         n = min(len(targets), len(preds))
         targets, preds = targets[:n], preds[:n]
         expected = sum(1 for x, y in zip(targets, preds) if x == y) / n * 100
-        assert asr_avg(targets, preds) == pytest.approx(expected)
+        assert percent_matching(targets, preds) == pytest.approx(expected)
 
 
 class TestAcc:
+    # ACC: clean clips heard against their true labels
     def test_perfect_and_zero(self):
-        assert acc(["yes"] * 3, ["yes"] * 3) == 100.0
-        assert acc(["yes"] * 3, ["no"] * 3) == 0.0
+        assert percent_matching(["yes"] * 3, ["yes"] * 3) == 100.0
+        assert percent_matching(["yes"] * 3, ["no"] * 3) == 0.0
 
     @given(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=30),
            st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=30))
@@ -97,11 +98,11 @@ class TestAcc:
         n = min(len(labels), len(preds))
         labels, preds = labels[:n], preds[:n]
         expected = sum(1 for x, y in zip(labels, preds) if x == y) / n * 100
-        assert acc(labels, preds) == pytest.approx(expected)
+        assert percent_matching(labels, preds) == pytest.approx(expected)
 
     def test_rejects_empty_label(self):
         with pytest.raises(ValueError, match="label 0 is missing or empty"):
-            acc([""], ["yes"])
+            percent_matching([""], ["yes"])
 
 
 class TestEmitReport:
