@@ -1,5 +1,6 @@
-"""The committed BENCH_*.json files, written by bench/record.py, keep their shape; and
-bench/pairs.py judges a claimed gain by the pair rule."""
+"""The committed BENCH_*.json files, written by bench/record.py, keep their shape;
+bench/pairs.py judges a claimed gain by the pair rule; and bench/bytes.py tells two
+trees' output bytes apart."""
 
 import importlib
 import json
@@ -125,3 +126,54 @@ def test_pairs_file_keys_and_metrics(path):
         for side in ("parent", "change"):
             assert len(metric[side]["values"]) == len(report["seeds"])
     assert all(set(tree) == {"revision", "dirty"} for tree in report["trees"].values())
+
+
+# a stand-in for noisegate's command line: each step writes <step>.txt and prints a line
+FAKE_CLI = """import sys
+from pathlib import Path
+step = sys.argv[1]
+if step == "fail":
+    sys.exit("noisegate fail: broken")
+Path(step + ".txt").write_text(step + {written!r})
+if step == "two" and {extra!r}:
+    Path("extra.txt").write_text("")
+print("wrote " + step + {printed!r})
+"""
+
+
+def fake_tree(root, name, written="", printed="", extra=False):
+    package = root / name / "src" / "noisegate"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(written=written, printed=printed,
+                                                    extra=extra))
+    return str(root / name)
+
+
+@pytest.fixture
+def bytes_tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("bytes")
+
+
+@pytest.mark.parametrize("change, pipeline, lines", [
+    ({}, [["one"], ["two"]], ["identical (4 outputs, every file and stdout)"]),
+    ({"written": "!"}, [["one"], ["two"]], ["differs: one.txt", "differs: two.txt"]),
+    ({"printed": "!"}, [["one"], ["two"]],
+     ["differs: stdout of step 00 (one)", "differs: stdout of step 01 (two)"]),
+    ({"extra": True}, [["one"], ["two"]], ["only in change: extra.txt"]),
+    ({}, [["one"], ["fail"]], ["parent: step 01 (fail) exited 1: noisegate fail: broken",
+                               "change: step 01 (fail) exited 1: noisegate fail: broken"]),
+], ids=["identical", "file-bytes", "stdout", "one-side-only", "failed-step"])
+def test_bytes_diffs_two_trees(bytes_tool, tmp_path, capsys, change, pipeline, lines):
+    parent, changed = fake_tree(tmp_path, "parent"), fake_tree(tmp_path, "change", **change)
+    code = bytes_tool.main([parent, "--change", changed], pipeline=pipeline)
+    assert capsys.readouterr().out.splitlines() == lines
+    assert code == (0 if lines[0].startswith("identical") else 1)
+
+
+def test_bytes_pipeline_covers_every_subcommand(bytes_tool):
+    steps = {" ".join(argv[:2]) if argv[0] == "attack" else argv[0]
+             for argv in bytes_tool.PIPELINE}
+    assert steps == {"synth", "train", "attack ga", "attack pgd", "defend", "detect", "sweep",
+                     "compare", "roc"}
