@@ -23,7 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+from record import HERE
+
 # 16 sample bytes of each heard WAV: the transcript shows every noise draw
 OD = "external:od -An -tx1 -j 12044 -N 16 {}"
 CORPUS = ["--manifest", "corpus/manifest.csv"]
