@@ -12,7 +12,10 @@ step that fails in either tree. No digest is stored: OpenBLAS picks its kernels
 per CPU, so a digest means something only next to one taken on the same machine.
 
 The corpus holds 72 clips, so `detect` and a report's clean group are heard as
-a block of 64 (`HEAR_BLOCK`) and one of 8.
+a block of 64 (`HEAR_BLOCK`) and one of 8. The GA on it stops at `--k-max 8`,
+where every attack that lands does so at generation 0. So a second, stock-scale
+GA (population 50, `--k-max 150`) attacks a 2x3 corpus: on that model and seed
+one attack lands by search, at generation 114, and the step takes about 5 s a tree.
 """
 
 import argparse
@@ -36,6 +39,9 @@ PIPELINE = [
      "--seed", "1"],
     ["attack", "ga", "--model", "model.txt", *CORPUS, "--out-dir", "ga", "--k-max", "8",
      "--seed", "2"],
+    ["synth", "--classes", "2", "--per-class", "3", "--out-dir", "small", "--seed", "12"],
+    ["attack", "ga", "--model", "model.txt", "--manifest", "small/manifest.csv",
+     "--out-dir", "ga_search", "--k-max", "150", "--seed", "2"],
     ["attack", "pgd", "--model", "model.txt", *CORPUS, "--out-dir", "pgd", "--tau", "0",
      "--steps", "40", "--step-size", "16", "--seed", "8"],
     ["attack", "pgd", "--model", "model.txt", *CORPUS, "--out-dir", "pgd_tight",

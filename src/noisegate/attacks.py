@@ -17,7 +17,6 @@ from noisegate.audio import (
     AudioClip,
     I16_MAX,
     I16_MIN,
-    SilentCarrierError,
     db_distortion,
     peak_amplitude,
     relative_peak_db,
@@ -28,7 +27,6 @@ from noisegate.classifier import (
     _forward_batch,
     _softmax,
     pad_or_trim,
-    predict,
     predict_samples_batch,
 )
 from noisegate.features import mfcc_backprop, mfcc_with_gradient_cache
@@ -98,21 +96,12 @@ class AttackResult:
     fitness_trace: list | None = None  # per-generation best target score (genetic attack)
 
 
-def _carrier_peak(original: AudioClip) -> int:
-    """The original's peak; a silent original leaves relative dB undefined."""
-    peak = peak_amplitude(original.samples)
-    if peak == 0:
-        raise SilentCarrierError("original clip is silent; relative dB is undefined")
-    return peak
-
-
 def _result(model: Model, original: AudioClip, adv_samples: np.ndarray, target: str,
-            iterations: int, distortion_trace=None, fitness_trace=None,
-            probs=None) -> AttackResult:
-    """The result for `adv_samples`, scored by `probs` or else by `predict_samples_batch`."""
+            iterations: int, distortion_trace=None, fitness_trace=None) -> AttackResult:
+    """`adv_samples` scored by the float64 `predict_samples_batch`, whose `success` decides
+    whether an attack landed; a silent original raises SilentCarrierError."""
     adversarial = AudioClip(samples=adv_samples, sample_rate_hz=original.sample_rate_hz)
-    if probs is None:
-        probs = predict_samples_batch(model, adv_samples[None, :], original.sample_rate_hz)[0]
+    probs = predict_samples_batch(model, adv_samples[None, :], original.sample_rate_hz)[0]
     target_idx = model.label_index(target)
     return AttackResult(
         adversarial=adversarial,
@@ -182,10 +171,11 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     softmax(scores / temp), children are uniform crossovers, and every child
     is mutated samplewise with `mutation_probability`. The best candidate
     (the elite) moves unchanged into the next generation and keeps its score,
-    so the fitness trace never falls. Stops as soon as the best candidate is
-    classified as the target, else after k_max generations, returning the
-    elite as a success=False result (exhaustion is not an error). A silent
-    original raises SilentCarrierError before any search.
+    so the fitness trace never falls. A landing the float32 scores claim stops
+    the run once `_result` confirms it in float64; a denied one breeds on. After
+    k_max generations `_result` scores the elite, the best candidate scored
+    (exhaustion is not an error). An original already heard as the target
+    returns at generation 0; a silent original raises SilentCarrierError there.
 
     Random draws: generation 0's stream, SeedSequence((cfg.seed, 0)), draws
     the whole initial population's low bits in one call. The stream of
@@ -198,12 +188,12 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     samples are clipped to 16 bits.
     """
     target_idx = model.label_index(target)
-    _carrier_peak(original)
     rate = original.sample_rate_hz
     n = len(original)
 
-    if predict(model, original)[0] == target:
-        return _result(model, original, original.samples.copy(), target, 0)
+    res = _result(model, original, original.samples.copy(), target, 0)
+    if res.success:
+        return res
 
     size = cfg.population_size
     if cfg.init_noise_bits > 0:
@@ -218,8 +208,7 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     elite_probs = None  # probability row of the elite in pop[0], from generation 1 on
 
     for generation in range(cfg.k_max):
-        # float32 fitness path: ~2x faster, deterministic, and the returned
-        # result is always re-scored through the double-precision predictor
+        # float32 fitness path: ~2x faster and deterministic; `_result` decides in float64
         if elite_probs is None:
             probs = predict_samples_batch(model, pop, rate, dtype=np.float32)
         else:
@@ -231,8 +220,10 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         best_idx = int(np.argmax(scores))
         fitness_trace.append(float(scores[best_idx]))
         if int(np.argmax(probs[best_idx])) == target_idx:
-            return _result(model, original, pop[best_idx].copy(), target, generation,
-                           fitness_trace=fitness_trace)
+            res = _result(model, original, pop[best_idx].copy(), target, generation,
+                          fitness_trace=fitness_trace)
+            if res.success:
+                return res
         if generation + 1 == cfg.k_max:
             break
 
@@ -242,7 +233,6 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         elite_probs = probs[best_idx]
         pop = np.concatenate([pop[best_idx][None, :], _breed(pop, selection, size - 1, rng, cfg)])
 
-    # k_max exhausted: the elite, the best candidate scored, is a success=False result
     return _result(model, original, pop[best_idx].copy(), target, cfg.k_max,
                    fitness_trace=fitness_trace)
 
@@ -277,22 +267,22 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     The gradient is taken at that signal, on float32 features and a float32
     copy of the model made per attack (the sign step reads only the gradient's
     sign), and the forward of step k+1 is also step k's success check. A
-    landing it claims stops the run only once the float64 `predict_samples_batch`
-    of the iterate confirms it, and that row scores the result; a denied landing
-    keeps stepping. At least one step is taken, and the run stops once an
-    emitted iterate equals the one before it (the original counts as the
-    first). A run that runs out or repeats is re-scored in float64, so success
-    and score are float64, as in `ga_attack`. The distortion of each emitted
-    iterate is recorded in the result's distortion_trace. A silent original
-    raises SilentCarrierError, since it leaves the budget undefined.
+    landing it claims stops the run only once `_result` confirms it in float64;
+    a denied landing keeps stepping, as in `ga_attack`. At least one step is
+    taken, and the run stops once an emitted iterate equals the one before it
+    (the original counts as the first). A run that runs out or repeats is
+    scored by `_result` too, so success and score are float64. The distortion
+    of each emitted iterate is recorded in the result's distortion_trace. A
+    silent original raises SilentCarrierError at the first trace entry, since
+    it leaves the budget undefined.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
     x = original.samples.astype(np.int32)
-    peak = _carrier_peak(original)
+    peak = peak_amplitude(original.samples)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
-    adv, previous, trace, iterations, probs = x, None, [], 0, None
+    adv, previous, trace = x, None, []
     # made per attack, not kept on the model: `train` updates weights in place
     search = replace(model, weights=[w.astype(np.float32) for w in model.weights],
                      biases=[b.astype(np.float32) for b in model.biases])
@@ -300,20 +290,19 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     for step in range(cfg.steps):
         scores, backward = _forward_with_backward(search, pad_or_trim(adv, rate), rate, np.float32)
         if step and int(np.argmax(scores)) == target_idx:
-            row = predict_samples_batch(model, adv[None, :], rate)[0]
-            if int(np.argmax(row)) == target_idx:
-                probs = row  # the float64 row that confirms the landing scores the result
-                break
+            res = _result(model, original, adv.astype(np.int16), target, len(trace),
+                          distortion_trace=trace)
+            if res.success:
+                return res
         # a step depends only on the iterate, so a repeated one would repeat forever
         if step and np.array_equal(adv, previous):
             break
         previous = adv
         adv, peak_delta = _pgd_step(x, adv, backward(target_idx), cfg.step_size, bound)
         trace.append(relative_peak_db(peak_delta, peak))
-        iterations = step + 1
 
-    return _result(model, original, adv.astype(np.int16), target, iterations,
-                   distortion_trace=trace, probs=probs)
+    return _result(model, original, adv.astype(np.int16), target, len(trace),
+                   distortion_trace=trace)
 
 
 def _pgd_step(x: np.ndarray, adv: np.ndarray, grad: np.ndarray, step_size: int, bound: float):

@@ -12,7 +12,6 @@ the flags once, before the command runs, which then reads `args` alone.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -35,6 +34,7 @@ from noisegate.experiments import (
     run_transform_comparison,
 )
 from noisegate.manifests import load_manifest
+from noisegate.metrics import MetricsReport, emit_report
 from noisegate.recognition import RecognizerError, parse_recognizer
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
@@ -177,12 +177,11 @@ def cmd_detect(args):
     # every WAV is read before any clip is heard, so a bad one fails first
     clips = [read_wav(manifest.resolve(row)) for row in manifest.rows]
     outcomes = detect_clips(cfg, clips, [derive_seed(seed, "detect", i) for i in range(len(clips))])
-    rows = [("path", "cr", "verdict", "transcript_before", "transcript_after")]
-    rows += [(row.path, f"{outcome.cr:.6f}", outcome.verdict, outcome.transcript_before,
-              outcome.transcript_after) for row, outcome in zip(manifest.rows, outcomes)]
+    report = MetricsReport(["path", "cr", "verdict", "transcript_before", "transcript_after"])
+    for row, o in zip(manifest.rows, outcomes):
+        report.add_row(row.path, f"{o.cr:.6f}", o.verdict, o.transcript_before, o.transcript_after)
     out = Path(getattr(args, "out", "detection_report.csv"))
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    emit_report(report, out)
     print(f"wrote {out}")
     return 0
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from noisegate import attacks
+from noisegate import attacks, classifier
 from noisegate.attacks import (
     AttackResult,
     GaConfig,
@@ -79,6 +79,50 @@ class TestGaAttack:
         assert np.all(deltas_of(res, clip) == 0)
         assert res.distortion_db == SILENT_PERTURBATION
         assert res.adversarial == clip
+
+    def test_an_original_heard_as_its_target_is_scored_once(self, tiny_model, tiny_clips,
+                                                             monkeypatch):
+        _, clip = tiny_clips[0]
+        label, _ = predict(tiny_model, clip)
+        calls, predict_batch = [], classifier.predict_samples_batch
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("dtype", np.float64))
+            return predict_batch(*args, **kwargs)
+
+        # every scoring, through `classifier` or through the name `attacks` imported
+        monkeypatch.setattr(classifier, "predict_samples_batch", spy)
+        monkeypatch.setattr(attacks, "predict_samples_batch", spy)
+        res = ga_attack(tiny_model, clip, label, GaConfig(seed=1))
+        assert res.success and res.iterations_used == 0
+        assert calls == [np.float64]
+
+    def test_a_denied_landing_breeds_on(self, tiny_model, tiny_clips, monkeypatch):
+        _, clip = tiny_clips[0]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        target_idx = tiny_model.label_index(target)
+        cfg = GaConfig(k_max=60, population_size=10, seed=3)
+        landed = ga_attack(tiny_model, clip, target, cfg)
+        assert landed.success and 1 <= landed.iterations_used < cfg.k_max
+        denials, predict_batch = [], attacks.predict_samples_batch
+
+        def deny_once(*args, **kwargs):
+            probs = predict_batch(*args, **kwargs)
+            landing = (kwargs.get("dtype", np.float64) == np.float64 and len(probs) == 1
+                       and int(np.argmax(probs[0])) == target_idx)
+            if landing and not denials:  # the first float64 landing reads the target as 0
+                denials.append(probs.copy())
+                probs[0, target_idx] = 0.0
+            return probs
+
+        monkeypatch.setattr(attacks, "predict_samples_batch", deny_once)
+        res = ga_attack(tiny_model, clip, target, cfg)
+        assert denials
+        # the run breeds on from the generation the denied landing was claimed at
+        assert res.iterations_used > landed.iterations_used
+        assert res.fitness_trace[:len(landed.fitness_trace)] == landed.fitness_trace
+        assert res.success or res.iterations_used == cfg.k_max
+        assert res.success == (predict(tiny_model, res.adversarial)[0] == target)
 
     def test_deterministic_given_seed(self, tiny_model, tiny_clips):
         row, clip = tiny_clips[0]

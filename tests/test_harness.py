@@ -1079,6 +1079,16 @@ class TestCliDetect:
         assert all(len(row) == 5 for row in rows)
         assert all(row[3].startswith("left,right ") for row in rows[1:])
 
+    def test_cr_is_written_at_six_decimals(self, tmp_path, manifest_arg):
+        # report cells are floats at 2 decimals; the change rate keeps its own 6
+        report = tmp_path / "detect.csv"
+        assert cli.main(["detect", "--manifest", manifest_arg, "--recognizer",
+                         "external:sh -c 'cksum < \"$0\"' {}", "--out", str(report)]) == 0
+        with open(report, newline="", encoding="utf-8") as fh:
+            crs = [row["cr"] for row in csv.DictReader(fh)]
+        assert len(crs) == 4 and all(0.0 < float(cr) < 1.0 for cr in crs)
+        assert all(cr == f"{float(cr):.6f}" for cr in crs)
+
     def test_config_cr_mode_is_read_and_flag_wins(self, tmp_path, manifest_arg):
         # the checksum of the WAV changes under noise but keeps its size field,
         # so the edit-mode change rate stays below the flip-mode 1.0

@@ -52,6 +52,19 @@ def test_levenshtein_matches_dp_oracle(a, b):
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
 
+@given(st.text(max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_levenshtein_identity(s):
+    assert _kernels.levenshtein(s, s) == 0
+
+
+@given(st.text(max_size=15), st.text(max_size=15), st.text(max_size=15))
+@settings(max_examples=100, deadline=None)
+def test_levenshtein_triangle_inequality(a, b, c):
+    lev = _kernels.levenshtein
+    assert lev(a, c) <= lev(a, b) + lev(b, c)
+
+
 def test_sliding_median_hand_case():
     x = np.array([1, 2, 9, 2, 1], dtype=np.int16)
     assert list(_kernels.sliding_median(x, 3)) == [1, 2, 2, 2, 1]

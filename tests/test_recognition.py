@@ -5,11 +5,8 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from noisegate import recognition
-from noisegate._kernels import levenshtein
 from noisegate.audio import AudioClip
 from noisegate.recognition import (
     CacheMissError,
@@ -39,49 +36,6 @@ def fresh_memo():
 
 def clip_of(values):
     return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=RATE)
-
-
-def lev_oracle(a, b):
-    # full-matrix DP, kept independent of the library implementation
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a) + 1):
-        table[i][0] = i
-    for j in range(len(b) + 1):
-        table[0][j] = j
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            table[i][j] = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
-    return table[-1][-1]
-
-
-class TestLevenshtein:
-    @given(st.text(max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_identity(self, s):
-        assert levenshtein(s, s) == 0
-
-    def test_insertions_only(self):
-        assert levenshtein("", "abc") == 3
-
-    def test_kitten_sitting(self):
-        assert levenshtein("kitten", "sitting") == 3
-        assert lev_oracle("kitten", "sitting") == 3
-
-    @given(st.text(max_size=25), st.text(max_size=25))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracle_and_symmetric(self, a, b):
-        d = levenshtein(a, b)
-        assert d == lev_oracle(a, b)
-        assert d == levenshtein(b, a)
-
-    @given(st.text(max_size=15), st.text(max_size=15), st.text(max_size=15))
-    @settings(max_examples=100, deadline=None)
-    def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
 class TestNormalize:
