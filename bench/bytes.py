@@ -68,6 +68,9 @@ PIPELINE = [
      "--seed", "7"],
     ["roc", "--recognizer", "builtin:model.txt", *REPORT, *GRID, "--cr-mode", "flip",
      "--out-dir", "roc_flip", "--seed", "7"],
+    # a label hides most of a wrong draw; the od transcripts show the grid's draws
+    ["sweep", "--recognizer", OD, *REPORT, *GRID, "--out-dir", "text_od", "--seed", "5"],
+    ["roc", "--recognizer", OD, *REPORT, *GRID, "--out-dir", "roc_od", "--seed", "7"],
 ]
 
 

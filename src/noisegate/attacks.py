@@ -9,7 +9,7 @@ and report success and score in float64.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from noisegate.classifier import (
     _backward,
     _forward_batch,
     _softmax,
+    float32_copy,
     pad_or_trim,
     predict_samples_batch,
 )
@@ -282,10 +283,7 @@ def pgd_attack(model: Model, original: AudioClip, target: str, cfg: PgdConfig = 
     peak = peak_amplitude(original.samples)
     bound = peak * 10.0 ** (cfg.tau / 20.0)
 
-    adv, previous, trace = x, None, []
-    # made per attack, not kept on the model: `train` updates weights in place
-    search = replace(model, weights=[w.astype(np.float32) for w in model.weights],
-                     biases=[b.astype(np.float32) for b in model.biases])
+    adv, previous, trace, search = x, None, [], float32_copy(model)
 
     for step in range(cfg.steps):
         scores, backward = _forward_with_backward(search, pad_or_trim(adv, rate), rate, np.float32)

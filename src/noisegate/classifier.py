@@ -2,13 +2,13 @@
 
 flatten(frames x coeffs) -> 128 ReLU -> 64 ReLU -> softmax, in double precision so
 analytic gradients check tightly against finite differences; only `predict_clips` hears
-on float32 features. Clips are padded/truncated to exactly one second before feature
-extraction.
+in float32 (`float32_copy`). Clips are padded/truncated to exactly one second before
+feature extraction.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,9 +152,9 @@ def _forward_batch(model: Model, x: np.ndarray):
 
 def forward_batch(model: Model, flat_features: np.ndarray) -> np.ndarray:
     """Class probabilities for flattened feature rows shaped (..., input_dim), with the
-    same leading shape. Each (1, input_dim) matrix of a (n, 1, input_dim) batch takes its
-    own matrix-vector products, so its row is bit-identical to a batch of that row alone."""
-    x = np.asarray(flat_features, dtype=np.float64)
+    same leading shape, in the model's dtype. Each (1, input_dim) matrix of a (n, 1,
+    input_dim) batch takes its own matrix-vector products: its row is bit-identical alone."""
+    x = np.asarray(flat_features, dtype=model.weights[0].dtype)
     if x.ndim < 2 or x.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"features shaped {x.shape}, model expects {model.layer_dims[0]} per row")
     return _forward_batch(model, x)[0]
@@ -180,22 +180,28 @@ def _backward(model: Model, activations: list, delta: np.ndarray,
 def predict_clips(model: Model, clips) -> list[str]:
     """The label of each clip; ties break to the lowest class index.
 
-    The clips of each sample rate go through one float32 `predict_samples_batch` as rows
-    shaped (n, 1, n_samples), each row scored alone; rows whose top two probabilities are
-    closer than `HEAR_MARGIN` go through one float64 call, which decides them. A label never
-    depends on the list, and is `predict`'s while float32 errs by under `HEAR_MARGIN / 2`.
+    The clips of each sample rate are screened through `float32_copy(model)` as one matrix
+    product; rows whose top two probabilities are closer than `HEAR_MARGIN` are decided by
+    the float64 `predict_samples_batch`, each row alone. A label never depends on the list,
+    and is `predict`'s while float32 errs by under `HEAR_MARGIN / 2`.
     """
-    out = [None] * len(clips)
+    out, screen = [None] * len(clips), float32_copy(model)
     for rate in dict.fromkeys(clip.sample_rate_hz for clip in clips):
         group = [i for i, clip in enumerate(clips) if clip.sample_rate_hz == rate]
-        rows = np.stack([pad_or_trim(clips[i].samples, rate) for i in group])[:, None]
-        probs = predict_samples_batch(model, rows, rate, dtype=np.float32)[:, 0]
+        rows = np.stack([pad_or_trim(clips[i].samples, rate) for i in group])
+        probs = predict_samples_batch(screen, rows, rate, dtype=np.float32).astype(np.float64)
         close = (probs > probs.max(axis=1, keepdims=True) - HEAR_MARGIN).sum(axis=1) > 1
         if close.any():
-            probs[close] = predict_samples_batch(model, rows[close], rate)[:, 0]
+            probs[close] = predict_samples_batch(model, rows[close, None], rate)[:, 0]
         for i, idx in zip(group, probs.argmax(axis=1)):
             out[i] = model.class_labels[idx]
     return out
+
+
+def float32_copy(model: Model) -> Model:
+    """The model with float32 parameters, made per use: `train` updates weights in place."""
+    return replace(model, weights=[w.astype(np.float32) for w in model.weights],
+                   biases=[b.astype(np.float32) for b in model.biases])
 
 
 def predict(model: Model, clip: AudioClip):

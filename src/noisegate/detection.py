@@ -13,9 +13,9 @@ from noisegate.seeds import derive_seed
 from noisegate.transforms import NOISE_KINDS, TransformSpec, apply_transform
 
 CR_MODES = ("edit", "flip")
-# The most clips heard as one list: a group of a report with its noisy copies and, in a
-# grid, a 128 KB gaussian draw per clip. On `defend` (50-clip groups), 10-clip lists cut
-# CPU but sped the host probe more (3.5-10.8% fewer predictions per kprobe); one
+# The most clips heard as one list: a group of a report with its noisy copies and, in a grid,
+# a 128 KB gaussian and a 64 KB uniform draw per clip. On `defend` (50-clip groups), 10-clip
+# lists cut CPU but sped the host probe more (3.5-10.8% fewer predictions per kprobe); one
 # call-wide draw mapping added 6.3-7.6 MB peak RSS.
 HEAR_BLOCK = 64
 
@@ -24,15 +24,15 @@ def hear_rows(hear, clips, rows):
     """`hear` (clips -> a label or transcript per clip) of `clips` after each row of
     per-clip specs (None: the plain clip), one list per row: the one place a list of
     clips is noised and heard. It hears `HEAR_BLOCK` clips at a time, block by block
-    and row by row; within a block, specs that share a gaussian seed share its unit
+    and row by row; within a block, noise specs that share a kind and seed share its
     draw. A row not as long as `clips` is a ValueError before anything is heard."""
     if any(len(row) != len(clips) for row in rows):
         raise ValueError(f"each row needs one spec per clip ({len(clips)})")
     heard = [[] for _ in rows]
     for start in range(0, len(clips), HEAR_BLOCK):
         block = [row[start:start + HEAR_BLOCK] for row in rows]
-        # a unit draw is kept only when its seed comes back, and for one block only
-        seeds = [s.seed for row in block for s in row if s is not None and s.kind == "gaussian"]
+        # a draw is kept only when its kind and seed come back, and for one block only
+        seeds = [(s.kind, s.seed) for row in block for s in row if s and s.kind in NOISE_KINDS]
         units = {} if len(set(seeds)) < len(seeds) else None
         for out, row in zip(heard, block):
             out += hear([clip if spec is None else apply_transform(spec, clip, units)

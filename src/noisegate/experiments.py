@@ -153,8 +153,8 @@ def run_intensity_sweep(cfg: ExperimentConfig, clean_manifest: Manifest,
                         recognizer: RecognizerSpec | None = None) -> MetricsReport:
     """Attack success / accuracy (command mode) or transcript similarity
     (text mode) for both noise kinds over the intensity grid. A clip's noise has
-    one seed per kind at every intensity: the cells are paired draws, and its
-    gaussian unit draw is drawn once per call."""
+    one seed per kind at every intensity: the cells are paired draws, of one draw per
+    kind per block of clips (`detection.hear_rows`)."""
     return _report(cfg, clean_manifest, adv_manifest, model, recognizer, "sweep",
                    ["noise_kind", "intensity"], _noise_rows(cfg.grid), SWEEP_FILES)
 
@@ -174,8 +174,8 @@ def run_detection_eval(cfg: ExperimentConfig, clean_manifest: Manifest,
     """Change-rate ROC per (noise kind, intensity) cell.
 
     Each block of a group is heard plain once, then as one noisy list per cell. A clip's
-    noise has one seed per kind at every intensity, as in the sweep, and one gaussian
-    unit draw per call. Writes detection_auc.csv (one row per cell; blank AUC marks a
+    noise has one seed per kind at every intensity, as in the sweep, and one draw per kind
+    that the cells share. Writes detection_auc.csv (one row per cell; blank AUC marks a
     degenerate cell where every score is identical) and a per-cell curve CSV of
     (threshold, fpr, tpr) rows with a trailing auc summary line. Returns
     {(kind, intensity): RocResult | None}.

@@ -16,6 +16,7 @@ NOISE_KINDS = ("uniform", "gaussian")
 SILENCE_FRAME_MS = 20
 DEFAULT_SILENCE_THRESHOLD = 328  # ~1% of full scale
 DEFAULT_LOWPASS_TAPS = 101
+UNIFORM_SPARE = 64  # raw values past a clip's end for the uniform draw's rare skips
 
 # Every parameter rule, written once: "<kind> <parameter>" -> (test, what the test asks).
 # Specs check at parse time and the operations at call time, both through _check.
@@ -76,30 +77,42 @@ def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioCli
     """Add i.i.d. integer noise to every sample, saturating to 16-bit: uniform on
     [-I, I] or gaussian with sigma = I, for the noise spec's intensity I.
 
-    `unit_draws`, a mapping the caller owns (see `detection.hear_rows`), keeps each
-    gaussian unit draw z by (seed, length), read-only, for the intensities of that seed
-    to share. It changes no output. The uniform kind draws on every call."""
+    `unit_draws`, a mapping the caller owns (see `detection.hear_rows`), keeps each draw
+    by (kind, seed, length), read-only, for the intensities of that seed to share: the
+    gaussian unit draw, or the raw 32-bit stream of the uniform one. It changes no output."""
     if spec.kind not in NOISE_KINDS:
         raise ValueError(f"add_noise takes a noise kind {NOISE_KINDS}, got {spec.kind!r}")
     (intensity,) = spec.params
     if intensity == 0:
         return clip
     n = len(clip)
-    if spec.kind == "uniform":
-        noisy = np.random.default_rng(spec.seed).integers(-intensity, intensity + 1, size=n,
-                                                          dtype=np.int32)
+    draws, key = {} if unit_draws is None else unit_draws, (spec.kind, spec.seed, n)
+    if spec.kind == "uniform":  # as rng.integers(-I, I + 1, n) draws it (arXiv:1805.10941)
+        r, kept, raw = 2 * intensity + 1, (), ()
+        while len(kept) < n:  # a stream whose spare values run out is drawn again, longer
+            raw = _draw(draws, key, len(raw) + n - len(kept) + UNIFORM_SPARE)
+            skip = raw * np.uint32(r) < (2**32 - r) % r  # by the low 32 bits of u * r
+            kept = raw[~skip] if skip.any() else raw
+        noisy = (kept[:n] * (r / 2**32)).astype(np.int32)  # u * r >> 32: u * r < 2**48 is exact
+        noisy -= intensity
     else:
-        draws, key = {} if unit_draws is None else unit_draws, (spec.seed, n)
-        if key not in draws:
-            draws[key] = np.random.default_rng(spec.seed).standard_normal(n)
-            draws[key].flags.writeable = False
-        # rng.normal(0, I, n) is 0 + I * z over the same draws z: equal after rounding;
-        # whole-number float64 sums are exact, so this equals the int32 sum
-        noisy = draws[key] * intensity
+        # rng.normal(0, I, n) is 0 + I * z over the same draws z: equal after rounding
+        noisy = _draw(draws, key, n) * intensity
         np.round(noisy, out=noisy)
-    noisy += clip.samples
+    noisy += clip.samples  # a gaussian's whole-number float64 sum is exact: the int32 sum
     out = np.clip(noisy, I16_MIN, I16_MAX, out=noisy).astype(np.int16)
     return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
+
+
+def _draw(draws, key, count):
+    """`draws[key]`: n unit normals or `count` raw 32-bit values, drawn read-only if short."""
+    kind, seed, n = key
+    if len(draws.get(key, ())) < count:
+        rng = np.random.default_rng(seed)
+        draws[key] = (rng.standard_normal(n) if kind == "gaussian"
+                      else rng.integers(0, 2**32, count, dtype=np.uint32))
+        draws[key].flags.writeable = False
+    return draws[key]
 
 
 def requantize_8bit(clip: AudioClip) -> AudioClip:

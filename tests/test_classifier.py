@@ -26,6 +26,7 @@ from noisegate.classifier import (
 )
 from noisegate.features import mfcc_batch, mfcc_from_array
 from noisegate.synthesis import synth_clip
+from noisegate.transforms import TransformSpec, add_noise
 
 from helpers import loss_and_gradient
 
@@ -300,6 +301,19 @@ class TestPredictClips:
 
     def test_empty_list(self):
         assert predict_clips(LIST_MODEL, []) == []
+
+    def test_a_label_is_the_same_alone_in_a_full_block_and_reversed(self, tiny_model,
+                                                                     tiny_clips):
+        """The float32 screen scores a list as one matrix product; a clip's label is the
+        same heard alone, in a 64-clip list and in that list reversed."""
+        plain = [clip for _, clip in tiny_clips]
+        clips = plain + [add_noise(plain[k % len(plain)],
+                                   TransformSpec("gaussian", ((300, 1500, 4000)[k % 3],), seed=k))
+                         for k in range(64 - len(plain))]
+        alone = [predict_clips(tiny_model, [clip])[0] for clip in clips]
+        assert len(clips) == 64 and len(set(alone)) == 3
+        assert predict_clips(tiny_model, clips) == alone
+        assert predict_clips(tiny_model, clips[::-1]) == alone[::-1]
 
     def test_rows_of_one_score_as_batches_of_one(self):
         """Rows shaped (n, 1, n_samples) keep their leading shape, and each row's

@@ -246,7 +246,7 @@ class TestDetect:
 
 class TestHearRows:
     """`hear_rows` hears `HEAR_BLOCK` clips at a time, block by block and row by row,
-    and keeps a block's unit draws only when a gaussian seed comes back in it."""
+    and keeps a block's draws only when a noise kind and seed come back in it."""
 
     CLIPS = [clip_of(np.arange(60) * (i + 1)) for i in range(5)]
 
@@ -276,26 +276,30 @@ class TestHearRows:
         return [TransformSpec(kind, (intensity,), seed=seed) for seed in seeds]
 
     def test_blocks_are_heard_block_major_and_share_one_mapping_each(self, monkeypatch):
-        # the second noisy row repeats the first one's gaussian seeds
-        rows = [[None] * 5, self.noise("gaussian", 30, range(10, 15)),
-                self.noise("gaussian", 300, range(10, 15))]
-        want, sizes, units = self.hear_all(monkeypatch, rows)
-        assert sizes == [5, 5, 5]
-        assert len({id(u) for u in units}) == 1 and len(units[0]) == 5
-        heard, sizes, units = self.hear_all(monkeypatch, rows, block=2)
-        assert heard == want
-        assert sizes == [2, 2, 2, 2, 2, 2, 1, 1, 1]
-        # 2 + 2 + 1 clips of two noisy rows: one mapping per block, holding its clips' draws
-        ids = [id(u) for u in units]
-        assert [ids.index(i) for i in ids] == [0] * 4 + [4] * 4 + [8] * 2
-        assert [len(units[first]) for first in (0, 4, 8)] == [2, 2, 1]
+        for kind in ("gaussian", "uniform"):
+            # the second noisy row repeats the first one's seeds
+            rows = [[None] * 5, self.noise(kind, 30, range(10, 15)),
+                    self.noise(kind, 300, range(10, 15))]
+            want, sizes, units = self.hear_all(monkeypatch, rows)
+            assert sizes == [5, 5, 5]
+            assert len({id(u) for u in units}) == 1 and len(units[0]) == 5
+            heard, sizes, units = self.hear_all(monkeypatch, rows, block=2)
+            assert heard == want
+            assert sizes == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+            # 2 + 2 + 1 clips of two noisy rows: one mapping per block, holding its clips' draws
+            ids = [id(u) for u in units]
+            assert [ids.index(i) for i in ids] == [0] * 4 + [4] * 4 + [8] * 2
+            assert [len(units[first]) for first in (0, 4, 8)] == [2, 2, 1]
+            monkeypatch.undo()  # the whole block again
 
     @pytest.mark.parametrize("rows", [
         [[None] * 5, noise("gaussian", 30, range(10, 15)), noise("gaussian", 300, range(20, 25))],
-        [[None] * 5, noise("uniform", 30, range(10, 15)), noise("uniform", 300, range(10, 15))],
+        [[None] * 5, noise("uniform", 30, range(10, 15)), noise("uniform", 300, range(20, 25))],
+        # a seed that comes back under the other kind
+        [[None] * 5, noise("uniform", 30, range(10, 15)), noise("gaussian", 300, range(10, 15))],
         # a seed that comes back only in another block
         [noise("gaussian", 30, [1, 2, 3, 4, 1]), noise("uniform", 30, [1, 2, 3, 4, 1])],
-    ], ids=["distinct-seeds", "uniform", "seed-back-in-another-block"])
+    ], ids=["distinct-seeds", "uniform", "other-kind", "seed-back-in-another-block"])
     def test_no_draw_is_kept_that_is_not_used_again(self, monkeypatch, rows):
         want, _, _ = self.hear_all(monkeypatch, rows)
         heard, _, units = self.hear_all(monkeypatch, rows, block=2)

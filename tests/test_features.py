@@ -6,7 +6,7 @@ from scipy.fft import irfft, rfft
 
 from noisegate import features
 from noisegate.audio import AudioClip
-from noisegate.classifier import HEAR_MARGIN, pad_or_trim, predict_samples_batch
+from noisegate.classifier import HEAR_MARGIN, float32_copy, pad_or_trim, predict_samples_batch
 from noisegate.features import (
     FFT_SIZE,
     LOG_FLOOR,
@@ -180,10 +180,11 @@ def _forward_sliding_window(x, sample_rate_hz, dtype):
 
 
 def test_float32_features_move_no_probability_near_the_hearing_margin(tiny_model, tiny_clips):
-    """Lists are heard on float32 features, and only rows whose float32 top two are
-    closer than HEAR_MARGIN are scored again in float64; a label can flip unseen only
-    if float32 moves a probability by HEAR_MARGIN / 2. Over the corpus clips, plain and
-    after three transforms, it stays under a tenth of the margin."""
+    """Lists are screened on float32 features through the float32 model, as one matrix
+    product, and only rows whose float32 top two are closer than HEAR_MARGIN are scored
+    again in float64; a label can flip unseen only if float32 moves a probability by
+    HEAR_MARGIN / 2. Over the corpus clips, plain and after three transforms, it stays
+    under a tenth of the margin, on float32 features and through the float32 product."""
     clips = [clip for _, clip in tiny_clips]
     for text in ("gaussian:500", "lowpass:500:101", "requant8"):
         spec = parse_transform(text, seed=3)
@@ -191,7 +192,10 @@ def test_float32_features_move_no_probability_near_the_hearing_margin(tiny_model
     rows = np.stack([pad_or_trim(clip.samples, RATE) for clip in clips])
     p32 = predict_samples_batch(tiny_model, rows, RATE, dtype=np.float32)
     p64 = predict_samples_batch(tiny_model, rows, RATE)
+    screen = predict_samples_batch(float32_copy(tiny_model), rows, RATE, dtype=np.float32)
+    assert screen.dtype == np.float32
     assert np.abs(p32 - p64).max() < HEAR_MARGIN / 10
+    assert np.abs(screen - p64).max() < HEAR_MARGIN / 10
 
 
 class TestFeatureGradient:

@@ -505,9 +505,8 @@ class TestPairedDraws:
             assert len(set(by_intensity.values())) == 1
         # each clip and kind still draws its own noise
         assert len({next(iter(s.values())) for s in seeds.values()}) == len(seeds)
-        # and draws its gaussian noise once for the whole grid
-        gaussian = [next(iter(s.values())) for (kind, _), s in seeds.items() if kind == "gaussian"]
-        assert [rngs[seed] for seed in gaussian] == [1] * len(clean.rows + adv.rows)
+        # and draws its noise of either kind once for the whole grid
+        assert [rngs[next(iter(s.values()))] for s in seeds.values()] == [1] * len(seeds)
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_a_block_bounds_the_draws_held(self, tmp_path, monkeypatch, text_sets, block):
@@ -534,7 +533,8 @@ class TestPairedDraws:
         monkeypatch.setattr(transforms, "add_noise", recording(transforms.add_noise))
         monkeypatch.setattr(detection, "HEAR_BLOCK", block)
         assert reports(tmp_path / "blocks") == want
-        assert max(n for n in held if n is not None) == block
+        # a gaussian unit draw and a uniform stream per clip of the block
+        assert max(n for n in held if n is not None) == 2 * block
 
 
 # a small CLI pipeline, every path relative to the working directory; the

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from noisegate import transforms
 from noisegate.audio import I16_MAX, I16_MIN, AudioClip
+from noisegate.experiments import DEFAULT_GRID
 from noisegate.transforms import (
     TransformSpec,
     add_noise,
@@ -133,9 +134,9 @@ class TestAddNoise:
         assert clip.samples.tobytes() == samples.tobytes()
 
     def test_shared_unit_draws_keep_every_byte(self):
-        # one read-only unit draw per (seed, length), in the caller's mapping, serves
-        # every gaussian intensity; the uniform kind keeps none. When a caller keeps
-        # one is `hear_rows`' rule (tests/test_detection.py)
+        # one read-only draw per (kind, seed, length), in the caller's mapping, serves
+        # every intensity of that kind: the gaussian unit draw and the uniform raw stream.
+        # When a caller keeps one is `hear_rows`' rule (tests/test_detection.py)
         clip, short = tone(440, 0.1), tone(440, 0.05)
         units = {}
         for intensity in (1, 70, 500, I16_MAX):
@@ -144,8 +145,34 @@ class TestAddNoise:
                     spec = TransformSpec(kind, (intensity,), seed=3)
                     assert add_noise(c, spec, units) == _add_noise_oracle(c, spec)
                     assert apply_transform(spec, c, units) == _add_noise_oracle(c, spec)
-        assert sorted(units) == [(3, len(short)), (3, len(clip))]
+        assert sorted(units) == [(kind, 3, n) for kind in ("gaussian", "uniform")
+                                 for n in (len(short), len(clip))]
         assert not any(z.flags.writeable for z in units.values())
+        assert [len(units["uniform", 3, n]) for n in (len(short), len(clip))] == [
+            len(short) + transforms.UNIFORM_SPARE, len(clip) + transforms.UNIFORM_SPARE]
+
+    @pytest.mark.parametrize("spare", [transforms.UNIFORM_SPARE, 0])
+    def test_uniform_rebuild_is_numpys_bounded_draw(self, monkeypatch, spare):
+        # numpy's `integers` skips a raw value now and then (Lemire's rejection); seed 343
+        # does so at intensity 500 within the first 4000 values. With no spare values, each
+        # skip runs the stream out, and it is drawn again, longer
+        monkeypatch.setattr(transforms, "UNIFORM_SPARE", spare)
+        n, skipped, redrawn = 4000, [], []
+        clip = clip_of(np.arange(n) % 2001 - 1000)
+        for seed in range(400):
+            units = {}
+            for intensity in (*DEFAULT_GRID, I16_MAX):
+                spec = TransformSpec("uniform", (intensity,), seed=seed)
+                assert add_noise(clip, spec, units) == _add_noise_oracle(clip, spec)
+                # the stream mapped with no value skipped is not numpy's draw
+                r, raw = 2 * intensity + 1, units["uniform", seed, n][:n].astype(np.uint64)
+                want = np.random.default_rng(seed).integers(-intensity, intensity + 1, n)
+                if not np.array_equal((raw * r >> 32).astype(np.int64) - intensity, want):
+                    skipped.append((seed, intensity))
+            if len(units["uniform", seed, n]) > n + spare:
+                redrawn.append(seed)
+        assert (343, 500) in skipped
+        assert (redrawn == [343] if spare == 0 else not redrawn)
 
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
