@@ -16,6 +16,9 @@ a block of 64 (`HEAR_BLOCK`) and one of 8. The GA on it stops at `--k-max 8`,
 where every attack that lands does so at generation 0. So a second, stock-scale
 GA (population 50, `--k-max 150`) attacks a 2x3 corpus: on that model and seed
 one attack lands by search, at generation 114, and the step takes about 5 s a tree.
+Two GA runs at `--k-max 20` on the 2x3 corpus, one without init noise and one
+without mutation, and a `defend` of each noise kind at intensity 0 run the zero
+settings, whose draws are all zeros.
 """
 
 import argparse
@@ -42,6 +45,12 @@ PIPELINE = [
     ["synth", "--classes", "2", "--per-class", "3", "--out-dir", "small", "--seed", "12"],
     ["attack", "ga", "--model", "model.txt", "--manifest", "small/manifest.csv",
      "--out-dir", "ga_search", "--k-max", "150", "--seed", "2"],
+    # each zero setting draws zeros: no init noise, no mutation, no noise at intensity 0
+    *[["attack", "ga", "--model", "model.txt", "--manifest", "small/manifest.csv",
+       "--out-dir", out, "--k-max", "20", "--seed", "2", flag, "0"]
+      for out, flag in (("ga_init0", "--init-noise-bits"), ("ga_mutation0", "--mutation-range"))],
+    *[["defend", "--transform", f"{kind}:0", "--in", "small/wavs/yes_0000.wav",
+       "--out", f"defend_{kind}0.wav", "--seed", "3"] for kind in ("uniform", "gaussian")],
     ["attack", "pgd", "--model", "model.txt", *CORPUS, "--out-dir", "pgd", "--tau", "0",
      "--steps", "40", "--step-size", "16", "--seed", "8"],
     ["attack", "pgd", "--model", "model.txt", *CORPUS, "--out-dir", "pgd_tight",

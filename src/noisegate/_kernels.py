@@ -19,8 +19,6 @@ def levenshtein(a: str, b: str) -> int:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         cur = [i] + [0] * len(b)

@@ -155,11 +155,10 @@ def _breed(pop: np.ndarray, selection: np.ndarray, count: int,
     children ^= other
     children &= -bits.view(np.int8)
     children ^= other
-    if cfg.mutation_range > 0:
-        flat = children.reshape(-1)
-        hits = _bernoulli_positions(rng, flat.size, cfg.mutation_probability)
-        deltas = rng.integers(-cfg.mutation_range, cfg.mutation_range + 1, size=hits.size)
-        flat[hits] = np.clip(flat[hits] + deltas, I16_MIN, I16_MAX)
+    flat = children.reshape(-1)
+    hits = _bernoulli_positions(rng, flat.size, cfg.mutation_probability)
+    deltas = rng.integers(-cfg.mutation_range, cfg.mutation_range + 1, size=hits.size)
+    flat[hits] = np.clip(flat[hits] + deltas, I16_MIN, I16_MAX)
     return children
 
 
@@ -182,11 +181,11 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     the whole initial population's low bits in one call. The stream of
     generation g >= 1, SeedSequence((cfg.seed, g)), breeds that generation's
     children in this order: all parent pairs in one draw, one packed random
-    bit per child sample for the crossover and, when `mutation_range` > 0,
-    the geometric gaps between mutated positions over the flat block of
-    children (each sample is hit with probability `mutation_probability`),
-    then one uniform delta in +-`mutation_range` per hit. Only the hit
-    samples are clipped to 16 bits.
+    bit per child sample for the crossover, the geometric gaps between mutated
+    positions over the flat block of children (each sample is hit with
+    probability `mutation_probability`), then one uniform delta in
+    +-`mutation_range` per hit; a zero setting draws zeros. Only the hit
+    samples are clipped to 16 bits. Children are scored as soon as bred.
     """
     target_idx = model.label_index(target)
     rate = original.sample_rate_hz
@@ -196,27 +195,14 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
     if res.success:
         return res
 
-    size = cfg.population_size
-    if cfg.init_noise_bits > 0:
-        mask = (1 << cfg.init_noise_bits) - 1
-        base = original.samples & np.int16(~mask)
-        bits = _generation_rng(cfg.seed, 0).integers(0, mask + 1, size=(size, n), dtype=np.int16)
-        pop = base | bits
-    else:
-        pop = np.tile(original.samples, (size, 1))
-
+    size, mask = cfg.population_size, (1 << cfg.init_noise_bits) - 1
+    bits = _generation_rng(cfg.seed, 0).integers(0, mask + 1, size=(size, n), dtype=np.int16)
+    pop = (original.samples & np.int16(~mask)) | bits
+    # float32 fitness path: ~2x faster and deterministic; `_result` decides in float64
+    probs = predict_samples_batch(model, pop, rate, dtype=np.float32)
     fitness_trace = []
-    elite_probs = None  # probability row of the elite in pop[0], from generation 1 on
 
     for generation in range(cfg.k_max):
-        # float32 fitness path: ~2x faster and deterministic; `_result` decides in float64
-        if elite_probs is None:
-            probs = predict_samples_batch(model, pop, rate, dtype=np.float32)
-        else:
-            # the elite keeps the score it earned: re-scored in a batch of
-            # another makeup it could shift by ~1e-15 and break monotonicity
-            children = predict_samples_batch(model, pop[1:], rate, dtype=np.float32)
-            probs = np.concatenate([elite_probs[None, :], children])
         scores = probs[:, target_idx]
         best_idx = int(np.argmax(scores))
         fitness_trace.append(float(scores[best_idx]))
@@ -231,8 +217,11 @@ def ga_attack(model: Model, original: AudioClip, target: str, cfg: GaConfig = Ga
         # float64: Generator.choice validates sum(p) == 1 at double precision
         selection = _softmax(scores.astype(np.float64) / cfg.temp)
         rng = _generation_rng(cfg.seed, generation + 1)
-        elite_probs = probs[best_idx]
         pop = np.concatenate([pop[best_idx][None, :], _breed(pop, selection, size - 1, rng, cfg)])
+        # the elite keeps the score it earned: re-scored in a batch of
+        # another makeup it could shift by ~1e-15 and break monotonicity
+        probs = np.concatenate([probs[best_idx][None, :],
+                                predict_samples_batch(model, pop[1:], rate, dtype=np.float32)])
 
     return _result(model, original, pop[best_idx].copy(), target, cfg.k_max,
                    fitness_trace=fitness_trace)

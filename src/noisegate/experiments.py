@@ -113,11 +113,10 @@ def _report(cfg: ExperimentConfig, clean_manifest: Manifest, adv_manifest: Manif
     """
     if (model is None) == (recognizer is None):
         raise ValueError("pass exactly one of model (command mode) or recognizer (text mode)")
+    if model is not None and (bare := [row for row in adv_manifest.rows if row.target is None]):
+        raise ValueError(f"adversarial manifest row {bare[0].path} has no target label")
     groups, out_dir = _prepare(cfg, clean_manifest, adv_manifest)
     if model is not None:
-        for row in adv_manifest.rows:
-            if row.target is None:
-                raise ValueError(f"adversarial manifest row {row.path} has no target label")
         labels = [row.label for row, _ in groups[0]]
         targets = [row.target for row, _ in groups[1]]
         hear, columns, name = partial(predict_clips, model), COMMAND_COLUMNS, files[0]

@@ -34,10 +34,12 @@ def hop_len(sample_rate_hz: int) -> int:
 
 
 def frame_count(n_samples: int, sample_rate_hz: int) -> int:
-    flen = frame_len(sample_rate_hz)
+    flen, hop = frame_len(sample_rate_hz), hop_len(sample_rate_hz)
+    if hop < 1:
+        raise ValueError(f"sample rate {sample_rate_hz} Hz has no {HOP_MS} ms hop: need >= 100 Hz")
     if n_samples < flen:
         raise ValueError(f"clip of {n_samples} samples is shorter than one frame ({flen})")
-    return (n_samples - flen) // hop_len(sample_rate_hz) + 1
+    return (n_samples - flen) // hop + 1
 
 
 def hz_to_mel(f):

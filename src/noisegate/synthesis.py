@@ -31,14 +31,11 @@ def class_label(index: int) -> str:
 def _burst_envelope(n: int, start: int, length: int, ramp: int) -> np.ndarray:
     env = np.zeros(n)
     end = min(start + length, n)
-    if end <= start:
-        return env
     env[start:end] = 1.0
     r = min(ramp, (end - start) // 2)
-    if r > 0:
-        slope = np.linspace(0.0, 1.0, r, endpoint=False)
-        env[start : start + r] = slope
-        env[end - r : end] = slope[::-1]
+    slope = np.linspace(0.0, 1.0, r, endpoint=False)
+    env[start : start + r] = slope
+    env[end - r : end] = slope[::-1]
     return env
 
 

@@ -16,7 +16,6 @@ NOISE_KINDS = ("uniform", "gaussian")
 SILENCE_FRAME_MS = 20
 DEFAULT_SILENCE_THRESHOLD = 328  # ~1% of full scale
 DEFAULT_LOWPASS_TAPS = 101
-UNIFORM_SPARE = 64  # raw values past a clip's end for the uniform draw's rare skips
 
 # Every parameter rule, written once: "<kind> <parameter>" -> (test, what the test asks).
 # Specs check at parse time and the operations at call time, both through _check.
@@ -75,7 +74,7 @@ def _resolved(spec: TransformSpec) -> tuple:
 
 def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioClip:
     """Add i.i.d. integer noise to every sample, saturating to 16-bit: uniform on
-    [-I, I] or gaussian with sigma = I, for the noise spec's intensity I.
+    [-I, I] or gaussian with sigma = I, for the noise spec's intensity I (0 keeps the samples).
 
     `unit_draws`, a mapping the caller owns (see `detection.hear_rows`), keeps each draw
     by (kind, seed, length), read-only, for the intensities of that seed to share: the
@@ -83,14 +82,12 @@ def add_noise(clip: AudioClip, spec: TransformSpec, unit_draws=None) -> AudioCli
     if spec.kind not in NOISE_KINDS:
         raise ValueError(f"add_noise takes a noise kind {NOISE_KINDS}, got {spec.kind!r}")
     (intensity,) = spec.params
-    if intensity == 0:
-        return clip
     n = len(clip)
     draws, key = {} if unit_draws is None else unit_draws, (spec.kind, spec.seed, n)
     if spec.kind == "uniform":  # as rng.integers(-I, I + 1, n) draws it (arXiv:1805.10941)
         r, kept, raw = 2 * intensity + 1, (), ()
-        while len(kept) < n:  # a stream whose spare values run out is drawn again, longer
-            raw = _draw(draws, key, len(raw) + n - len(kept) + UNIFORM_SPARE)
+        while len(kept) < n:  # a stream with skips is drawn again, one value longer per skip
+            raw = _draw(draws, key, len(raw) + n - len(kept))
             skip = raw * np.uint32(r) < (2**32 - r) % r  # by the low 32 bits of u * r
             kept = raw[~skip] if skip.any() else raw
         noisy = (kept[:n] * (r / 2**32)).astype(np.int32)  # u * r >> 32: u * r < 2**48 is exact

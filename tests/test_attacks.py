@@ -207,6 +207,55 @@ class TestGaAttack:
         if not res.success:
             assert res.iterations_used == 2
 
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """Every (dtype, sample rows) that `ga_attack` scores, in order."""
+        calls, predict_batch = [], attacks.predict_samples_batch
+
+        def spy(model, rows, rate, **kwargs):
+            calls.append((kwargs.get("dtype", np.float64), rows.copy()))
+            return predict_batch(model, rows, rate, **kwargs)
+
+        monkeypatch.setattr(attacks, "predict_samples_batch", spy)
+        return calls
+
+    def test_no_init_noise_and_no_mutation_search_only_the_original(self, tiny_model,
+                                                                     tiny_clips, scored):
+        _, clip = tiny_clips[3]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        res = ga_attack(tiny_model, clip, target,
+                        GaConfig(k_max=4, population_size=6, seed=11, mutation_range=0,
+                                 init_noise_bits=0))
+        # the original, the initial population, three bred generations, the elite
+        assert [len(rows) for _, rows in scored] == [1, 6, 5, 5, 5, 1]
+        assert all((rows == clip.samples).all() for _, rows in scored)
+        assert len(res.fitness_trace) == 4 and len(set(res.fitness_trace)) == 1
+        assert not res.success and res.adversarial == clip
+
+    @pytest.mark.parametrize("bits", [1, 8])
+    def test_no_mutation_moves_only_the_init_noise_bits(self, tiny_model, tiny_clips, scored,
+                                                        bits):
+        _, clip = tiny_clips[3]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        ga_attack(tiny_model, clip, target,
+                  GaConfig(k_max=4, population_size=6, seed=11, mutation_range=0,
+                           init_noise_bits=bits))
+        high = np.int16(~((1 << bits) - 1))
+        assert len(scored) >= 5
+        assert all(((rows ^ clip.samples) & high == 0).all() for _, rows in scored)
+        assert any((rows != clip.samples).any() for _, rows in scored)
+
+    def test_no_init_noise_starts_from_the_original(self, tiny_model, tiny_clips, scored):
+        _, clip = tiny_clips[3]
+        target = wrong_label(tiny_model, predict(tiny_model, clip)[0])
+        ga_attack(tiny_model, clip, target,
+                  GaConfig(k_max=3, population_size=6, seed=11, init_noise_bits=0))
+        (_, original), (dtype, first), *bred = scored
+        assert dtype == np.float32 and first.shape == (6, len(clip))
+        assert (original == clip.samples).all() and (first == clip.samples).all()
+        # mutation still moves the children bred from it
+        assert any((rows != clip.samples).any() for _, rows in bred)
+
 
 class TestBreeding:
     def test_bernoulli_positions_increasing_and_in_range(self):

@@ -6,7 +6,13 @@ from scipy.fft import irfft, rfft
 
 from noisegate import features
 from noisegate.audio import AudioClip
-from noisegate.classifier import HEAR_MARGIN, float32_copy, pad_or_trim, predict_samples_batch
+from noisegate.classifier import (
+    HEAR_MARGIN,
+    float32_copy,
+    pad_or_trim,
+    predict_clips,
+    predict_samples_batch,
+)
 from noisegate.features import (
     FFT_SIZE,
     LOG_FLOOR,
@@ -155,6 +161,19 @@ class TestMfcc:
             got = mfcc_batch(batch, RATE, dtype=dtype)
             want = _forward_sliding_window(batch, RATE, dtype)[0]
             assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [80, 99])
+    def test_a_rate_under_100_hz_is_rejected_by_name(self, rate, tiny_model):
+        # its 10 ms hop is 0 samples, which the frame count divided by
+        assert hop_len(rate) == 0
+        message = f"sample rate {rate} Hz has no 10 ms hop: need >= 100 Hz"
+        with pytest.raises(ValueError, match=message):
+            mfcc_batch(np.ones((2, rate), dtype=np.int16), rate)
+        clip = AudioClip(samples=np.ones(rate, dtype=np.int16), sample_rate_hz=rate)
+        with pytest.raises(ValueError, match=message):
+            predict_clips(tiny_model, [clip])
+        # the lowest rate the front end takes: 2-sample frames every sample
+        assert mfcc_batch(np.ones((1, 100), dtype=np.int16), 100).shape == (1, 99, NUM_COEFFS)
 
     def test_config_validation(self):  # the one check the fixed settings need
         assert frame_len(48000) == 1200 > FFT_SIZE

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from noisegate import detection, experiments, transforms
-from noisegate.audio import read_wav, write_wav
+from noisegate.audio import AudioClip, read_wav, write_wav
 from noisegate.classifier import TrainConfig, predict
 from noisegate.detection import DetectionConfig, change_rate, roc, transcript_change
 from noisegate.experiments import (
@@ -915,6 +915,19 @@ class TestCliSettings:
             "noisegate roc: uniform intensity must be in [0, 32767], got -10")
         assert not (tmp_path / "out").exists()
 
+    def test_a_report_rejects_a_row_without_target_before_it_writes(self, tmp_path,
+                                                                     monkeypatch, tiny_model):
+        # the target check ran only after both manifests were read and --out-dir was made
+        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+        synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
+        manifest = str(tmp_path / "corpus" / "manifest.csv")
+        save_model(tiny_model, tmp_path / "model.txt")
+        with pytest.raises(SystemExit, match="no target label") as exc:
+            cli.main(["sweep", "--model", str(tmp_path / "model.txt"), "--clean-manifest",
+                      manifest, "--adv-manifest", manifest, "--out-dir", str(tmp_path / "out")])
+        assert str(exc.value.code).startswith("noisegate sweep: adversarial manifest row ")
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_file_exits_with_one_line(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"epochs": 3,}')
@@ -1121,6 +1134,19 @@ class TestCliDetect:
                       "--recognizer", recognizer.replace("{t}", str(tmp_path)),
                       "--out", str(tmp_path / "detect.csv")])
         assert re.fullmatch("noisegate detect: " + line, str(exc.value.code))
+
+    def test_a_rate_under_100_hz_exits_with_one_line(self, tmp_path, tiny_model):
+        # a valid clip whose 10 ms hop is 0 samples ended in a ZeroDivisionError
+        write_wav(AudioClip(samples=np.ones(80, dtype=np.int16), sample_rate_hz=80),
+                  tmp_path / "low.wav")
+        write_manifest(Manifest(rows=[ManifestRow(path="low.wav", label="yes")],
+                                base_dir=tmp_path), tmp_path / "low.csv", adversarial=False)
+        save_model(tiny_model, tmp_path / "model.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--manifest", str(tmp_path / "low.csv"), "--recognizer",
+                      f"builtin:{tmp_path / 'model.txt'}", "--out", str(tmp_path / "d.csv")])
+        assert str(exc.value.code) == (
+            "noisegate detect: sample rate 80 Hz has no 10 ms hop: need >= 100 Hz")
 
     def test_votes_are_heard_as_lists(self, tmp_path, monkeypatch, manifest_arg, tiny_model):
         # 4 clips, 3 votes: one plain list and one list per vote, each stats the

@@ -148,15 +148,14 @@ class TestAddNoise:
         assert sorted(units) == [(kind, 3, n) for kind in ("gaussian", "uniform")
                                  for n in (len(short), len(clip))]
         assert not any(z.flags.writeable for z in units.values())
+        # a stream holds exactly the values its map reads: none is skipped at this seed
         assert [len(units["uniform", 3, n]) for n in (len(short), len(clip))] == [
-            len(short) + transforms.UNIFORM_SPARE, len(clip) + transforms.UNIFORM_SPARE]
+            len(short), len(clip)]
 
-    @pytest.mark.parametrize("spare", [transforms.UNIFORM_SPARE, 0])
-    def test_uniform_rebuild_is_numpys_bounded_draw(self, monkeypatch, spare):
+    def test_uniform_rebuild_is_numpys_bounded_draw(self):
         # numpy's `integers` skips a raw value now and then (Lemire's rejection); seed 343
-        # does so at intensity 500 within the first 4000 values. With no spare values, each
-        # skip runs the stream out, and it is drawn again, longer
-        monkeypatch.setattr(transforms, "UNIFORM_SPARE", spare)
+        # does so at intensity 500 within the first 4000 values. Each skip runs the stream
+        # out, and it is drawn again, longer
         n, skipped, redrawn = 4000, [], []
         clip = clip_of(np.arange(n) % 2001 - 1000)
         for seed in range(400):
@@ -170,10 +169,10 @@ class TestAddNoise:
                                                             dtype=np.int32)
                 if not np.array_equal((raw * r >> 32).astype(np.int64) - intensity, want):
                     skipped.append((seed, intensity))
-            if len(units["uniform", seed, n]) > n + spare:
+            if len(units["uniform", seed, n]) > n:
                 redrawn.append(seed)
         assert skipped == [(343, 500)]
-        assert (redrawn == [343] if spare == 0 else not redrawn)
+        assert redrawn == [343]
 
     def test_bad_kind_and_intensity(self):
         with pytest.raises(ValueError):
