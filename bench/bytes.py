@@ -18,7 +18,10 @@ GA (population 50, `--k-max 150`) attacks a 2x3 corpus: on that model and seed
 one attack lands by search, at generation 114, and the step takes about 5 s a tree.
 Two GA runs at `--k-max 20` on the 2x3 corpus, one without init noise and one
 without mutation, and a `defend` of each noise kind at intensity 0 run the zero
-settings, whose draws are all zeros.
+settings, whose draws are all zeros. A third attacks every clip of it towards one
+`--target` label.
+
+`digests` and `differences` are also the byte compare of the tier-1 tests.
 """
 
 import argparse
@@ -49,6 +52,8 @@ PIPELINE = [
     *[["attack", "ga", "--model", "model.txt", "--manifest", "small/manifest.csv",
        "--out-dir", out, "--k-max", "20", "--seed", "2", flag, "0"]
       for out, flag in (("ga_init0", "--init-noise-bits"), ("ga_mutation0", "--mutation-range"))],
+    ["attack", "ga", "--model", "model.txt", "--manifest", "small/manifest.csv",
+     "--out-dir", "ga_target", "--k-max", "20", "--seed", "2", "--target", "up"],
     *[["defend", "--transform", f"{kind}:0", "--in", "small/wavs/yes_0000.wav",
        "--out", f"defend_{kind}0.wav", "--seed", "3"] for kind in ("uniform", "gaussian")],
     ["attack", "pgd", "--model", "model.txt", *CORPUS, "--out-dir", "pgd", "--tau", "0",
@@ -87,24 +92,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def digests(root):
+    """{path under `root`: sha256} of every file under `root`, in name order."""
+    return {path.relative_to(root).as_posix(): _sha256(path.read_bytes())
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
 def run_pipeline(tree, work, pipeline=PIPELINE):
     """({output: sha256} of one run of `pipeline` from `tree`'s source in `work`, a line
     per step that failed)."""
     env = {key: value for key, value in os.environ.items() if key != "NOISEGATE_SEED"}
     env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(tree).resolve() / "src"))
-    digests, failed = {}, []
+    outputs, failed = {}, []
     for i, argv in enumerate(pipeline):
         step = f"step {i:02d} ({' '.join(argv[:2])})"
         proc = subprocess.run([sys.executable, "-m", "noisegate.cli", *argv], cwd=work,
                               env=env, capture_output=True)
-        digests[f"stdout of {step}"] = _sha256(proc.stdout)
+        outputs[f"stdout of {step}"] = _sha256(proc.stdout)
         if proc.returncode:
             last = (proc.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
             failed.append(f"{step} exited {proc.returncode}: {last}")
-    for path in sorted(Path(work).rglob("*")):
-        if path.is_file():
-            digests[path.relative_to(work).as_posix()] = _sha256(path.read_bytes())
-    return digests, failed
+    return {**outputs, **digests(work)}, failed
 
 
 def differences(parent, change):
@@ -123,15 +131,15 @@ def main(argv=None, pipeline=PIPELINE):
     parser.add_argument("parent")
     parser.add_argument("--change", default=str(HERE))
     args = parser.parse_args(argv)
-    digests, failed = {}, []
+    outputs, failed = {}, []
     for side, tree in (("parent", args.parent), ("change", args.change)):
         print(f"running the pipeline in {side} tree {tree}", file=sys.stderr, flush=True)
         with tempfile.TemporaryDirectory(prefix=f"bytes-{side}-") as work:
-            digests[side], failures = run_pipeline(tree, work, pipeline)
+            outputs[side], failures = run_pipeline(tree, work, pipeline)
         failed += [f"{side}: {line}" for line in failures]
-    lines = failed + differences(digests["parent"], digests["change"])
+    lines = failed + differences(outputs["parent"], outputs["change"])
     print("\n".join(lines) if lines else
-          f"identical ({len(digests['change'])} outputs, every file and stdout)")
+          f"identical ({len(outputs['change'])} outputs, every file and stdout)")
     return 1 if lines else 0
 
 

@@ -154,7 +154,7 @@ def cmd_attack(args):
 
     results, adv_manifest = attack_manifest(
         model, manifest, args.mode, args.out_dir, master_seed=_master_seed(args),
-        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, targets=getattr(args, "target", None),
+        ga_cfg=ga_cfg, pgd_cfg=pgd_cfg, target=getattr(args, "target", None),
         progress=progress,
     )
     wins = sum(1 for r in results if r.success)

@@ -227,9 +227,9 @@ def pick_targets(model: Model, manifest: Manifest, master_seed: int):
 
 def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
                     master_seed: int = 0, ga_cfg: GaConfig = GaConfig(),
-                    pgd_cfg: PgdConfig = PgdConfig(), targets=None,
+                    pgd_cfg: PgdConfig = PgdConfig(), target=None,
                     progress=None):
-    """Attack every clip in a clean manifest.
+    """Attack every clip of a clean manifest towards `target`, or a random wrong label.
 
     Writes adversarial WAVs, an adversarial manifest (original label kept,
     target and source recorded), and records.jsonl with one line per attack.
@@ -237,14 +237,11 @@ def attack_manifest(model: Model, manifest: Manifest, kind: str, out_dir,
     """
     if kind not in ("ga", "pgd"):
         raise ValueError(f"attack kind must be ga or pgd, got {kind!r}")
-    if targets is None:
+    if target is None:
         targets = pick_targets(model, manifest, master_seed)
-    elif isinstance(targets, str):
-        targets = [targets] * len(manifest.rows)
-    if len(targets) != len(manifest.rows):
-        raise ValueError("one target per manifest row required")
-    for target in targets:
+    else:
         model.label_index(target)  # an unknown label fails before anything is written
+        targets = [target] * len(manifest.rows)
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
 

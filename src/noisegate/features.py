@@ -37,6 +37,9 @@ def frame_count(n_samples: int, sample_rate_hz: int) -> int:
     flen, hop = frame_len(sample_rate_hz), hop_len(sample_rate_hz)
     if hop < 1:
         raise ValueError(f"sample rate {sample_rate_hz} Hz has no {HOP_MS} ms hop: need >= 100 Hz")
+    if flen > FFT_SIZE:  # the top rate is the last whose frame fits the FFT
+        raise ValueError(f"sample rate {sample_rate_hz} Hz has a {FRAME_MS} ms frame over the "
+                         f"{FFT_SIZE}-point FFT: need <= {(FFT_SIZE * 1000 + 999) // FRAME_MS} Hz")
     if n_samples < flen:
         raise ValueError(f"clip of {n_samples} samples is shorter than one frame ({flen})")
     return (n_samples - flen) // hop + 1
@@ -56,10 +59,7 @@ def _plan(sample_rate_hz: int, dtype=np.float64):
 
     The window, filterbank and DCT are built in float64 and cast to `dtype`.
     """
-    flen = frame_len(sample_rate_hz)
-    if FFT_SIZE < flen:
-        raise ValueError(f"fft_size {FFT_SIZE} smaller than frame length {flen}")
-    window = np.hamming(flen)
+    window = np.hamming(frame_len(sample_rate_hz))
 
     n_bins = FFT_SIZE // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate_hz / FFT_SIZE

@@ -48,7 +48,8 @@ class RecognizerSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown recognizer kind {self.kind!r}")
+            raise ValueError(f"unknown recognizer {self.kind + ':' + self.arg!r} "
+                             "(expected builtin:/external:/cache:)")
         if not self.arg:
             raise ValueError(f"{self.kind} recognizer needs {_KINDS[self.kind][0]}")
         if self.kind == "external":
@@ -69,8 +70,6 @@ class RecognizerSpec:
 def parse_recognizer(text: str) -> RecognizerSpec:
     """Parse CLI syntax: builtin:<model>, external:<command with {}>, cache:<jsonl>."""
     kind, _, arg = text.partition(":")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown recognizer {text!r} (expected builtin:/external:/cache:)")
     return RecognizerSpec(kind, arg)
 
 

@@ -6,6 +6,12 @@ from noisegate.classifier import TrainConfig, train
 from noisegate.synthesis import synth_dataset
 
 
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    """Each test starts without the caller's NOISEGATE_SEED; one that needs it sets it."""
+    monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
     """3 classes x 8 clips; enough to train a usable toy model fast."""

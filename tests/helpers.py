@@ -1,12 +1,31 @@
-"""Test helpers over the package's internals: the classifier's loss and its exact
-gradients, and a writer for the recognizer's `cache:` transcript files."""
+"""Test helpers: clips made from values or a tone; the classifier's loss and its exact
+gradients; a writer for the recognizer's `cache:` transcript files; and bench/bytes.py's
+file digests and their compare, the byte check of every test that compares two trees."""
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
+from noisegate.audio import AudioClip
 from noisegate.classifier import _backward, _forward_batch
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from bytes import differences, digests  # noqa: E402,F401
+
+
+def clip_of(values, rate=16000):
+    return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=rate)
+
+
+def tone(freq, seconds=1.0, amplitude=10000, rate=16000):
+    t = np.arange(int(seconds * rate)) / rate
+    return AudioClip(
+        samples=np.round(amplitude * np.sin(2 * np.pi * freq * t)).astype(np.int16),
+        sample_rate_hz=rate,
+    )
 
 
 def loss_and_gradient(model, features, label):

@@ -27,13 +27,13 @@ from noisegate.experiments import (
     run_intensity_sweep,
     run_transform_comparison,
 )
-from noisegate.manifests import Manifest, load_manifest
+from noisegate.manifests import Manifest
 from noisegate.recognition import RecognizerSpec
 from noisegate.seeds import derive_seed
 from noisegate.synthesis import synth_dataset
 from noisegate.transforms import TransformSpec, add_noise, low_pass, quantize, requantize_8bit
 
-from helpers import loss_and_gradient
+from helpers import differences, digests, loss_and_gradient
 
 pytestmark = pytest.mark.acceptance
 
@@ -386,27 +386,12 @@ def _run_small_pipeline(root: Path, seed=MASTER_SEED):
     return attacked, searched
 
 
-def _compare_trees(a: Path, b: Path):
-    """(files of `a` compared, relative paths that differ or are missing in `b`)."""
-    compared = 0
-    mismatched = []
-    for path_a in sorted(p for p in a.rglob("*") if p.is_file()):
-        rel = path_a.relative_to(a)
-        path_b = b / rel
-        if not path_b.is_file():
-            mismatched.append(f"missing {rel}")
-            continue
-        compared += 1
-        if path_a.read_bytes() != path_b.read_bytes():
-            mismatched.append(str(rel))
-    return compared, mismatched
-
-
 def test_criterion_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _, searched = _run_small_pipeline(a)
     _run_small_pipeline(b)
-    compared, mismatched = _compare_trees(a, b)
+    files = digests(a)
+    compared, mismatched = len(files), differences(files, digests(b))
     # the byte compare covers a searched example: a landed PGD WAV unlike its source
     corpus = a / "corpus"
     changed = sum(read_wav(searched.resolve(row)) != read_wav(corpus / row.source)
@@ -424,8 +409,9 @@ def test_determinism_when_no_attack_lands(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert not _run_small_pipeline(a, seed=1)[0].rows
     assert not _run_small_pipeline(b, seed=1)[0].rows
-    compared, mismatched = _compare_trees(a, b)
-    assert compared > 0 and not mismatched
+    files = digests(a)
+    assert len(files) > 0
+    assert differences(files, digests(b)) == []
 
 
 def test_criterion_transform_properties():

@@ -17,9 +17,7 @@ from noisegate.audio import (
     write_wav,
 )
 
-
-def clip_of(values, rate=16000):
-    return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=rate)
+from helpers import clip_of
 
 
 sample_arrays = st.lists(

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisegate.audio import AudioClip
 from noisegate.detection import (
     DetectionConfig,
     SingleClassError,
@@ -19,13 +18,9 @@ from noisegate.detection import (
 from noisegate.recognition import RecognizerSpec, clip_content_hash
 from noisegate.transforms import TransformSpec, add_noise
 
-from helpers import write_cache_file
+from helpers import clip_of, write_cache_file
 
 RATE = 16000
-
-
-def clip_of(values):
-    return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=RATE)
 
 
 def cached_recognizer(tmp_path, mapping):

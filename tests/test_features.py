@@ -34,15 +34,9 @@ from noisegate.features import (
 )
 from noisegate.transforms import apply_transform, parse_transform
 
+from helpers import tone
+
 RATE = 16000
-
-
-def tone(freq, seconds=1.0, amplitude=10000):
-    t = np.arange(int(seconds * RATE)) / RATE
-    return AudioClip(
-        samples=np.round(amplitude * np.sin(2 * np.pi * freq * t)).astype(np.int16),
-        sample_rate_hz=RATE,
-    )
 
 
 class TestMfcc:
@@ -178,8 +172,14 @@ class TestMfcc:
     def test_config_validation(self):  # the one check the fixed settings need
         assert frame_len(48000) == 1200 > FFT_SIZE
         clip = AudioClip(samples=np.zeros(48000, dtype=np.int16), sample_rate_hz=48000)
-        with pytest.raises(ValueError, match="fft_size 512 smaller than frame length 1200"):
+        with pytest.raises(ValueError, match="sample rate 48000 Hz has a 25 ms frame over the "
+                                             "512-point FFT: need <= 20519 Hz"):
             mfcc_from_array(clip.samples, clip.sample_rate_hz)
+        # the top rate, whose 25 ms frame is 512 samples; one hertz more makes it 513
+        assert frame_len(20519) == FFT_SIZE < frame_len(20520)
+        assert mfcc_from_array(np.ones(20519), 20519).shape == (98, NUM_COEFFS)
+        with pytest.raises(ValueError, match="sample rate 20520 Hz .* need <= 20519 Hz"):
+            mfcc_from_array(np.ones(20520), 20520)
 
 
 def _forward_sliding_window(x, sample_rate_hz, dtype):

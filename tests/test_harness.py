@@ -36,6 +36,8 @@ from noisegate.transforms import TransformSpec, add_noise, apply_transform, pars
 from noisegate import cli
 from noisegate.classifier import save as save_model
 
+from helpers import differences, digests
+
 
 class TestSynthDataset:
     def test_counts(self, tmp_path):
@@ -49,8 +51,7 @@ class TestSynthDataset:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         synth_dataset(2, 3, seed=9, out_dir=a_dir)
         synth_dataset(2, 3, seed=9, out_dir=b_dir)
-        for rel in sorted(p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file()):
-            assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes(), rel
+        assert differences(digests(a_dir), digests(b_dir)) == []
 
     def test_seed_changes_output(self, tmp_path):
         a = synth_dataset(2, 2, seed=1, out_dir=tmp_path / "a")
@@ -147,8 +148,21 @@ class TestAttackManifest:
     def test_unknown_target_writes_nothing(self, tmp_path, tiny_model, tiny_corpus):
         # the out dir and its wavs/ used to be made before the target was checked
         with pytest.raises(ValueError, match="unknown label 'nope'"):
-            attack_manifest(tiny_model, tiny_corpus, "ga", tmp_path / "adv", targets="nope")
+            attack_manifest(tiny_model, tiny_corpus, "ga", tmp_path / "adv", target="nope")
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_target_over_no_rows_exits_with_one_line(self, tmp_path, tiny_model):
+        # with no row to attack the target went unchecked: an empty run exited 0
+        write_manifest(Manifest(rows=[], base_dir=tmp_path), tmp_path / "none.csv",
+                       adversarial=False)
+        save_model(tiny_model, tmp_path / "model.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["attack", "ga", "--model", str(tmp_path / "model.txt"), "--manifest",
+                      str(tmp_path / "none.csv"), "--out-dir", str(tmp_path / "adv"),
+                      "--target", "nope"])
+        assert re.fullmatch(r"noisegate attack: unknown label 'nope'; known: \[.*\]",
+                            str(exc.value.code))
+        assert not (tmp_path / "adv").exists()
 
     def test_empty_manifest_writes_empty_records(self, tmp_path, tiny_model, tiny_corpus):
         # records.jsonl used to hold one blank line, which is no JSON record
@@ -567,7 +581,6 @@ CLI_PIPELINE = [
 
 class TestCli:
     def test_end_to_end_pipeline(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         monkeypatch.chdir(tmp_path)
         for argv in CLI_PIPELINE:
             assert cli.main(argv) == 0, argv
@@ -589,8 +602,7 @@ class TestCli:
         recognizer file memo) carries from one command to the next."""
         script = ("import json, sys\nfrom noisegate.cli import main\n"
                   "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
-        env = {key: value for key, value in os.environ.items() if key != "NOISEGATE_SEED"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"  # two runs share the CPUs
         runs = []
         for hash_seed in ("1", "2"):
@@ -604,11 +616,9 @@ class TestCli:
             _, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err.decode()
         (a, _), (b, _) = runs
-        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        files = digests(a)
         assert len(files) > 20
-        for rel in files:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert differences(files, digests(b)) == []
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NOISEGATE_SEED", "4242")
@@ -622,8 +632,7 @@ class TestCli:
         wav = "wavs/yes_0000.wav"
         assert (a / wav).read_bytes() == (b / wav).read_bytes()
 
-    def test_config_file_values_used(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_config_file_values_used(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 77, "out_dir": str(tmp_path / "c")}))
         assert cli.main(["--config", str(config), "synth",
@@ -634,8 +643,7 @@ class TestCli:
         assert ((tmp_path / "c" / "wavs" / "yes_0000.wav").read_bytes()
                 == (direct / "wavs" / "yes_0000.wav").read_bytes())
 
-    def test_config_sets_synth_counts(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_config_sets_synth_counts(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"classes": 2, "per_class": 3}))
         out = tmp_path / "c"
@@ -645,10 +653,9 @@ class TestCli:
                          "--per-class", "1"]) == 0
         assert len(load_manifest(out / "manifest.csv").rows) == 2
 
-    def test_flag_equal_to_its_default_beats_the_config(self, tmp_path, monkeypatch):
+    def test_flag_equal_to_its_default_beats_the_config(self, tmp_path):
         # a flag that is not given is absent, not its default, so one that
         # equals the default still beats the config file
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"classes": 2}))
         out = tmp_path / "c"
@@ -734,7 +741,6 @@ class TestCliSettings:
     @pytest.fixture
     def resolved(self, tmp_path, monkeypatch):
         """run(target, config, *flags) -> the config object the CLI builds for target."""
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         built = {}
         from_flags = cli._from_flags
 
@@ -887,9 +893,7 @@ class TestCliSettings:
             "threshold-list", "noise-int", "synth-out_dir-int", "grid-flag-float-item",
             "config-not-object", "roc-no-recognizer", "learning_rate-nan", "momentum-inf",
             "momentum-5"])
-    def test_bad_setting_exits_with_one_line(self, tmp_path, monkeypatch, argv, config,
-                                             message):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_bad_setting_exits_with_one_line(self, tmp_path, argv, config, message):
         synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
@@ -901,10 +905,9 @@ class TestCliSettings:
         assert text.startswith(f"noisegate {argv[0]}: ") and message in text
         assert "\n" not in text
 
-    def test_roc_rejects_an_out_of_range_grid_before_it_writes(self, tmp_path, monkeypatch):
+    def test_roc_rejects_an_out_of_range_grid_before_it_writes(self, tmp_path):
         # the grid was checked only once the cells were built: after both manifests
         # were read and <out-dir>/roc/ was made
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
         manifest = str(tmp_path / "corpus" / "manifest.csv")
         with pytest.raises(SystemExit) as exc:
@@ -916,9 +919,8 @@ class TestCliSettings:
         assert not (tmp_path / "out").exists()
 
     def test_a_report_rejects_a_row_without_target_before_it_writes(self, tmp_path,
-                                                                     monkeypatch, tiny_model):
+                                                                     tiny_model):
         # the target check ran only after both manifests were read and --out-dir was made
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
         manifest = str(tmp_path / "corpus" / "manifest.csv")
         save_model(tiny_model, tmp_path / "model.txt")
@@ -936,8 +938,7 @@ class TestCliSettings:
 
     # fft_size and hop were the removed spectrogram subcommand's keys
     @pytest.mark.parametrize("key", ["k-max", "kmax", "config", "fft_size", "hop"])
-    def test_unknown_config_key_exits_naming_it(self, tmp_path, monkeypatch, key):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_unknown_config_key_exits_naming_it(self, tmp_path, key):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"k_max": 5, key: 5}))
         with pytest.raises(SystemExit) as exc:
@@ -947,8 +948,7 @@ class TestCliSettings:
                                        f"a flag's long name with underscores, e.g. k_max")
         assert not (tmp_path / "out").exists()
 
-    def test_config_keys_of_other_subcommands_are_allowed(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_config_keys_of_other_subcommands_are_allowed(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"k_max": 200, "grid": [10, 50], "votes": 3,
                                            "classes": 2, "per_class": 1}))
@@ -960,9 +960,8 @@ class TestCliSettings:
                                                            "sweep_similarity.csv")),
                                                 ("compare", ("compare_command.csv",
                                                              "compare_transforms.csv"))])
-    def test_report_commands_name_their_file(self, tmp_path, monkeypatch, capsys, tiny_model,
-                                             text_sets, command, files):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_report_commands_name_their_file(self, tmp_path, capsys, tiny_model, text_sets,
+                                             command, files):
         common = [command, *report_inputs(tmp_path, tiny_model, text_sets, command)]
         for mode, name in zip((["--model", str(tmp_path / "model.txt")],
                                ["--recognizer", "external:od -An -tx1 -N 16 {}"]), files):
@@ -970,10 +969,8 @@ class TestCliSettings:
             assert f"{tmp_path / 'out' / name} (" in capsys.readouterr().out
             assert (tmp_path / "out" / name).is_file()
 
-    def test_model_key_of_the_config_is_read(self, tmp_path, monkeypatch, capsys, tiny_model,
-                                             text_sets):
+    def test_model_key_of_the_config_is_read(self, tmp_path, capsys, tiny_model, text_sets):
         # a config file's model used to be dropped, and sweep ran in text mode
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         inputs = report_inputs(tmp_path, tiny_model, text_sets)
         model = str(tmp_path / "model.txt")
         config = tmp_path / "config.json"
@@ -993,8 +990,7 @@ class TestCliSettings:
         assert cli.main(["--config", str(config), "sweep", *inputs, "--model", model]) == 0
         assert (tmp_path / "out" / "sweep_command.csv").read_bytes() == from_config
 
-    def test_manifest_key_of_the_config_is_read(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def test_manifest_key_of_the_config_is_read(self, tmp_path, capsys):
         synth_dataset(2, 1, seed=3, out_dir=tmp_path / "corpus")
         manifest = str(tmp_path / "corpus" / "manifest.csv")
         config = tmp_path / "config.json"
@@ -1026,7 +1022,6 @@ class TestCliSettings:
     def test_every_flag_can_come_from_the_config(self, tmp_path, monkeypatch, capsys):
         """The CLI pipeline, run from flags and again with each command's flags
         moved into a config file, writes the same bytes and prints the same lines."""
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
         parser, subcommands = cli.build_parser(), build_parser_subcommands()
         printed = []
         for run in ("flags", "config"):
@@ -1043,13 +1038,9 @@ class TestCliSettings:
                             *(argv[1:2] if argv[0] == "attack" else [])]
                 assert cli.main(argv) == 0, argv
             printed.append(capsys.readouterr().out)
-        flags, from_config = tmp_path / "flags", tmp_path / "config"
-        files = sorted(p.relative_to(flags) for p in flags.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(from_config) for p in from_config.rglob("*")
-                               if p.is_file())
+        files = digests(tmp_path / "flags")
         assert len(files) > 20
-        for rel in files:
-            assert (flags / rel).read_bytes() == (from_config / rel).read_bytes(), rel
+        assert differences(files, digests(tmp_path / "config")) == []
         assert printed[0] == printed[1]
 
 
@@ -1075,8 +1066,7 @@ def build_parser_subcommands():
 
 class TestCliDetect:
     @pytest.fixture
-    def manifest_arg(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOISEGATE_SEED", raising=False)
+    def manifest_arg(self, tmp_path):
         synth_dataset(2, 2, seed=5, out_dir=tmp_path / "corpus")
         return str(tmp_path / "corpus" / "manifest.csv")
 
@@ -1134,6 +1124,20 @@ class TestCliDetect:
                       "--recognizer", recognizer.replace("{t}", str(tmp_path)),
                       "--out", str(tmp_path / "detect.csv")])
         assert re.fullmatch("noisegate detect: " + line, str(exc.value.code))
+
+    def test_a_rate_over_the_fft_exits_with_one_line(self, tmp_path, tiny_model):
+        # the front end's own check named only the frame length and the FFT size
+        write_wav(AudioClip(samples=np.ones(22050, dtype=np.int16), sample_rate_hz=22050),
+                  tmp_path / "cd.wav")
+        write_manifest(Manifest(rows=[ManifestRow(path="cd.wav", label="yes")],
+                                base_dir=tmp_path), tmp_path / "cd.csv", adversarial=False)
+        save_model(tiny_model, tmp_path / "model.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--manifest", str(tmp_path / "cd.csv"), "--recognizer",
+                      f"builtin:{tmp_path / 'model.txt'}", "--out", str(tmp_path / "d.csv")])
+        assert str(exc.value.code) == ("noisegate detect: sample rate 22050 Hz has a 25 ms frame "
+                                       "over the 512-point FFT: need <= 20519 Hz")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_a_rate_under_100_hz_exits_with_one_line(self, tmp_path, tiny_model):
         # a valid clip whose 10 ms hop is 0 samples ended in a ZeroDivisionError

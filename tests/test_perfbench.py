@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -47,10 +48,9 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
-def _perfbench_reads():
-    """(file, 'name.attr...', object the name is bound to) for every noisegate name
-    a perfbench file imports and every chain of attribute reads on it."""
-    reads = []
+def _perfbench_trees():
+    """(file name, syntax tree, {name: (module, attribute or None)} of the noisegate
+    names it imports) for every perfbench file."""
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = {}
@@ -66,12 +66,30 @@ def _perfbench_reads():
                     if alias.name.startswith("noisegate"):
                         top = alias.asname or alias.name.split(".")[0]
                         bound[top] = (importlib.import_module(top), None)
+        yield path.name, tree, bound
+
+
+def _perfbench_reads():
+    """(file, 'name.attr...', object the name is bound to) for every noisegate name
+    a perfbench file imports and every chain of attribute reads on it."""
+    reads = []
+    for name, tree, bound in _perfbench_trees():
         for node in ast.walk(tree):
             chain = _dotted(node) if isinstance(node, ast.Attribute) else None
             if chain is not None and (root := chain.split(".")[0]) in bound:
-                reads.append((path.name, chain, bound[root]))
-        reads += [(path.name, name, where) for name, where in bound.items()]
+                reads.append((name, chain, bound[root]))
+        reads += [(name, chain, where) for chain, where in bound.items()]
     return reads
+
+
+def _resolve(chain, where):
+    """The object 'name.attr...' reads, `where` = (module, attribute or None) being
+    what its first name is bound to."""
+    module, attr = where
+    value = module if attr is None else getattr(module, attr)
+    for part in chain.split(".")[1:]:
+        value = getattr(value, part)
+    return value
 
 
 def test_benchmark_reads_exist():
@@ -84,14 +102,67 @@ def test_benchmark_reads_exist():
             "recognition.transcribe", "classifier.predict", "experiments.DEFAULT_GRID",
             "experiments.NO_DEFENSE_LABEL", "experiments.DEFAULT_COMPARISON_TRANSFORMS",
             "_kernels.BACKEND"} <= chains
-    absent, missing = object(), []
-    for name, chain, (module, attr) in reads:
-        value = module if attr is None else getattr(module, attr, absent)
-        for part in chain.split(".")[1:]:
-            value = getattr(value, part, absent)
-        if value is absent:
+    missing = []
+    for name, chain, where in reads:
+        try:
+            _resolve(chain, where)
+        except AttributeError:
             missing.append(f"{name}: {chain}")
     assert missing == []
+
+
+def _perfbench_calls():
+    """(file:line, callee chain, callee, positional count, keyword sets) for every call
+    a perfbench file makes into noisegate: a direct call, or the function handed to
+    `workloads._timed` with the arguments after it. A `**mode` spread stands for each
+    key set a `mode` method returns, so such a call has one keyword set per mode."""
+    calls = []
+    for name, tree, bound in _perfbench_trees():
+        modes = [[key.value for key in node.value.keys]
+                 for method in ast.walk(tree)
+                 if isinstance(method, ast.FunctionDef) and method.name == "mode"
+                 for node in ast.walk(method)
+                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee, args = node.func, node.args
+            if _dotted(callee) == "_timed":  # _timed(probe, errors, name, fn, *args, **kwargs)
+                callee, args = args[3], args[4:]
+            chain = _dotted(callee)
+            if chain is None or chain.split(".")[0] not in bound:
+                continue
+            assert not any(isinstance(arg, ast.Starred) for arg in args), ast.unparse(node)
+            named = [kw.arg for kw in node.keywords if kw.arg is not None]
+            spreads = [ast.unparse(kw.value) for kw in node.keywords if kw.arg is None]
+            assert spreads in ([], ["mode"]), ast.unparse(node)
+            keyword_sets = [named + mode for mode in modes] if spreads else [named]
+            calls.append((f"{name}:{node.lineno}", chain,
+                          _resolve(chain, bound[chain.split(".")[0]]), len(args), keyword_sets))
+    return calls
+
+
+def test_benchmark_calls_bind():
+    """Every call perfbench makes into noisegate binds to the callee's signature: a
+    parameter renamed or dropped breaks the benchmark, which this change may not edit."""
+    calls = _perfbench_calls()
+    chains = {chain for _, chain, *_ in calls}
+    assert {"experiments.attack_manifest", "experiments.run_intensity_sweep",
+            "experiments.run_transform_comparison", "experiments.run_detection_eval",
+            "experiments.ExperimentConfig", "synthesis.synth_dataset", "classifier.train",
+            "classifier.predict", "recognition.transcribe", "GaConfig", "PgdConfig",
+            "Manifest"} <= chains
+    spread = [keys for _, chain, _, _, sets in calls
+              if chain == "experiments.run_intensity_sweep" for keys in sets]
+    assert ["model"] in spread and ["recognizer"] in spread
+    unbound = []
+    for where, chain, callee, positional, keyword_sets in calls:
+        for keys in keyword_sets:
+            try:
+                inspect.signature(callee).bind(*[None] * positional, **dict.fromkeys(keys))
+            except TypeError as exc:
+                unbound.append(f"{where}: {chain}({positional} positional, {keys}): {exc}")
+    assert unbound == []
 
 
 def test_traced_command_sweep_hears_each_cell_as_lists(tmp_path, tiny_model, tiny_corpus):

@@ -116,6 +116,3 @@ def test_a_misspelling_is_caught(good, bad, problem):
     assert text.count(good) == 1
     assert readme_drift(text.replace(good, bad)) == [problem]
 
-
-def test_every_public_name_resolves():
-    assert [name for name in noisegate.__all__ if not hasattr(noisegate, name)] == []

@@ -1,13 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 import time
 
-import numpy as np
 import pytest
 
 from noisegate import recognition
-from noisegate.audio import AudioClip
 from noisegate.recognition import (
     CacheMissError,
     ExternalCommandError,
@@ -22,7 +21,7 @@ from noisegate.recognition import (
     transcribe_clips,
 )
 
-from helpers import write_cache_file
+from helpers import clip_of, write_cache_file
 
 RATE = 16000
 KIND_ARGS = [("builtin", "m.txt"), ("external", "run {}"), ("cache", "t.jsonl")]
@@ -32,10 +31,6 @@ KIND_ARGS = [("builtin", "m.txt"), ("external", "run {}"), ("cache", "t.jsonl")]
 def fresh_memo():
     """No model or transcript table memoized by an earlier test."""
     recognition._loaded.clear()
-
-
-def clip_of(values):
-    return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=RATE)
 
 
 class TestNormalize:
@@ -51,7 +46,8 @@ class TestSpecs:
         assert parse_recognizer("cache:t.jsonl").kind == "cache"
         with pytest.raises(ValueError, match="expected builtin:/external:/cache:"):
             parse_recognizer("magic:x")
-        with pytest.raises(ValueError, match="unknown recognizer kind"):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown recognizer 'magic:x' (expected builtin:/external:/cache:)")):
             RecognizerSpec("magic", "x")
 
     def test_external_needs_one_placeholder(self):

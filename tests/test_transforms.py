@@ -19,19 +19,9 @@ from noisegate.transforms import (
     silence_removal,
 )
 
+from helpers import clip_of, tone
+
 RATE = 16000
-
-
-def clip_of(values, rate=RATE):
-    return AudioClip(samples=np.array(values, dtype=np.int16), sample_rate_hz=rate)
-
-
-def tone(freq, seconds=1.0, amplitude=10000, rate=RATE):
-    t = np.arange(int(seconds * rate)) / rate
-    return AudioClip(
-        samples=np.round(amplitude * np.sin(2 * np.pi * freq * t)).astype(np.int16),
-        sample_rate_hz=rate,
-    )
 
 
 def rms(clip):
